@@ -13,7 +13,14 @@
    header fields are covered by structural validation (bad magic,
    version, lengths). Files are written atomically: payload to a
    temporary file in the destination directory, fsync, rename — a crash
-   mid-write can leave a stale temp file but never a torn snapshot. *)
+   mid-write can leave a stale temp file but never a torn snapshot.
+
+   A long run's snapshot is tens of megabytes (heap image plus tracer
+   ring), so each payload byte is stored once and read in place:
+   [encode] sizes every section with a measuring pass of its encoder,
+   allocates the file image at its exact size and has the encoders
+   write straight into it; [of_string] keeps the image and hands out
+   readers over its sections. *)
 
 module Codec = Hsgc_util.Codec
 
@@ -24,64 +31,130 @@ exception Corrupt of string
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
-(* --- CRC-32 (IEEE 802.3, reflected) --------------------------------- *)
+(* --- CRC-32 (IEEE 802.3, reflected), slicing-by-8 ------------------- *)
 
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+(* Row k of [crc_tables] maps a byte to the CRC register after that
+   byte and then k zero bytes, so one iteration folds eight input bytes
+   with eight independent lookups instead of a chain of eight dependent
+   ones. Row 0 is the classic byte-at-a-time table. *)
+let crc_tables =
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for i = 256 to (8 * 256) - 1 do
+    let prev = t.(i - 256) in
+    t.(i) <- (prev lsr 8) lxor t.(prev land 0xFF)
+  done;
+  t
 
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch ->
-      c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
-    s;
+external get32u : string -> int -> int32 = "%caml_string_get32u"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+external big_endian : unit -> bool = "%big_endian"
+
+(* Unchecked little-endian 32-bit load, as a non-negative int. *)
+let le32 s i =
+  let x = get32u s i in
+  Int32.to_int (if big_endian () then bswap32 x else x) land 0xFFFFFFFF
+
+let crc32_sub s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Checkpoint.crc32_sub";
+  let t = crc_tables in
+  let c = ref 0xFFFFFFFF and i = ref pos in
+  while !i + 8 <= pos + len do
+    let lo = !c lxor le32 s !i and hi = le32 s (!i + 4) in
+    c :=
+      Array.unsafe_get t (0x700 + (lo land 0xFF))
+      lxor Array.unsafe_get t (0x600 + ((lo lsr 8) land 0xFF))
+      lxor Array.unsafe_get t (0x500 + ((lo lsr 16) land 0xFF))
+      lxor Array.unsafe_get t (0x400 + (lo lsr 24))
+      lxor Array.unsafe_get t (0x300 + (hi land 0xFF))
+      lxor Array.unsafe_get t (0x200 + ((hi lsr 8) land 0xFF))
+      lxor Array.unsafe_get t (0x100 + ((hi lsr 16) land 0xFF))
+      lxor Array.unsafe_get t (hi lsr 24);
+    i := !i + 8
+  done;
+  for j = !i to pos + len - 1 do
+    c :=
+      Array.unsafe_get t ((!c lxor Char.code (String.unsafe_get s j)) land 0xFF)
+      lxor (!c lsr 8)
+  done;
   !c lxor 0xFFFFFFFF
+
+let crc32 s = crc32_sub s ~pos:0 ~len:(String.length s)
 
 (* --- writing -------------------------------------------------------- *)
 
-type writer = {
-  fingerprint : string;
-  mutable sections : (string * string) list;  (* reversed *)
-}
+type image = string
 
-let writer ~fingerprint = { fingerprint; sections = [] }
-
-let add_section w name payload =
-  if List.mem_assoc name w.sections then
-    invalid_arg (Printf.sprintf "Checkpoint.add_section: duplicate %S" name);
-  w.sections <- (name, payload) :: w.sections
-
-let to_string w =
-  let tail = Codec.W.create () in
-  Codec.W.int tail version;
-  Codec.W.string tail w.fingerprint;
-  let sections = List.rev w.sections in
-  Codec.W.int tail (List.length sections);
+let encode ~fingerprint sections =
+  let rec unique = function
+    | [] -> ()
+    | (name, _) :: rest ->
+      if List.mem_assoc name rest then
+        invalid_arg
+          (Printf.sprintf "Checkpoint.encode: duplicate section %S" name);
+      unique rest
+  in
+  unique sections;
+  let sized =
+    List.map
+      (fun (name, encoder) ->
+        let m = Codec.W.measure () in
+        encoder m;
+        (name, encoder, Codec.W.pos m))
+      sections
+  in
+  let framed s = 8 + String.length s in
+  let size =
+    List.fold_left
+      (fun acc (name, _, len) -> acc + framed name + 16 + len)
+      (String.length magic + 8 + framed fingerprint + 8)
+      sized
+  in
+  let buf = Bytes.create size in
+  Bytes.blit_string magic 0 buf 0 (String.length magic);
+  let w = Codec.W.into buf ~pos:(String.length magic) in
+  Codec.W.int w version;
+  Codec.W.string w fingerprint;
+  Codec.W.int w (List.length sized);
   List.iter
-    (fun (name, payload) ->
-      Codec.W.string tail name;
-      Codec.W.int tail (crc32 payload);
-      Codec.W.string tail payload)
-    sections;
-  magic ^ Codec.W.contents tail
+    (fun (name, encoder, len) ->
+      Codec.W.string w name;
+      let crc_at = Codec.W.pos w in
+      Codec.W.int w 0;
+      Codec.W.int w len;
+      let start = Codec.W.pos w in
+      encoder w;
+      let wrote = Codec.W.pos w - start in
+      if wrote <> len then
+        invalid_arg
+          (Printf.sprintf
+             "Checkpoint.encode: section %S wrote %d bytes, measured %d" name
+             wrote len);
+      (* The CRC only reads the payload just written; [buf] is not
+         mutated while the string view is in use. *)
+      let crc = crc32_sub (Bytes.unsafe_to_string buf) ~pos:start ~len in
+      Codec.W.int (Codec.W.into buf ~pos:crc_at) crc)
+    sized;
+  Bytes.unsafe_to_string buf
 
-let write w ~path =
+let to_string image = image
+
+let write image ~path =
   let dir = Filename.dirname path in
   let tmp = Filename.temp_file ~temp_dir:dir ".ckpt-" ".tmp" in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      let data = to_string w in
-      let n = String.length data in
-      let written = Unix.write_substring fd data 0 n in
+      let n = String.length image in
+      let written = Unix.write_substring fd image 0 n in
       if written <> n then failwith "Checkpoint.write: short write";
       Unix.fsync fd);
   Sys.rename tmp path
@@ -89,23 +162,28 @@ let write w ~path =
 (* --- reading -------------------------------------------------------- *)
 
 type snapshot = {
+  image : string;
   s_fingerprint : string;
-  s_sections : (string * string) list;  (* in file order, CRC-verified *)
+  s_sections : (string * int * int) list;
+      (* name, payload offset in [image], length — in file order,
+         CRC-verified *)
 }
 
 let fingerprint s = s.s_fingerprint
-let section_names s = List.map fst s.s_sections
+let section_names s = List.map (fun (name, _, _) -> name) s.s_sections
 
-let section s name =
-  match List.assoc_opt name s.s_sections with
-  | Some payload -> payload
+let reader s name =
+  match List.find_opt (fun (n, _, _) -> n = name) s.s_sections with
+  | Some (_, pos, len) -> Codec.R.of_substring s.image ~pos ~len
   | None -> corrupt "missing section %S" name
 
 let of_string data =
   let mlen = String.length magic in
   if String.length data < mlen || String.sub data 0 mlen <> magic then
     corrupt "bad magic: not a checkpoint file";
-  let r = Codec.R.of_string (String.sub data mlen (String.length data - mlen)) in
+  let r =
+    Codec.R.of_substring data ~pos:mlen ~len:(String.length data - mlen)
+  in
   let parse () =
     let v = Codec.R.int r in
     if v <> version then corrupt "snapshot version %d, expected %d" v version;
@@ -116,16 +194,16 @@ let of_string data =
       List.init n (fun _ ->
           let name = Codec.R.string r in
           let crc = Codec.R.int r in
-          let payload = Codec.R.string r in
-          let actual = crc32 payload in
+          let pos, len = Codec.R.blob r in
+          let actual = crc32_sub data ~pos ~len in
           if actual <> crc then
             corrupt "section %S CRC mismatch (stored %08x, computed %08x)"
               name crc actual;
-          (name, payload))
+          (name, pos, len))
     in
     if not (Codec.R.eof r) then
       corrupt "trailing garbage after last section";
-    { s_fingerprint = fp; s_sections = sections }
+    { image = data; s_fingerprint = fp; s_sections = sections }
   in
   match parse () with
   | s -> s
@@ -142,20 +220,4 @@ let load path =
   in
   of_string data
 
-(* Byte ranges of each section payload within the file — for the
-   snapshot-integrity mutation tests, which flip one byte inside every
-   section and assert its CRC catches the flip. *)
-let payload_ranges path =
-  let s = load path in
-  (* Recompute offsets by re-walking the layout; load already verified
-     structure, so the arithmetic below cannot go out of bounds. *)
-  let pos = ref (String.length magic) in
-  pos := !pos + 8 (* version *) + 8 + String.length s.s_fingerprint;
-  pos := !pos + 8 (* section count *);
-  List.map
-    (fun (name, payload) ->
-      pos := !pos + 8 + String.length name + 8 (* crc *) + 8 (* length *);
-      let off = !pos in
-      pos := !pos + String.length payload;
-      (name, off, String.length payload))
-    s.s_sections
+let payload_ranges path = (load path).s_sections

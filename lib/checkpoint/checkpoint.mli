@@ -11,28 +11,39 @@
     {e every} section CRC eagerly; any deviation — including a single
     flipped bit anywhere in a payload — raises {!Corrupt} naming what
     failed. Payload encoding/decoding is {!Hsgc_util.Codec}'s job; this
-    module only moves opaque section strings. *)
+    module frames the sections and checksums them. Each payload byte is
+    stored once on the way out (encoders write into the exactly-sized
+    file image) and read in place on the way back (section readers are
+    views of the loaded image). *)
 
 exception Corrupt of string
 
 val version : int
 
 val crc32 : string -> int
-(** CRC-32 (IEEE) of a string — exposed for tests. *)
+(** CRC-32 (IEEE 802.3) of a string. *)
+
+val crc32_sub : string -> pos:int -> len:int -> int
+(** CRC-32 of [len] bytes of a string from [pos], without copying them.
+    Raises [Invalid_argument] on a range outside the string. *)
 
 (** {2 Writing} *)
 
-type writer
+type image
+(** An encoded checkpoint file, ready to write. *)
 
-val writer : fingerprint:string -> writer
+val encode :
+  fingerprint:string -> (string * (Hsgc_util.Codec.W.t -> unit)) list -> image
+(** [encode ~fingerprint sections] frames each [(name, encoder)] as one
+    section, in order. Each encoder runs twice — on a measuring writer,
+    then into the image allocated at its exact size — so it must write
+    the same bytes both times. Raises [Invalid_argument] on a duplicate
+    section name or an encoder whose two runs disagree. *)
 
-val add_section : writer -> string -> string -> unit
-(** [add_section w name payload]. Section names must be unique. *)
+val to_string : image -> string
+(** The file's bytes (not a copy). *)
 
-val to_string : writer -> string
-(** The serialized container (exposed for tests). *)
-
-val write : writer -> path:string -> unit
+val write : image -> path:string -> unit
 (** Atomic write: temp file beside [path], fsync, rename. *)
 
 (** {2 Reading} *)
@@ -49,8 +60,9 @@ val of_string : string -> snapshot
 val fingerprint : snapshot -> string
 val section_names : snapshot -> string list
 
-val section : snapshot -> string -> string
-(** Payload of a named section; raises {!Corrupt} when absent. *)
+val reader : snapshot -> string -> Hsgc_util.Codec.R.t
+(** A reader over a named section's payload, in place; raises
+    {!Corrupt} when the section is absent. *)
 
 val payload_ranges : string -> (string * int * int) list
 (** [(name, byte_offset, byte_length)] of every section payload within

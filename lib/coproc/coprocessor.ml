@@ -2857,12 +2857,7 @@ module Snapshot = struct
 
   (* --- the snapshot ------------------------------------------------- *)
 
-  let sec f =
-    let w = Codec.W.create () in
-    f w;
-    Codec.W.contents w
-
-  let save t ~fingerprint =
+  let save ?(extra = []) t ~fingerprint =
     if t.cfg.sanitize <> San.Off then
       invalid_arg
         "Coprocessor.Snapshot.save: sanitizer state is not checkpointable";
@@ -2876,35 +2871,37 @@ module Snapshot = struct
        them to plain due cores so the snapshot is engine-independent
        (the credited stalls are exactly the per-cycle ones). *)
     unpark_all t;
-    let wtr = Ckpt.writer ~fingerprint in
-    Ckpt.add_section wtr "config" (sec (encode_config t.cfg));
-    Ckpt.add_section wtr "heap" (sec (H.encode t.heap));
-    Ckpt.add_section wtr "memsys" (sec (Mem.encode t.mem));
-    Ckpt.add_section wtr "fifo" (sec (Fifo.encode t.fifo));
-    Ckpt.add_section wtr "ports"
-      (sec (fun w ->
-           Array.iter
-             (fun c ->
-               Port.encode c.hl w;
-               Port.encode c.hs w;
-               Port.encode c.bl w;
-               Port.encode c.bs w)
-             t.cores));
-    Ckpt.add_section wtr "sync" (sec (SB.encode t.sb));
-    Ckpt.add_section wtr "cores"
-      (sec (fun w -> Array.iter (fun c -> encode_core c w) t.cores));
-    Ckpt.add_section wtr "counters"
-      (sec (fun w -> Array.iter (fun c -> Counters.encode c.counters w) t.cores));
-    Ckpt.add_section wtr "kernel" (sec (encode_sched t));
-    Ckpt.add_section wtr "rng" (sec (Injector.encode t.faults));
-    Ckpt.add_section wtr "obs"
-      (sec (fun w ->
-           Obs.encode t.obs w;
-           Prof.encode t.prof w));
-    wtr
+    Ckpt.encode ~fingerprint
+      ([
+         ("config", encode_config t.cfg);
+         ("heap", H.encode t.heap);
+         ("memsys", Mem.encode t.mem);
+         ("fifo", Fifo.encode t.fifo);
+         ( "ports",
+           fun w ->
+             Array.iter
+               (fun c ->
+                 Port.encode c.hl w;
+                 Port.encode c.hs w;
+                 Port.encode c.bl w;
+                 Port.encode c.bs w)
+               t.cores );
+         ("sync", SB.encode t.sb);
+         ("cores", fun w -> Array.iter (fun c -> encode_core c w) t.cores);
+         ( "counters",
+           fun w -> Array.iter (fun c -> Counters.encode c.counters w) t.cores
+         );
+         ("kernel", encode_sched t);
+         ("rng", Injector.encode t.faults);
+         ( "obs",
+           fun w ->
+             Obs.encode t.obs w;
+             Prof.encode t.prof w );
+       ]
+      @ extra)
 
   let config snap =
-    let r = Codec.R.of_string (Ckpt.section snap "config") in
+    let r = Ckpt.reader snap "config" in
     try
       let cfg = decode_config r in
       if not (Codec.R.eof r) then
@@ -2918,7 +2915,7 @@ module Snapshot = struct
       invalid_arg
         "Coprocessor.Snapshot.restore: sanitizer state is not checkpointable";
     let with_sec name f =
-      let r = Codec.R.of_string (Ckpt.section snap name) in
+      let r = Ckpt.reader snap name in
       (try f r
        with Codec.Error m ->
          raise (Ckpt.Corrupt (Printf.sprintf "section %S: %s" name m)));

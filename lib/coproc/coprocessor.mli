@@ -400,10 +400,15 @@ val mutator_alloc : sim -> pi:int -> delta:int -> [ `Done of int * int | `Wait ]
     started with [?remote]. *)
 
 module Snapshot : sig
-  val save : sim -> fingerprint:string -> Hsgc_checkpoint.Checkpoint.writer
-  (** Serialize the machine into a checkpoint writer (one section per
-      subsystem). The caller may add its own sections (driver metadata)
-      before {!Hsgc_checkpoint.Checkpoint.write}. *)
+  val save :
+    ?extra:(string * (Hsgc_util.Codec.W.t -> unit)) list ->
+    sim ->
+    fingerprint:string ->
+    Hsgc_checkpoint.Checkpoint.image
+  (** Serialize the machine into a checkpoint image: one section per
+      subsystem, then the caller's [extra] sections (driver metadata),
+      each given by its encoder. Write it with
+      {!Hsgc_checkpoint.Checkpoint.write}. *)
 
   val config : Hsgc_checkpoint.Checkpoint.snapshot -> config
   (** The configuration the snapshotted machine was started under

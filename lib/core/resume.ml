@@ -68,8 +68,7 @@ type meta = {
   prof_on : bool;
 }
 
-let encode_meta m =
-  let w = Codec.W.create () in
+let encode_meta m w =
   Codec.W.string w m.workload;
   Codec.W.float w m.scale;
   Codec.W.int w m.seed;
@@ -77,11 +76,9 @@ let encode_meta m =
   Codec.W.bool w m.obs_on;
   Codec.W.int w m.obs_capacity;
   Codec.W.int w m.obs_interval;
-  Codec.W.bool w m.prof_on;
-  Codec.W.contents w
+  Codec.W.bool w m.prof_on
 
-let decode_meta payload =
-  let r = Codec.R.of_string payload in
+let decode_meta r =
   try
     let workload = Codec.R.string r in
     let scale = Codec.R.float r in
@@ -110,9 +107,9 @@ let decode_meta payload =
 
 let save ?fingerprint:fp sim meta ~path =
   let fp = match fp with Some f -> f | None -> fingerprint () in
-  let wtr = Coprocessor.Snapshot.save sim ~fingerprint:fp in
-  Checkpoint.add_section wtr "meta" (encode_meta meta);
-  Checkpoint.write wtr ~path
+  Checkpoint.write ~path
+    (Coprocessor.Snapshot.save sim ~fingerprint:fp
+       ~extra:[ ("meta", encode_meta meta) ])
 
 let checkpoint_name cycle = Printf.sprintf "ckpt-%012d.ckpt" cycle
 
@@ -157,7 +154,7 @@ let resume ?fingerprint:fp ~path () =
             "snapshot was written by a different build (fingerprint %s, this \
              binary is %s)"
             sfp fp));
-  let meta = decode_meta (Checkpoint.section snap "meta") in
+  let meta = decode_meta (Checkpoint.reader snap "meta") in
   let cfg = Coprocessor.Snapshot.config snap in
   let w =
     match Workloads.find meta.workload with

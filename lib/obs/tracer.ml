@@ -364,13 +364,9 @@ let encode t w =
     Codec.W.int w t.cycle;
     Codec.W.int w t.len;
     Codec.W.int w t.dropped;
-    for i = 0 to t.len - 1 do
-      Codec.W.int w t.ev_cycle.(i);
-      Codec.W.int w t.ev_code.(i);
-      Codec.W.int w t.ev_core.(i);
-      Codec.W.int w t.ev_a.(i);
-      Codec.W.int w t.ev_b.(i)
-    done;
+    Codec.W.interleaved w
+      [| t.ev_cycle; t.ev_code; t.ev_core; t.ev_a; t.ev_b |]
+      ~len:t.len;
     Codec.W.int_array w t.cur_phase;
     Codec.W.int_array w t.phase_start;
     Codec.W.int_array w t.run_kind;
@@ -410,13 +406,9 @@ let restore t r =
       raise (Codec.Error "tracer event count out of range");
     t.len <- len;
     t.dropped <- Codec.R.int r;
-    for i = 0 to len - 1 do
-      t.ev_cycle.(i) <- Codec.R.int r;
-      t.ev_code.(i) <- Codec.R.int r;
-      t.ev_core.(i) <- Codec.R.int r;
-      t.ev_a.(i) <- Codec.R.int r;
-      t.ev_b.(i) <- Codec.R.int r
-    done;
+    Codec.R.interleaved_into r
+      [| t.ev_cycle; t.ev_code; t.ev_core; t.ev_a; t.ev_b |]
+      ~len;
     Codec.R.int_array_into r t.cur_phase ~what:"tracer open phases";
     Codec.R.int_array_into r t.phase_start ~what:"tracer phase starts";
     Codec.R.int_array_into r t.run_kind ~what:"tracer run kinds";

@@ -1,6 +1,8 @@
 (* Checkpoint/restore (Hsgc_checkpoint + Coprocessor.Snapshot + the
-   Hsgc_core.Resume driver): container integrity under mutation, exact
-   snapshot round-trips mid-collection, and the load-bearing property —
+   Hsgc_core.Resume driver): container integrity under mutation, the
+   codec and CRC against byte-level references, byte-identical snapshot
+   images, exact snapshot round-trips mid-collection, and the
+   load-bearing property —
    resume equivalence. A run killed at any cycle and resumed from its
    latest snapshot must end in the same final state (verify result,
    total cycles, per-core counters, trace digest) as a run that was
@@ -11,7 +13,9 @@ module Coprocessor = Hsgc_coproc.Coprocessor
 module Workloads = Hsgc_objgraph.Workloads
 module Verify = Hsgc_heap.Verify
 module Tracer = Hsgc_obs.Tracer
+module Profiler = Hsgc_obs.Profiler
 module Injector = Hsgc_fault.Injector
+module Codec = Hsgc_util.Codec
 module Checkpoint = Hsgc_checkpoint.Checkpoint
 module Resume = Hsgc_core.Resume
 module Interrupt = Hsgc_core.Chaos.Interrupt
@@ -162,6 +166,293 @@ let test_sanitizer_incompatible () =
   match Coprocessor.Snapshot.save sim ~fingerprint:"x" with
   | _ -> Alcotest.fail "snapshot of a sanitized machine accepted"
   | exception Invalid_argument _ -> ()
+
+(* ------------------------------------------------------------------ *)
+(* Codec and CRC against byte-level references; byte-identical images  *)
+(* ------------------------------------------------------------------ *)
+
+(* The byte-at-a-time CRC-32 the container computed before
+   slicing-by-8: the sliced loop must agree with it on every slice. *)
+let crc_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
+
+let crc32_reference s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := crc_table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
+    s;
+  !c lxor 0xFFFFFFFF
+
+let test_crc_values () =
+  List.iter
+    (fun (s, crc) ->
+      Alcotest.(check int) (Printf.sprintf "crc32 %S" s) crc (Checkpoint.crc32 s))
+    [
+      ("", 0);
+      ("a", 0xE8B7BE43);
+      ("123456789", 0xCBF43926);
+      ("The quick brown fox jumps over the lazy dog", 0x414FA339);
+    ];
+  (* Long slices at every alignment, ending at every tail length. *)
+  let big =
+    String.init 100_003 (fun i ->
+        Char.chr (((i * 7919) lxor (i lsr 5)) land 0xFF))
+  in
+  for pos = 0 to 8 do
+    let len = String.length big - (4 * pos) in
+    Alcotest.(check int)
+      (Printf.sprintf "slice at %d" pos)
+      (crc32_reference (String.sub big pos len))
+      (Checkpoint.crc32_sub big ~pos ~len)
+  done
+
+let qcheck_crc_slices =
+  QCheck.Test.make
+    ~name:"slicing-by-8 CRC-32 equals the byte-at-a-time reference on any slice"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (s, pos, len) -> Printf.sprintf "%S pos=%d len=%d" s pos len)
+       QCheck.Gen.(
+         let* s = string_size (int_range 0 100) in
+         let n = String.length s in
+         let* pos = int_range 0 n in
+         let* len = int_range 0 (n - pos) in
+         return (s, pos, len)))
+    (fun (s, pos, len) ->
+      Checkpoint.crc32_sub s ~pos ~len = crc32_reference (String.sub s pos len))
+
+type op =
+  | Int of int
+  | Bool of bool
+  | Float of float
+  | Str of string
+  | Ints of int array
+  | Bools of bool array
+  | Rows of int array array  (** columns of one length *)
+
+let rows_len cols = if Array.length cols = 0 then 0 else Array.length cols.(0)
+
+(* What the Buffer-based writer the codec replaced emitted for each op:
+   the reserved writer must reproduce these bytes exactly. *)
+let reference_bytes ops =
+  let b = Buffer.create 64 in
+  let int v = Buffer.add_int64_le b (Int64.of_int v) in
+  let bool x = int (if x then 1 else 0) in
+  List.iter
+    (function
+      | Int v -> int v
+      | Bool x -> bool x
+      | Float f -> Buffer.add_int64_le b (Int64.bits_of_float f)
+      | Str s ->
+        int (String.length s);
+        Buffer.add_string b s
+      | Ints a ->
+        int (Array.length a);
+        Array.iter int a
+      | Bools a ->
+        int (Array.length a);
+        Array.iter bool a
+      | Rows cols ->
+        for i = 0 to rows_len cols - 1 do
+          Array.iter (fun c -> int c.(i)) cols
+        done)
+    ops;
+  Buffer.contents b
+
+let write_ops w =
+  List.iter (function
+    | Int v -> Codec.W.int w v
+    | Bool x -> Codec.W.bool w x
+    | Float f -> Codec.W.float w f
+    | Str s -> Codec.W.string w s
+    | Ints a -> Codec.W.int_array w a
+    | Bools a -> Codec.W.bool_array w a
+    | Rows cols -> Codec.W.interleaved w cols ~len:(rows_len cols))
+
+let read_op r = function
+  | Int _ -> Int (Codec.R.int r)
+  | Bool _ -> Bool (Codec.R.bool r)
+  | Float _ -> Float (Codec.R.float r)
+  | Str _ -> Str (Codec.R.string r)
+  | Ints _ -> Ints (Codec.R.int_array r)
+  | Bools a ->
+    let d = Array.make (Array.length a) false in
+    Codec.R.bool_array_into r d ~what:"bools";
+    Bools d
+  | Rows cols ->
+    let d = Array.map (fun c -> Array.make (Array.length c) 0) cols in
+    Codec.R.interleaved_into r d ~len:(rows_len cols);
+    Rows d
+
+let same_op a b =
+  match (a, b) with
+  | Float x, Float y -> Int64.bits_of_float x = Int64.bits_of_float y
+  | _ -> a = b
+
+let gen_ops =
+  QCheck.Gen.(
+    let op =
+      frequency
+        [
+          (3, map (fun v -> Int v) int);
+          (1, map (fun b -> Bool b) bool);
+          (1, map (fun f -> Float f) float);
+          (1, map (fun s -> Str s) (string_size (int_range 0 20)));
+          ( 2,
+            map (fun l -> Ints (Array.of_list l)) (list_size (int_range 0 20) int)
+          );
+          ( 1,
+            map
+              (fun l -> Bools (Array.of_list l))
+              (list_size (int_range 0 10) bool) );
+          ( 1,
+            let* k = int_range 0 5 in
+            let* len = int_range 0 8 in
+            map
+              (fun cols -> Rows (Array.of_list (List.map Array.of_list cols)))
+              (list_repeat k (list_repeat len int)) );
+        ]
+    in
+    list_size (int_range 0 12) op)
+
+let qcheck_codec_reference_bytes =
+  QCheck.Test.make
+    ~name:
+      "codec: measured size, reserved writes and in-place reads agree with \
+       the Buffer-based reference bytes"
+    ~count:500 (QCheck.make gen_ops)
+    (fun ops ->
+      let m = Codec.W.measure () in
+      write_ops m ops;
+      let n = Codec.W.pos m in
+      (* Write at an unaligned offset into exactly the reserved bytes. *)
+      let buf = Bytes.make (n + 3) '#' in
+      let w = Codec.W.into buf ~pos:3 in
+      write_ops w ops;
+      let r = Codec.R.of_substring (Bytes.to_string buf) ~pos:3 ~len:n in
+      let back = List.map (read_op r) ops in
+      Codec.W.pos w = n + 3
+      && Bytes.sub_string buf 0 3 = "###"
+      && Bytes.sub_string buf 3 n = reference_bytes ops
+      && Codec.R.eof r
+      && List.for_all2 same_op ops back)
+
+let test_reserved_sizes_enforced () =
+  let w = Codec.W.into (Bytes.create 12) ~pos:0 in
+  Codec.W.int w 1;
+  (match Codec.W.int w 2 with
+  | () -> Alcotest.fail "write past the reserved bytes accepted"
+  | exception Invalid_argument _ -> ());
+  let noop _ = () in
+  (match Checkpoint.encode ~fingerprint:"f" [ ("a", noop); ("a", noop) ] with
+  | _ -> Alcotest.fail "duplicate section accepted"
+  | exception Invalid_argument _ -> ());
+  (* An encoder whose measuring and filling runs disagree would leave
+     the image inconsistent. *)
+  let calls = ref 0 in
+  let drifting w =
+    incr calls;
+    if !calls = 1 then Codec.W.int w 7
+  in
+  match Checkpoint.encode ~fingerprint:"f" [ ("s", drifting) ] with
+  | _ -> Alcotest.fail "size drift between the two encoder runs accepted"
+  | exception Invalid_argument _ -> ()
+
+let run_steps sim n =
+  for _ = 1 to n do
+    if not (Coprocessor.halted sim) then Coprocessor.step sim
+  done
+
+let golden_meta ~workload ~seed ~obs_capacity ~prof_on =
+  {
+    Resume.workload;
+    scale = 0.05;
+    seed;
+    partitions = 1;
+    obs_on = obs_capacity > 0;
+    obs_capacity;
+    obs_interval = (if obs_capacity > 0 then 64 else 0);
+    prof_on;
+  }
+
+let plain_machine () =
+  let heap = Workloads.build_heap ~scale:0.05 ~seed:42 Workloads.db in
+  let sim = Coprocessor.start (Coprocessor.config ~n_cores:8 ()) heap in
+  run_steps sim 400;
+  (sim, golden_meta ~workload:"db" ~seed:42 ~obs_capacity:0 ~prof_on:false)
+
+(* Every optional section live: delay faults, sub-object scan units,
+   the profiler, and a tracer whose ring has overflowed. *)
+let observed_machine ?(steps = 3000) () =
+  let heap = Workloads.build_heap ~scale:0.05 ~seed:7 Workloads.javac in
+  let faults = Injector.delay_class ~seed:5 ~intensity:0.3 () in
+  let cfg = Coprocessor.config ~faults ~scan_unit:8 ~n_cores:16 () in
+  let obs = Tracer.create ~capacity:4096 ~interval:64 ~n_cores:16 () in
+  Tracer.enable obs;
+  let prof = Profiler.create ~n_cores:16 () in
+  Profiler.enable prof;
+  let sim = Coprocessor.start ~obs ~prof cfg heap in
+  run_steps sim steps;
+  (sim, golden_meta ~workload:"javac" ~seed:7 ~obs_capacity:4096 ~prof_on:true)
+
+(* Size and MD5 of each image as written by the Buffer-based encoder
+   that preceded the reserve-once one: the on-disk format is unchanged,
+   so snapshots written before and after it stay interchangeable. *)
+let golden_images =
+  [
+    ("plain", plain_machine, 756572, "03daa14f8e00c65bff8b865cabb7b25d");
+    ( "observed",
+      (fun () -> observed_machine ()),
+      954054,
+      "765b45c1ca38c15faf5ef6e1f365748c" );
+  ]
+
+let test_golden_images () =
+  with_tmpdir @@ fun dir ->
+  List.iter
+    (fun (name, machine, size, digest) ->
+      let sim, meta = machine () in
+      let path = Filename.concat dir (name ^ ".ckpt") in
+      Resume.save ~fingerprint:"golden" sim meta ~path;
+      let raw = In_channel.with_open_bin path In_channel.input_all in
+      Alcotest.(check int) (name ^ " image size") size (String.length raw);
+      Alcotest.(check string)
+        (name ^ " image digest") digest
+        (Digest.to_hex (Digest.string raw)))
+    golden_images
+
+(* Both directions move words unboxed through buffers sized up front: a
+   save allocates its image plus a few words per section, a restore only
+   its readers — never a box per field. Both stay near 500 minor words
+   at any machine size (measured at scales 0.05 and 0.5). *)
+let test_codec_allocation () =
+  let minor_words f =
+    let before = Gc.minor_words () in
+    let x = f () in
+    (x, Gc.minor_words () -. before)
+  in
+  let sim, _ = observed_machine () in
+  let image, saved =
+    minor_words (fun () -> Coprocessor.Snapshot.save sim ~fingerprint:"x")
+  in
+  let snap = Checkpoint.of_string (Checkpoint.to_string image) in
+  let fresh, _ = observed_machine ~steps:0 () in
+  let (), restored =
+    minor_words (fun () -> Coprocessor.Snapshot.restore fresh snap)
+  in
+  let fields = String.length (Checkpoint.to_string image) / 8 in
+  List.iter
+    (fun (what, words) ->
+      if words > 4096. then
+        Alcotest.failf "%s of a %d-field snapshot allocated %.0f minor words"
+          what fields words)
+    [ ("save", saved); ("restore", restored) ]
 
 (* ------------------------------------------------------------------ *)
 (* Driver: boundary placement, latest, zero-cost off path              *)
@@ -380,6 +671,16 @@ let suite =
       test_fingerprint_mismatch_refused;
     Alcotest.test_case "sanitizer incompatible with snapshots" `Quick
       test_sanitizer_incompatible;
+    Alcotest.test_case "crc32: check values, long unaligned slices" `Quick
+      test_crc_values;
+    QCheck_alcotest.to_alcotest qcheck_crc_slices;
+    QCheck_alcotest.to_alcotest qcheck_codec_reference_bytes;
+    Alcotest.test_case "reserved sizes: overrun, duplicate, drift refused"
+      `Quick test_reserved_sizes_enforced;
+    Alcotest.test_case "snapshot images byte-identical to the recorded format"
+      `Quick test_golden_images;
+    Alcotest.test_case "save and restore allocate no per-field boxes" `Quick
+      test_codec_allocation;
     Alcotest.test_case "checkpoints land exactly on boundaries" `Quick
       test_checkpoint_boundaries_exact;
     Alcotest.test_case "driver with checkpointing off = plain collect" `Quick
