@@ -57,7 +57,6 @@ let paper_artifacts () =
   print_endline (Report.table1 base);
   print_endline (Report.table2 base);
   print_endline (Report.fifo_summary base);
-  print_endline (Report.kernel_summary base);
   let slow =
     Report.run_sweeps ~scale ~jobs
       ~mem:(Memsys.with_extra_latency Memsys.default_config 20)

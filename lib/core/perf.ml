@@ -1,9 +1,9 @@
 (* Stepping-throughput benchmark for the simulation kernel.
 
-   [BENCH_kernel.json] (the repro harness) times whole sweep legs —
-   workload generation, collection, and artifact rendering together.
-   This suite isolates the quantity the event-driven kernel actually
-   optimizes: simulated cycles per second of *stepping* time. Every
+   The end-to-end benchmark ([bench/e2e], [hsgcbench]) times whole sweep
+   legs — workload generation, collection, verification and artifact
+   rendering together — and splits that time by layer. This suite
+   isolates the quantity the event-driven kernel actually optimizes: simulated cycles per second of *stepping* time. Every
    heap is prebuilt outside the timed region and the per-leg wall time
    is [Coprocessor.wall_seconds], which the kernel measures from
    [start] to [finalize] on a monotonic clock — collection only, no

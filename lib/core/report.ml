@@ -44,52 +44,6 @@ let run_sweeps ?verify ?scale ?seeds ?mem ?skip ?sanitize ?cores
   in
   regroup Workloads.all results
 
-let kernel_summary data =
-  let header =
-    [
-      "Workload";
-      "sim cycles";
-      "skipped";
-      "skipped %";
-      "wall s";
-      "Mcycles/s";
-    ]
-  in
-  let fmt_row name ~cycles ~skipped ~wall =
-    let pct = if cycles > 0.0 then 100.0 *. skipped /. cycles else 0.0 in
-    let rate = if wall > 0.0 then cycles /. wall /. 1e6 else 0.0 in
-    [
-      name;
-      Printf.sprintf "%.0f" cycles;
-      Printf.sprintf "%.0f" skipped;
-      Printf.sprintf "%.1f%%" pct;
-      Printf.sprintf "%.3f" wall;
-      Printf.sprintf "%.2f" rate;
-    ]
-  in
-  let totals = ref (0.0, 0.0, 0.0) in
-  let rows =
-    List.map
-      (fun (name, points) ->
-        let cycles, skipped, wall =
-          List.fold_left
-            (fun (c, s, w) p ->
-              ( c +. p.Experiment.cycles,
-                s +. p.Experiment.skipped_cycles,
-                w +. p.Experiment.wall_s ))
-            (0.0, 0.0, 0.0) points
-        in
-        let tc, ts, tw = !totals in
-        totals := (tc +. cycles, ts +. skipped, tw +. wall);
-        fmt_row name ~cycles ~skipped ~wall)
-      data
-  in
-  let tc, ts, tw = !totals in
-  let rows = rows @ [ fmt_row "TOTAL" ~cycles:tc ~skipped:ts ~wall:tw ] in
-  "Kernel throughput (simulated cycles per wall-clock second; skipped =\n\
-   quiescent cycles fast-forwarded by the kernel, summed over the sweep)\n"
-  ^ Table.render ~header ~rows
-
 let speedup_chart ~title data =
   let series =
     List.map

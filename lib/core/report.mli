@@ -25,11 +25,6 @@ val run_sweeps :
     domains — one simulator per point, results regrouped in workload
     order, so every artifact is byte-identical at any [jobs] level. *)
 
-val kernel_summary : sweep_data -> string
-(** Kernel observability: per workload (and in total), simulated cycles,
-    cycles skipped by the kernel, wall-clock seconds, and simulated
-    Mcycles per wall second. *)
-
 val figure5 : sweep_data -> string
 (** "Scaling behavior": speedup vs. core count, all workloads. *)
 

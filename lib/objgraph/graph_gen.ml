@@ -152,9 +152,10 @@ let caterpillar plan rng ~backbone ~tuft ~delta =
 let zipf_pool plan rng ~clients ~pool ~s =
   if pool <= 0 then invalid_arg "Graph_gen.zipf_pool";
   let pool_ids = Array.init pool (fun _ -> Plan.obj plan ~pi:0 ~delta:4) in
+  let weights = Rng.zipf_table ~n:pool ~s in
   Array.iter
     (fun (client, slot) ->
-      let target = pool_ids.(Rng.zipf rng ~n:pool ~s) in
+      let target = pool_ids.(Rng.zipf_draw rng weights) in
       Plan.link plan ~parent:client ~slot ~child:target)
     clients;
   pool_ids

@@ -63,24 +63,37 @@ let geometric t ~p =
     int_of_float (Float.of_int 0 +. floor (log u /. log (1.0 -. p)))
   end
 
-let zipf t ~n ~s =
+(* Cumulative Zipf weights: [cum.(k-1)] is the sum of 1/j^s over
+   j = 1..k. The sums must be formed left to right with exactly these
+   float operations: the rounding they produce decides every generated
+   workload graph (pinned by plan digests in the test suite). *)
+type zipf = float array
+
+let zipf_table ~n ~s =
   assert (n > 0);
+  let cum = Array.make n 0.0 in
+  let acc = ref 0.0 in
+  for k = 1 to n do
+    acc := !acc +. (1.0 /. Float.pow (float_of_int k) s);
+    cum.(k - 1) <- !acc
+  done;
+  cum
+
+let zipf_draw t cum =
+  let n = Array.length cum in
   if n = 1 then 0
   else begin
-    (* Harmonic-sum inversion: draw u in [0, H_{n,s}) and find the first
-       rank whose cumulative weight exceeds u. Linear scan is fine: the
-       distribution is heavily weighted toward small ranks, so the
-       expected scan length is O(1) for s ≥ 1. *)
-    let h = ref 0.0 in
-    for k = 1 to n do
-      h := !h +. (1.0 /. Float.pow (float_of_int k) s)
+    (* Draw u in [0, H_{n,s}) and return the first rank whose cumulative
+       weight exceeds it (n - 1 if none does). The weights are positive,
+       so [cum] never decreases and "u < cum.(i)" flips from false to
+       true at most once: bisection finds the rank a linear scan would. *)
+    let u = float t cum.(n - 1) in
+    let lo = ref 0 and hi = ref n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if u < cum.(mid) then hi := mid else lo := mid + 1
     done;
-    let u = float t !h in
-    let rec find k acc =
-      if k > n then n - 1
-      else
-        let acc = acc +. (1.0 /. Float.pow (float_of_int k) s) in
-        if u < acc then k - 1 else find (k + 1) acc
-    in
-    find 1 0.0
+    if !lo = n then n - 1 else !lo
   end
+
+let zipf t ~n ~s = zipf_draw t (zipf_table ~n ~s)

@@ -51,9 +51,19 @@ val geometric : t -> p:float -> int
     probability [p] (support 0, 1, 2, ...; mean [(1-p)/p]).
     [p] must be in (0, 1]. *)
 
+type zipf
+(** The cumulative weight table of one Zipf distribution. *)
+
+val zipf_table : n:int -> s:float -> zipf
+(** [zipf_table ~n ~s] tabulates the Zipf distribution over ranks
+    [\[0, n)] with exponent [s] in O(n). [n] must be positive. Build it
+    once and draw from it repeatedly. *)
+
+val zipf_draw : t -> zipf -> int
+(** One rank from the tabulated distribution, by inverse CDF: a single
+    uniform draw and a bisection (no draw at all when [n = 1]). Used to
+    model hot shared objects (a few objects referenced by many). *)
+
 val zipf : t -> n:int -> s:float -> int
-(** [zipf t ~n ~s] draws a rank in [\[0, n)] from a Zipf distribution with
-    exponent [s] (via inverse-CDF on a precomputed table is avoided; this
-    uses rejection sampling suitable for repeated draws with small [n],
-    and a harmonic-sum inversion otherwise). Used to model hot shared
-    objects (a few objects referenced by many). *)
+(** [zipf t ~n ~s] is [zipf_draw t (zipf_table ~n ~s)]: one draw, paying
+    for the table each time. *)

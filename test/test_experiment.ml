@@ -3,6 +3,7 @@
 module Experiment = Hsgc_core.Experiment
 module Report = Hsgc_core.Report
 module Workloads = Hsgc_objgraph.Workloads
+module Memsys = Hsgc_memsim.Memsys
 
 let contains ~sub s =
   let n = String.length s and m = String.length sub in
@@ -135,6 +136,30 @@ let test_verification_failure_surfaces () =
   in
   ()
 
+(* The paper artifacts do not depend on how they were computed: the
+   verified Figure 5 sweep (with Tables I and II) and the Figure 6
+   sweep render byte-identically under naive stepping, idle-cycle
+   skipping, and skipping with the points spread over two domains. *)
+let test_artifacts_stepping_invariant () =
+  let latency = Memsys.with_extra_latency Memsys.default_config 20 in
+  let render ?mem ~skip ~jobs () =
+    let d =
+      Report.run_sweeps ~verify:true ~scale:0.02 ~seeds:[| 42 |] ?mem ~skip
+        ~jobs ()
+    in
+    match mem with
+    | None -> Report.figure5 d ^ Report.table1 d ^ Report.table2 d
+    | Some _ -> Report.figure6 d
+  in
+  List.iter
+    (fun (what, mem) ->
+      let naive = render ?mem ~skip:false ~jobs:1 () in
+      Alcotest.(check string) (what ^ ": skip = naive") naive
+        (render ?mem ~skip:true ~jobs:1 ());
+      Alcotest.(check string) (what ^ ": 2 jobs = naive") naive
+        (render ?mem ~skip:true ~jobs:2 ()))
+    [ ("figure 5", None); ("figure 6", Some latency) ]
+
 let suite =
   [
     Alcotest.test_case "measure" `Quick test_measure;
@@ -153,4 +178,6 @@ let suite =
     Alcotest.test_case "concurrent pauses renders" `Slow
       test_concurrent_pauses_renders;
     Alcotest.test_case "verify plumbing" `Quick test_verification_failure_surfaces;
+    Alcotest.test_case "artifacts identical: naive, skip, 2 jobs" `Slow
+      test_artifacts_stepping_invariant;
   ]

@@ -141,6 +141,68 @@ let test_zipf_single () =
   let r = Rng.create 43 in
   Alcotest.(check int) "n=1 always 0" 0 (Rng.zipf r ~n:1 ~s:1.0)
 
+(* [Rng.zipf] as it was before the weights were tabulated: every draw
+   re-sums the harmonic number and re-scans the cumulative weights from
+   rank 1. Kept as the bit-identity reference. The one liberty taken is
+   reading each weight 1/k^s, a pure function of (k, s), from [w]
+   instead of recomputing it; the sums are formed draw by draw, in the
+   same order, exactly as before. *)
+let zipf_per_draw w t =
+  let n = Array.length w in
+  if n = 1 then 0
+  else begin
+    let h = ref 0.0 in
+    for k = 1 to n do
+      h := !h +. w.(k - 1)
+    done;
+    let u = Rng.float t !h in
+    let rec find k acc =
+      if k > n then n - 1
+      else
+        let acc = acc +. w.(k - 1) in
+        if u < acc then k - 1 else find (k + 1) acc
+    in
+    find 1 0.0
+  end
+
+(* 10 000 draws per (n, s, seed) from the tabulated sampler, and the
+   first 1 000 also through [Rng.zipf] itself (it rebuilds the table per
+   draw): same ranks and same generator state as the reference. *)
+let test_zipf_bit_identical () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun s ->
+          let w = Array.init n (fun i -> 1.0 /. Float.pow (float_of_int (i + 1)) s) in
+          let table = Rng.zipf_table ~n ~s in
+          List.iter
+            (fun seed ->
+              let what = Printf.sprintf "n=%d s=%g seed=%d" n s seed in
+              let tabulated = Rng.create seed
+              and wrapped = Rng.create seed
+              and reference = Rng.create seed in
+              for i = 1 to 10_000 do
+                let want = zipf_per_draw w reference in
+                let got = Rng.zipf_draw tabulated table in
+                if got <> want then
+                  Alcotest.failf "%s draw %d: %d, reference %d" what i got want;
+                if i <= 1_000 then begin
+                  let got = Rng.zipf wrapped ~n ~s in
+                  if got <> want then
+                    Alcotest.failf "%s draw %d: Rng.zipf %d, reference %d" what i
+                      got want;
+                  if i = 1_000 then
+                    Alcotest.(check int64)
+                      (what ^ ": Rng.zipf state")
+                      (Rng.state reference) (Rng.state wrapped)
+                end
+              done;
+              Alcotest.(check int64) (what ^ ": state after the draws")
+                (Rng.state reference) (Rng.state tabulated))
+            [ 1; 42; 977 ])
+        [ 0.8; 1.0; 1.6 ])
+    [ 1; 2; 8; 256; 1000 ]
+
 let qcheck_int_in_bounds =
   QCheck.Test.make ~name:"rng int always within bound" ~count:500
     QCheck.(pair small_int (int_range 1 1_000_000))
@@ -179,6 +241,8 @@ let suite =
     Alcotest.test_case "zipf range" `Quick test_zipf_range;
     Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
     Alcotest.test_case "zipf single" `Quick test_zipf_single;
+    Alcotest.test_case "zipf draws bit-identical to the per-draw sum" `Quick
+      test_zipf_bit_identical;
     QCheck_alcotest.to_alcotest qcheck_int_in_bounds;
     QCheck_alcotest.to_alcotest qcheck_deterministic;
   ]

@@ -98,6 +98,60 @@ let test_build_heap_defaults () =
   let heap = Workloads.build_heap ~scale:0.02 Workloads.jlisp in
   Alcotest.(check bool) "heap populated" true (Heap.root_count heap > 0)
 
+(* MD5 of a plan's whole structure: per object π, δ and child ids, then
+   the roots. Data words are a fixed function of (id, slot), so this
+   pins everything a generated graph is. *)
+let plan_digest plan =
+  let b = Buffer.create 4096 in
+  let add i =
+    Buffer.add_string b (string_of_int i);
+    Buffer.add_char b ' '
+  in
+  for id = 0 to Plan.n_objects plan - 1 do
+    let pi = Plan.pi_of plan id in
+    add pi;
+    add (Plan.delta_of plan id);
+    for slot = 0 to pi - 1 do
+      add (Plan.child_of plan id slot)
+    done;
+    Buffer.add_char b '\n'
+  done;
+  Array.iter add (Plan.roots plan);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Recorded from the generators as they were when Zipf draws still
+   re-summed their weights per draw; any change to a generator's draws
+   or to the draw order moves a digest. *)
+let golden_plans =
+  [
+    ("compress", 1.0, "11da34a7a397d9fcb930b8f711433663");
+    ("cup", 1.0, "33ac13a1eb66e145cbf7cb4de7f39c44");
+    ("db", 1.0, "b8af0b784ed699eb5512f6f3968b7711");
+    ("javac", 1.0, "8bc984e3572e79e26e35b84b711005a6");
+    ("javacc", 1.0, "e8d9e7c1f43ba97e73090a38921b82a5");
+    ("jflex", 1.0, "c7af8d281d9aafa679353a4adb227b4c");
+    ("jlisp", 1.0, "c95726dda3d4c6c1e2455181d859d1f7");
+    ("search", 1.0, "3f3df7deac3ca2d2e96b21be01a2cf38");
+    ("compress", 0.05, "d8d56bed496266c47dc15832c88feec9");
+    ("cup", 0.05, "f24be31c89abbb29f3b829f875cd4a74");
+    ("db", 0.05, "877f20aaa7dd8e4866a4d77cd5d03339");
+    ("javac", 0.05, "d2d6b9369c1b17efa64ba24ebf304fb6");
+    ("javacc", 0.05, "84dc3374bc7ccd703b09b3824e55fdbb");
+    ("jflex", 0.05, "196abd74a96b20544a8fbcdccc968fc4");
+    ("jlisp", 0.05, "2edc0bec8457248657c736ba2881791a");
+    ("search", 0.05, "bddd85a495d178e61d1f00bfbe5ddfc8");
+  ]
+
+let test_plan_digests () =
+  List.iter
+    (fun (name, scale, digest) ->
+      let w = Option.get (Workloads.find name) in
+      Alcotest.(check string)
+        (Printf.sprintf "%s at scale %g, seed 42" name scale)
+        digest
+        (plan_digest (w.Workloads.build ~scale ~seed:42)))
+    golden_plans
+
 let suite =
   [
     Alcotest.test_case "names unique" `Quick test_names_unique;
@@ -107,4 +161,6 @@ let suite =
     Alcotest.test_case "scale grows" `Quick test_scale_grows;
     Alcotest.test_case "shape signatures" `Quick test_shapes;
     Alcotest.test_case "build_heap defaults" `Quick test_build_heap_defaults;
+    Alcotest.test_case "plans bit-identical to recorded digests" `Quick
+      test_plan_digests;
   ]
