@@ -328,42 +328,56 @@ type core = {
   (* Event-driven scheduling: the earliest cycle at which this core must
      be stepped again. Awake cores carry [cycle + 1] (with skipping off,
      0 — always stepped); a sleeping core carries the wake time it armed
-     in the wake queue; a halted core carries [max_int]. *)
+     in the wake queue; a halted core carries [max_int]; a parked core
+     carries the next completion of one of its in-flight transfers (or
+     [max_int]), the only cycle at which its buffers need a tick. *)
   mutable wake : int;
-  (* Scan-lock spin parking (compiled engine only): while this core's
-     bit is set in [parked_mask], the first spin cycle not yet credited
-     to its scan-lock stall counter. The stalls are bulk-credited when
-     the holder's release wakes the core ([wake_parked]). *)
+  (* Spinner parking (see "Spinner parking" below): the synchronization
+     wait the core is parked on ([park_none] when it is not parked) and
+     the first spin cycle not yet credited to its counters. *)
+  mutable park : int;
   mutable park_cycle : int;
+  (* Cycle of the core's latest empty-worklist probe whose termination
+     check failed: the one pure retry that leaves no stall latch. *)
+  mutable probe_cycle : int;
 }
 
 type t = {
   cfg : config;
-  (* The compiled engine is actually used (not just requested): no
-     fault plan, no tracer, no profiler. Determined once at [start];
-     a per-[step] trace still falls back dynamically. *)
+  (* Plain-run guards, derived from the configuration once at [start]:
+     skipping on, more than one core, and no tracer, profiler,
+     sanitizer, fault plan, scan unit or bank attachment. Spinners park
+     on every step of such a run that carries no per-step trace. *)
+  park_ok : bool;
+  (* The compiled engine is actually used (not just requested): the
+     plain-run guards hold. A per-[step] trace still falls back
+     dynamically. *)
   compiled_hot : bool;
   (* Deferred watchdog progress observation of the compiled exclusive
      interpreter: the cycle of the latest progressed cycle not yet
      reported to the watchdog, or -1. Always flushed (-1) outside
      [step], so snapshots never see a pending deferral. *)
   mutable wd_defer : int;
-  (* Cores parked on the contended scan lock (compiled engine only), as
-     a bit per core id. A parked core is indistinguishable from the
-     per-cycle engines' spinner except in host work: its failed
-     [try_lock] retries read nothing another agent can change while the
-     lock stays held, so they are replayed in bulk — the stall credit
-     happens at the release that wakes it. Always empty outside the
-     compiled fast path ([unpark_all] flushes on any fallback), so the
-     general engine and snapshots never observe a parked core. *)
-  mutable parked_mask : int;
-  (* Compiled-engine scratch (no per-cycle allocation): ids of the cores
-     due this cycle, and ids of the cores left awake for the next cycle
-     (wake = now + 1 after stepping). The awake list bounds the quiet
-     fast-forward scan and the bulk skip credit to the cores that can
-     actually act, instead of rescanning the whole array. *)
+  (* Spinner parking: the parked cores, in total and per kind; the
+     [free] register the parked empty-worklist probers saw; and the
+     executed cycle before the current one, which is the stall latch of
+     a lock spinner woken in time to retry within the current cycle. *)
+  mutable n_parked : int;
+  mutable n_park_scan : int;
+  mutable n_park_empty : int;
+  mutable n_park_header : int;
+  mutable park_free : int;
+  mutable prev_cycle : int;
+  (* Stepping scratch (no per-cycle allocation): ids of the cores due
+     this cycle ([n_due] of them, in index order), and ids of the cores
+     left awake for the next cycle ([n_awake] of them, wake = now + 1
+     after stepping). The awake list bounds the quiet fast-forward scan
+     and the bulk skip credit to the cores that can actually act,
+     instead of rescanning the whole array. *)
   due_ids : int array;
+  mutable n_due : int;
   awake_ids : int array;
+  mutable n_awake : int;
   heap : H.t;
   sb : SB.t;
   mem : Mem.t;
@@ -422,6 +436,12 @@ type sim = t
 
 let now t = t.clock.Kernel.now
 
+(* Spinner-parking kinds, the values of a core's [park] field. *)
+let park_none = 0
+let park_scan = 1 (* failed grab: the scan lock is held by another core *)
+let park_empty = 2 (* empty-worklist probe whose termination check failed *)
+let park_header = 3 (* failed header lock on [child], held by another core *)
+
 let make_core ~events ~faults ~hooks ~obs id =
   {
     id;
@@ -446,7 +466,9 @@ let make_core ~events ~faults ~hooks ~obs id =
     stall_cycle = -1;
     stall_kind = Counters.Scan_lock;
     wake = 0;
+    park = park_none;
     park_cycle = 0;
+    probe_cycle = -1;
   }
 
 let issue_exn port mem ~now ~addr =
@@ -715,10 +737,12 @@ let step_try_lock_scan t core =
       core.state <- Flush;
       mark t
     end
-    else
+    else begin
       (* The probe failed: the lock is released with nothing changed, so
          the cycle replays identically — deliberately no [mark]. *)
-      SB.unlock_scan t.sb ~core:core.id
+      SB.unlock_scan t.sb ~core:core.id;
+      core.probe_cycle <- now t
+    end
   end
   else if t.cur_frame <> 0 then begin_piece t core
   else begin
@@ -1135,17 +1159,28 @@ let start ?(obs = Obs.disabled) ?(prof = Prof.disabled) ?remote cfg heap =
     | Some _ ->
       Array.make (max 1 (to_space.Semispace.limit - pieces_base)) 0
   in
+  (* [compiled] already implies skipping, no sanitizer and no scan unit,
+     and a bank never runs it (all validated above). *)
+  let plain =
+    cfg.skip && cfg.faults = None && cfg.sanitize = San.Off
+    && cfg.scan_unit = None && remote = None && (not obs.Obs.on)
+    && not prof.Prof.on
+  in
   {
     cfg;
-    compiled_hot =
-      cfg.compiled && cfg.faults = None && (not obs.Obs.on)
-      && (not prof.Prof.on)
-      (* The parked-core set is one bit per core in an OCaml int. *)
-      && cfg.n_cores <= 62;
+    park_ok = plain && cfg.n_cores > 1;
+    compiled_hot = cfg.compiled && plain;
     wd_defer = -1;
-    parked_mask = 0;
+    n_parked = 0;
+    n_park_scan = 0;
+    n_park_empty = 0;
+    n_park_header = 0;
+    park_free = 0;
+    prev_cycle = 0;
     due_ids = Array.make cfg.n_cores 0;
+    n_due = 0;
     awake_ids = Array.make cfg.n_cores 0;
+    n_awake = 0;
     heap;
     sb =
       SB.create ~hooks ~obs
@@ -1226,9 +1261,13 @@ let quiescent t =
    would replay identically (same stall, same rejected retries, no
    shared-state reads that another agent could change). States that
    poll shared state — locks, the barrier, the scan/free registers —
-   must stay awake: the sync block is combinational and publishes no
-   wake ([SB.next_wake] = None), so the enabling event (another core
-   releasing a lock) has no schedulable time.
+   cannot sleep on a wake time: the sync block is combinational and
+   publishes none ([SB.next_wake] = None), so the enabling event
+   (another core releasing a lock) is not known in advance. Barrier
+   pollers, and every poller outside a plain run, stay awake and poll
+   each cycle. In a plain run, a lock or worklist poller whose retry
+   failed parks instead: the write that can change the retry's outcome
+   wakes it, at the step that makes the write (see "Spinner parking").
 
    The wake time is the minimum over all four buffers' wake_after, not
    just the state's guard buffer: the core must be awake at every cycle
@@ -1402,30 +1441,6 @@ let maybe_sleep t c ~now =
     end
   end
 
-(* Earliest future cycle at which any memory buffer can change status —
-   the wake-up that bounds a whole-machine fast-forward. Sleeping cores
-   are covered by the wake queue (their armed wake is the min of their
-   buffer wakes, frozen for the duration of the sleep); awake cores'
-   buffers are scanned directly. [max_int] means nothing is pending (a
-   would-be deadlock spins cycle by cycle, exactly as naive stepping
-   would, until the watchdog trips). Bails as soon as some buffer can
-   wake next cycle (no skip possible then). *)
-let next_wake_global t ~now =
-  let best = ref (Wake_queue.next_after t.wakeq ~now) in
-  let limit = now + 1 in
-  let cores = t.cores in
-  let n = Array.length cores in
-  let i = ref 0 in
-  while !i < n && !best > limit do
-    let c = Array.unsafe_get cores !i in
-    if c.wake <= limit then begin
-      let w = port_wake c t.mem ~now in
-      if w < !best then best := w
-    end;
-    incr i
-  done;
-  !best
-
 (* A cycle was quiescent iff the shared transition counter never moved —
    no buffer status change, no marked core transition — and the shared
    scan/free registers held still. A lock acquired and released within
@@ -1435,56 +1450,23 @@ let next_wake_global t ~now =
 let cycle_was_quiet t ~scan0 ~free0 =
   !(t.events) = 0 && t.sb.SB.scan = scan0 && t.sb.SB.free = free0
 
-(* Credit the statistics that [span] identical replays of the
-   just-executed cycle would have accumulated for the cores that are
-   still awake: each stalled core bumps its stall category once per
-   cycle, set busy bits accrue busy cycles, an idle worklist accrues
-   empty cycles, and every comparator-held header load is rejected once
-   more each cycle. Sleeping cores were already credited through their
-   whole sleep span when they went to sleep — and the fast-forward
-   target never passes their wake, so there is no double count. *)
-let credit_skipped t ~cycle ~span ~empty_delta =
-  let cores = t.cores in
-  let limit = cycle + 1 in
-  for i = 0 to Array.length cores - 1 do
-    let c = Array.unsafe_get cores i in
-    if c.wake <= limit then begin
-      if c.stall_cycle = cycle then begin
-        Counters.bump_n c.counters c.stall_kind span;
-        if t.obs.Obs.on then
-          Obs.stall_run t.obs ~core:c.id
-            ~kind:(stall_index c.stall_kind)
-            ~cycle:limit ~span
-      end;
-      (* Profiler: the skipped cycles replay the just-executed one, so
-         each awake core repeats the bucket it was attributed there. *)
-      if t.prof.Prof.on then
-        Prof.add t.prof ~core:c.id
-          ~bucket:
-            (if c.stall_cycle = cycle then 1 + stall_index c.stall_kind
-             else prof_bucket_of_state c.state)
-          span;
-      if t.sb.SB.busy.(c.id) then
-        c.counters.busy_cycles <- c.counters.busy_cycles + span;
-      if Port.order_held c.hl t.mem then Mem.add_rejected_order t.mem span
-    end
-  done;
-  t.empty_cycles <- t.empty_cycles + (span * empty_delta)
-
-(* Compiled-engine variants of the two whole-array jump scans, bounded
-   to the awake list the fused cycle just built ([t.awake_ids], cores
-   whose wake is [now + 1]). The sets coincide: after a fused cycle no
-   core's wake is <= [now], sleeping cores (wake > now + 1) are covered
-   by the wake queue and were bulk-credited when they slept, and a jump
-   only happens when every queued wake is past [now + 1]. Tracer and
-   profiler branches are dropped — the compiled fast path requires both
-   detached. *)
-let next_wake_awake t ~now ~count =
+(* Earliest future cycle at which any memory buffer can change status —
+   the wake-up that bounds a whole-machine fast-forward. Sleeping and
+   parked cores are covered by the wake queue (their armed wake is the
+   earliest event of their buffers, frozen until they are next due);
+   the awake list's buffers are scanned directly. After a stepped cycle
+   the awake list holds every core whose wake is [now + 1] except
+   sleepers armed for exactly [now + 1] — and those make the queue
+   answer [now + 1], which rules out a jump anyway. [max_int] means
+   nothing is pending (a would-be deadlock spins cycle by cycle, exactly
+   as naive stepping would, until the watchdog trips). Bails as soon as
+   some buffer can wake next cycle (no skip possible then). *)
+let next_wake_awake t ~now =
   let best = ref (Wake_queue.next_after t.wakeq ~now) in
   let ids = t.awake_ids and cores = t.cores in
   let limit = now + 1 in
   let i = ref 0 in
-  while !i < count && !best > limit do
+  while !i < t.n_awake && !best > limit do
     let c = Array.unsafe_get cores (Array.unsafe_get ids !i) in
     let w = port_wake c t.mem ~now in
     if w < !best then best := w;
@@ -1492,11 +1474,35 @@ let next_wake_awake t ~now ~count =
   done;
   !best
 
-let credit_awake t ~cycle ~span ~empty_delta ~count =
+(* Credit the statistics that [span] identical replays of the
+   just-executed cycle would have accumulated for the awake cores: each
+   stalled core bumps its stall category once per cycle, set busy bits
+   accrue busy cycles, an idle worklist accrues empty cycles, and every
+   comparator-held header load is rejected once more each cycle.
+   Sleeping cores were already credited through their whole sleep span
+   when they went to sleep — and the fast-forward target never passes
+   their wake, so there is no double count. Parked cores are credited
+   when they wake, for every cycle of the park, executed or skipped. *)
+let credit_awake t ~cycle ~span ~empty_delta =
   let ids = t.awake_ids and cores = t.cores in
-  for i = 0 to count - 1 do
+  let limit = cycle + 1 in
+  for i = 0 to t.n_awake - 1 do
     let c = Array.unsafe_get cores (Array.unsafe_get ids i) in
-    if c.stall_cycle = cycle then Counters.bump_n c.counters c.stall_kind span;
+    if c.stall_cycle = cycle then begin
+      Counters.bump_n c.counters c.stall_kind span;
+      if t.obs.Obs.on then
+        Obs.stall_run t.obs ~core:c.id
+          ~kind:(stall_index c.stall_kind)
+          ~cycle:limit ~span
+    end;
+    (* Profiler: the skipped cycles replay the just-executed one, so
+       each awake core repeats the bucket it was attributed there. *)
+    if t.prof.Prof.on then
+      Prof.add t.prof ~core:c.id
+        ~bucket:
+          (if c.stall_cycle = cycle then 1 + stall_index c.stall_kind
+           else prof_bucket_of_state c.state)
+        span;
     if t.sb.SB.busy.(c.id) then
       c.counters.busy_cycles <- c.counters.busy_cycles + span;
     if Port.order_held c.hl t.mem then Mem.add_rejected_order t.mem span
@@ -1538,7 +1544,8 @@ let diagnose t trip =
    it next acts (or observes a buffer event) at cycle [w], never later
    than the first cycle where one of its enabled events fires; [None] =
    no self-scheduled event (halted, or every buffer idle while the core
-   waits on another agent). Poll-states publish [now + 1]. *)
+   waits on another agent). Poll-states publish [now + 1] — a parked
+   spinner included, exactly as if it still retried every cycle. *)
 let core_next_wake t ~core =
   let c = t.cores.(core) in
   if c.state = Halt then None
@@ -1554,10 +1561,17 @@ let core_next_wake t ~core =
    core outside one partition can next act. Both are pure reads of the
    per-core wake fields maintained by [maybe_sleep]: a due core has
    [wake <= now], a sleeping core's armed wake is frozen until it is
-   stepped again, and a halted core is pinned at [max_int]. *)
+   stepped again, and a halted core is pinned at [max_int]. A parked
+   core reads as the spinner it stands for ([spin_wake]): awake, due
+   now. *)
 
 let n_cores t = Array.length t.cores
 let skip_enabled t = t.cfg.skip
+
+(* The wake an awake spinner carries between steps: the cycle after the
+   last executed one (stamped into the hook record by every executed
+   cycle). *)
+let spin_wake t = t.hooks.Hooks.cycle + 1
 
 let awake_partition_mask t ~owner =
   let n0 = now t in
@@ -1565,7 +1579,8 @@ let awake_partition_mask t ~owner =
   let m = ref 0 in
   for i = 0 to Array.length cores - 1 do
     let c = Array.unsafe_get cores i in
-    if c.wake <= n0 then m := !m lor (1 lsl Array.unsafe_get owner i)
+    if c.wake <= n0 || c.park <> park_none then
+      m := !m lor (1 lsl Array.unsafe_get owner i)
   done;
   !m
 
@@ -1575,172 +1590,11 @@ let min_wake_outside t ~owner ~partition =
   for i = 0 to Array.length cores - 1 do
     if Array.unsafe_get owner i <> partition then begin
       let c = Array.unsafe_get cores i in
-      if c.wake < !w then w := c.wake
+      let cw = if c.park <> park_none then spin_wake t else c.wake in
+      if cw < !w then w := cw
     end
   done;
   !w
-
-let step_general ?trace ?horizon t =
-  let n0 = now t in
-  Mem.begin_cycle t.mem ~now:n0;
-  (* Stamp the shared hook record so diagnostics and sanitizer findings
-     raised anywhere this cycle carry the cycle number. *)
-  t.hooks.Hooks.cycle <- n0;
-  if t.obs.Obs.on then t.obs.Obs.cycle <- n0;
-  let scan0 = t.sb.SB.scan and free0 = t.sb.SB.free in
-  t.events := 0;
-  let cores = t.cores in
-  let n = Array.length cores in
-  (* Static prioritization: buffers retry, then cores execute, both in
-     core-index order — the lowest index wins simultaneous claims, and a
-     lock released by an earlier core is acquirable by a later core in
-     the same cycle. Sleeping cores are skipped entirely: none of their
-     buffers can transition before their wake, and their rejected
-     retries were bulk-credited when they went to sleep. *)
-  for i = 0 to n - 1 do
-    let c = Array.unsafe_get cores i in
-    if c.wake <= n0 then begin
-      (* [Port.tick] is a no-op unless the buffer is retrying acceptance
-         or an in-flight transfer just completed; checking status here
-         with direct field reads keeps the by-far-most-common idle case
-         free of the cross-module call. *)
-      let p = c.hl in
-      let st = p.Port.st in
-      if st = Port.st_waiting || (st = Port.st_in_flight && p.Port.done_at <= n0)
-      then Port.tick p t.mem ~now:n0;
-      let p = c.hs in
-      let st = p.Port.st in
-      if st = Port.st_waiting || (st = Port.st_in_flight && p.Port.done_at <= n0)
-      then Port.tick p t.mem ~now:n0;
-      let p = c.bl in
-      let st = p.Port.st in
-      if st = Port.st_waiting || (st = Port.st_in_flight && p.Port.done_at <= n0)
-      then Port.tick p t.mem ~now:n0;
-      let p = c.bs in
-      let st = p.Port.st in
-      if st = Port.st_waiting || (st = Port.st_in_flight && p.Port.done_at <= n0)
-      then Port.tick p t.mem ~now:n0
-    end
-  done;
-  t.saw_empty <- false;
-  let awake_next = ref 0 in
-  let skip = t.cfg.skip in
-  for i = 0 to n - 1 do
-    let c = Array.unsafe_get cores i in
-    if c.wake <= n0 then begin
-      step_core t c;
-      (* Attribute this executed cycle: the stall latch carrying [n0]
-         identifies the stall category (it was counted exactly once by
-         [stall]); otherwise the post-step state says busy or idle. *)
-      if t.prof.Prof.on then
-        Prof.add t.prof ~core:c.id
-          ~bucket:
-            (if c.stall_cycle = n0 then 1 + stall_index c.stall_kind
-             else prof_bucket_of_state c.state)
-          1;
-      if t.obs.Obs.on then begin
-        if c.stall_cycle = n0 then
-          Obs.stall_run t.obs ~core:c.id
-            ~kind:(stall_index c.stall_kind)
-            ~cycle:n0 ~span:1;
-        Obs.set_phase t.obs ~core:c.id
-          ~phase:(phase_of_state c.state)
-          ~cycle:n0
-      end;
-      if skip then begin
-        maybe_sleep t c ~now:n0;
-        if c.wake = n0 + 1 then incr awake_next
-      end
-    end
-  done;
-  if t.obs.Obs.on && Obs.sample_due t.obs ~cycle:n0 then
-    Obs.sample t.obs ~cycle:n0
-      ~backlog:(t.sb.SB.free - t.sb.SB.scan)
-      ~fifo_depth:(Fifo.length t.fifo);
-  let empty_delta =
-    if t.parallel_phase && (not t.finished) && t.saw_empty then 1 else 0
-  in
-  t.empty_cycles <- t.empty_cycles + empty_delta;
-  (match trace with
-  | Some tr ->
-    if Trace.due tr ~cycle:n0 then begin
-      let activity =
-        String.init t.cfg.n_cores (fun i -> state_code t.cores.(i).state)
-      in
-      Trace.record tr ~cycle:n0 ~scan:(t.sb.SB.scan) ~free:(t.sb.SB.free)
-        ~fifo_depth:(Fifo.length t.fifo) ~activity
-    end;
-    if t.hooks.Hooks.on then begin
-      let fs = San.findings t.san in
-      let n = List.length fs in
-      if n > t.san_seen then begin
-        List.iteri
-          (fun i d ->
-            if i >= t.san_seen then
-              Trace.annotate tr ~cycle:n0 (Diag.to_string d))
-          fs;
-        t.san_seen <- n
-      end
-    end
-  | None -> ());
-  Kernel.tick t.clock;
-  let quiet = cycle_was_quiet t ~scan0 ~free0 in
-  let halted_all = all_halted t in
-  if not halted_all then begin
-    (* Watchdog: a quiet cycle made no global progress. The no-progress
-       window counts executed cycles only — skipped spans always end at
-       a wake-up that produces a transition, so they cannot mask a
-       deadlock (a true deadlock has no wake-up and spins cycle by
-       cycle, exactly what the window measures). *)
-    match
-      Kernel.Watchdog.observe t.watchdog ~now:n0 ~progressed:(not quiet)
-    with
-    | Some trip -> raise (Stall_diagnosis (diagnose t trip))
-    | None -> ()
-  end;
-  (* Whole-machine fast-forward (disabled while tracing: a trace wants
-     to sample the quiet cycles too). Two triggers: a quiescent cycle
-     (the classic idle-cycle skip, bounded by every buffer wake), or —
-     new with event-driven stepping — every core asleep on a memory
-     response, in which case nothing can happen before the earliest
-     armed wake even though this cycle itself made progress. *)
-  if skip && Option.is_none trace && not halted_all then
-    if quiet then begin
-      let wake = next_wake_global t ~now:n0 in
-      if wake < max_int then begin
-        let target = min (Wake_queue.bound ~horizon wake) (t.cfg.max_cycles + 1) in
-        if target > n0 + 1 then begin
-          (* The skipped cycles are quiescent, so the counter samples a
-             naive stepper would take in them carry today's (frozen)
-             signal values — emit them before jumping so the event
-             stream stays stepping-invariant. *)
-          if t.obs.Obs.on then
-            Obs.catch_up_samples t.obs ~target
-              ~backlog:(t.sb.SB.free - t.sb.SB.scan)
-              ~fifo_depth:(Fifo.length t.fifo);
-          let span = Kernel.fast_forward t.clock ~target in
-          credit_skipped t ~cycle:n0 ~span ~empty_delta
-        end
-      end
-    end
-    else if !awake_next = 0 then begin
-      let wake = Wake_queue.next_after t.wakeq ~now:n0 in
-      if wake < max_int then begin
-        let target = min (Wake_queue.bound ~horizon wake) (t.cfg.max_cycles + 1) in
-        if target > n0 + 1 then begin
-          (* No awake core means no stall latch, no busy bit moving, no
-             worklist probe in the skipped span: sleeping cores were
-             credited when they went to sleep, so there is nothing to
-             credit here. Counter samples still need catching up — the
-             signals are frozen while everyone sleeps. *)
-          if t.obs.Obs.on then
-            Obs.catch_up_samples t.obs ~target
-              ~backlog:(t.sb.SB.free - t.sb.SB.scan)
-              ~fifo_depth:(Fifo.length t.fifo);
-          ignore (Kernel.fast_forward t.clock ~target)
-        end
-      end
-    end
 
 (* ------------------------------------------------------------------ *)
 (* The compiled stepping engine (ROADMAP item 2).
@@ -1767,7 +1621,9 @@ let step_general ?trace ?horizon t =
    bit-identical to naive stepping; only wall time and the
    executed/skipped split move. Whenever a guard fails — a per-step
    trace requested, an instrumented or fault-injected run — the machine
-   falls back to the general engine above. *)
+   falls back to the general paths. Spinner parking and the due/awake
+   lists are not specializations: both engines share them, through the
+   one machine cycle below ([step_cycle]). *)
 (* ------------------------------------------------------------------ *)
 
 (* Buffer retry/completion for one core, fast paths inlined. Body-class
@@ -1843,107 +1699,191 @@ let tick_ports_compiled t c ~now =
     incr t.events
   end
 
-(* --- Scan-lock spin parking -------------------------------------------
+(* --- Spinner parking -----------------------------------------------
 
-   The dominant multi-core cost is cores spinning on the scan lock while
-   the holder waits out a header-load miss (the lock is held across
-   cycles only in [Scan_header_wait]). A spinning core's cycle is a pure
-   replay: the failed [try_lock] reads only the owner word, the stall
-   bump and (when the worklist is empty) the [saw_empty] probe — and the
-   worklist cannot be empty while the lock is held across cycles,
-   because the held frame sits at [scan < free]. So the compiled engine
-   parks such spinners ([wake = max_int], bit in [parked_mask]) and
-   replays their spins in bulk when the release wakes them.
+   A core that loses a synchronization wait retries every cycle, and
+   each retry is a pure replay: the sync block is combinational, so the
+   outcome can only change after another core writes it. Three retries
+   qualify, each with the write that can change its outcome:
 
-   Release ordering mirrors per-cycle stepping: cores step in index
-   order, so when core [j] releases during its step at cycle [y], a
-   parked core [i > j] re-spins (or acquires) at [y] — it is woken due
-   at [y], and the phase-2 loop reaches it after [j] — while [i < j]
-   already had its (failed) turn at [y] and wakes at [y + 1]. Either
-   way the uncounted spin span is [wake - park_cycle]. *)
+   - a failed grab against a scan lock held by another core (held across
+     cycles only in [Scan_header_wait], so its frame sits at
+     [scan < free] and the probe never sees an empty worklist): woken by
+     the scan-lock release;
+   - an empty-worklist probe whose termination check failed (the lock
+     is free, [scan = free], some other core is busy — never the prober
+     itself, which cleared its busy bit before returning to
+     [Try_lock_scan]): woken when [free] moves, [busy_count] reaches 0
+     or [finished] is set;
+   - a failed header lock on [child] while another core holds it: woken
+     by the release of that header address.
 
-(* Park the just-stepped core if its cycle was a scan-lock spin against
-   a lock held by another core and no buffer is retrying acceptance
-   (waiting buffers touch the shared bandwidth budget every cycle, so
-   they pin the core awake exactly as in [guard_wake]). In-flight
-   buffers are fine: their completion flip is derived from [done_at]
-   when the core next steps. *)
+   In a plain run such a core parks after the step instead of being
+   stepped every cycle, provided none of its buffers is retrying
+   acceptance (a waiting buffer touches the shared bandwidth budget
+   every cycle). In-flight buffers are fine: the parked core's wake is
+   their next completion, where it is due for the tick alone, so every
+   buffer transition still lands on its own cycle.
+
+   The wake checks run after every core step, in the paper's static
+   priority: cores step in index order, so when core [j] writes during
+   its step at cycle [y], a parked core [i > j] retries at [y] itself
+   (the walk reaches it after [j]), while [i < j] already had its
+   failed turn at [y] and retries at [y + 1]. The skipped retries are
+   credited in bulk at the wake: a lock spinner's stall count and latch
+   (the latch carries the last executed cycle it spun in), busy cycles
+   while its busy bit is set (it is its own bit, frozen while parked),
+   and, for each cycle in which a parked prober would have probed
+   before the first waking write, the empty-worklist observation.
+
+   A parked core counts as awake: no all-asleep fast-forward happens
+   while one is parked, its tick is armed in the wake queue for the
+   quiet fast-forward's bound, and every reader outside the stepping
+   loop sees the spinner it stands for ([spin_wake], [unpark_all]). So
+   the executed/skipped split and every jump are exactly the unparked
+   engine's. *)
+
+(* The next completion among the core's in-flight transfers, or
+   [max_int]. *)
+let park_tick c =
+  let w =
+    if c.hl.Port.st = Port.st_in_flight then c.hl.Port.done_at else max_int
+  in
+  let w =
+    if c.hs.Port.st = Port.st_in_flight then imin w c.hs.Port.done_at else w
+  in
+  let w =
+    if c.bl.Port.st = Port.st_in_flight then imin w c.bl.Port.done_at else w
+  in
+  if c.bs.Port.st = Port.st_in_flight then imin w c.bs.Port.done_at else w
+
+(* Arm the parked core's next buffer tick. *)
+let rearm_parked t c =
+  let w = park_tick c in
+  c.wake <- w;
+  if w < max_int then Wake_queue.arm t.wakeq ~id:c.id ~time:w
+
+let push_awake t c =
+  Array.unsafe_set t.awake_ids t.n_awake c.id;
+  t.n_awake <- t.n_awake + 1
+
+(* Give core [id] a turn later in the current cycle: insert it into the
+   due list in index order. Every core already walked has a lower id,
+   so the insertion lands in the part still to be walked. *)
+let insert_due t id =
+  let due = t.due_ids in
+  let p = ref t.n_due in
+  while !p > 0 && Array.unsafe_get due (!p - 1) > id do
+    Array.unsafe_set due !p (Array.unsafe_get due (!p - 1));
+    decr p
+  done;
+  Array.unsafe_set due !p id;
+  t.n_due <- t.n_due + 1
+
+(* Park the just-stepped core if its step at [now] was a pure retry of a
+   synchronization wait. *)
 let try_park t c ~now =
-  (match c.state with Try_lock_scan -> true | _ -> false)
-  && c.stall_cycle = now
-  && (let o = t.sb.SB.scan_owner in
-      o >= 0 && o <> c.id)
+  let kind =
+    match c.state with
+    | Try_lock_scan ->
+      if c.stall_cycle = now then park_scan
+      else if c.probe_cycle = now then park_empty
+      else park_none
+    | Lock_child -> if c.stall_cycle = now then park_header else park_none
+    | _ -> park_none
+  in
+  kind <> park_none
   && c.hl.Port.st <> Port.st_waiting
   && c.hs.Port.st <> Port.st_waiting
   && c.bl.Port.st <> Port.st_waiting
   && c.bs.Port.st <> Port.st_waiting
   && begin
-       c.wake <- max_int;
+       c.park <- kind;
        c.park_cycle <- now + 1;
-       t.parked_mask <- t.parked_mask lor (1 lsl c.id);
+       t.n_parked <- t.n_parked + 1;
+       if kind = park_scan then t.n_park_scan <- t.n_park_scan + 1
+       else if kind = park_empty then begin
+         t.n_park_empty <- t.n_park_empty + 1;
+         t.park_free <- t.sb.SB.free
+       end
+       else t.n_park_header <- t.n_park_header + 1;
+       rearm_parked t c;
        true
      end
 
-(* The scan lock was observed free right after core [after] stepped at
-   cycle [now]: wake every parked core, crediting the spin stalls its
-   per-cycle replays would have counted. Cores waking at [now + 1] are
-   appended to [t.awake_ids] starting at [count]; returns the new count
-   (callers keep the awake list complete so the no-awake fast-forward
-   cannot jump over a woken spinner). Cores with id > [after] wake due
-   at [now] itself — the caller must still give them their turn this
-   cycle, in index order. *)
-let wake_parked t ~now ~after ~count =
-  let m = t.parked_mask in
-  t.parked_mask <- 0;
-  let cores = t.cores in
-  let n = Array.length cores in
-  let count = ref count in
-  for i = 0 to n - 1 do
-    if m land (1 lsl i) <> 0 then begin
-      let c = Array.unsafe_get cores i in
-      let wake = if i > after then now else now + 1 in
-      let span = wake - c.park_cycle in
-      if span > 0 then begin
-        let k = c.counters in
-        k.Counters.scan_lock <- k.Counters.scan_lock + span;
-        (* The busy bit is owned by the core itself, so it is frozen for
-           the whole parked span (spinners are between objects — the
-           check is defensive, mirroring the sleep credit). *)
-        if t.sb.SB.busy.(c.id) then
-          k.Counters.busy_cycles <- k.Counters.busy_cycles + span
-      end;
-      c.wake <- wake;
-      if wake = now + 1 then begin
-        Array.unsafe_set t.awake_ids !count i;
-        incr count
-      end
-    end
-  done;
-  !count
+(* Return a parked core to the stepping loop. The spins of cycles
+   [park_cycle, upto) are credited, a lock spinner's latch is set to
+   [latch] (the last executed cycle it spun in), and the core is due at
+   [wake]. *)
+let unpark t c ~upto ~wake ~latch =
+  let kind = c.park in
+  let span = upto - c.park_cycle in
+  if span > 0 then begin
+    let k = c.counters in
+    if kind = park_scan then k.Counters.scan_lock <- k.Counters.scan_lock + span
+    else if kind = park_header then
+      k.Counters.header_lock <- k.Counters.header_lock + span;
+    if Array.unsafe_get t.sb.SB.busy c.id then
+      k.Counters.busy_cycles <- k.Counters.busy_cycles + span
+  end;
+  if kind = park_scan then t.n_park_scan <- t.n_park_scan - 1
+  else if kind = park_empty then t.n_park_empty <- t.n_park_empty - 1
+  else t.n_park_header <- t.n_park_header - 1;
+  if kind <> park_empty then c.stall_cycle <- latch;
+  t.n_parked <- t.n_parked - 1;
+  c.park <- park_none;
+  c.wake <- wake;
+  Wake_queue.disarm t.wakeq ~id:c.id
 
-(* Flush parked cores before anything outside the compiled fast path
-   can observe them: credit the spins up to (excluding) the current
-   cycle and leave each core due now, exactly the state the per-cycle
-   engines would show between cycles. Used on fallback to the general
-   engine and before snapshotting. *)
+(* A write by core [after] during its step at [now] can change the
+   outcome of every retry parked as [kind] (on header address [addr],
+   for [park_header]): wake them in static priority. *)
+let wake_parked t ~kind ~addr ~now ~after =
+  let cores = t.cores in
+  for i = 0 to Array.length cores - 1 do
+    let c = Array.unsafe_get cores i in
+    if c.park = kind && (kind <> park_header || c.child = addr) then
+      if i > after then begin
+        (* Due for a buffer tick means already in the due list. *)
+        let listed = c.wake <= now in
+        unpark t c ~upto:now ~wake:now ~latch:t.prev_cycle;
+        if not listed then insert_due t i
+      end
+      else begin
+        unpark t c ~upto:(now + 1) ~wake:(now + 1) ~latch:now;
+        (* It probed this cycle, before the write. *)
+        if kind = park_empty then t.saw_empty <- true;
+        push_awake t c
+      end
+  done
+
+(* The wake checks after core [c]'s step at [now]; [hdr0] is the header
+   address [c] held before the step (0 = none, or no header parkers). *)
+let wake_check t c ~now ~hdr0 =
+  let sb = t.sb in
+  if t.n_park_scan > 0 && sb.SB.scan_owner < 0 then
+    wake_parked t ~kind:park_scan ~addr:0 ~now ~after:c.id;
+  if
+    t.n_park_empty > 0
+    && (sb.SB.free <> t.park_free || sb.SB.busy_count = 0 || t.finished)
+  then wake_parked t ~kind:park_empty ~addr:0 ~now ~after:c.id;
+  if
+    t.n_park_header > 0 && hdr0 <> 0
+    && Array.unsafe_get sb.SB.header_regs c.id <> hdr0
+  then wake_parked t ~kind:park_header ~addr:hdr0 ~now ~after:c.id
+
+(* Flush every parked core back to the spinner it stands for, between
+   steps: spins credited up to the current cycle, latch on the last
+   executed cycle, due as an awake core is. Run before anything outside
+   the plain stepping loop can observe the machine — a snapshot, a
+   per-step trace, a main-processor write. *)
 let unpark_all t =
-  if t.parked_mask <> 0 then begin
-    let now = t.clock.Kernel.now in
-    let m = t.parked_mask in
-    t.parked_mask <- 0;
+  if t.n_parked > 0 then begin
+    let upto = t.clock.Kernel.now and latch = t.hooks.Hooks.cycle in
     let cores = t.cores in
     for i = 0 to Array.length cores - 1 do
-      if m land (1 lsl i) <> 0 then begin
-        let c = Array.unsafe_get cores i in
-        let span = now - c.park_cycle in
-        if span > 0 then begin
-          let k = c.counters in
-          k.Counters.scan_lock <- k.Counters.scan_lock + span;
-          if t.sb.SB.busy.(c.id) then
-            k.Counters.busy_cycles <- k.Counters.busy_cycles + span
-        end;
-        c.wake <- now
-      end
+      let c = Array.unsafe_get cores i in
+      if c.park <> park_none then unpark t c ~upto ~wake:(spin_wake t) ~latch
     done
   end
 
@@ -2040,6 +1980,226 @@ let step_core_compiled t c ~now =
   | Halt -> ());
   if t.sb.SB.busy.(c.id) then
     c.counters.busy_cycles <- c.counters.busy_cycles + 1
+
+(* ------------------------------------------------------------------ *)
+(* One machine cycle, shared by the event-driven and compiled engines.
+
+   Static prioritization: buffers retry, then cores execute, both in
+   core-index order — the lowest index wins simultaneous claims, and a
+   lock released by an earlier core is acquirable by a later core in
+   the same cycle. Both phases walk [t.due_ids] (the [n_due] cores due
+   this cycle, in index order) instead of the whole core array, so a cycle
+   costs in proportion to the cores that act. Sleeping cores are not
+   due — none of their buffers can transition before their wake, and
+   their rejected retries were bulk-credited when they went to sleep —
+   and a parked core is due only on the cycles its in-flight transfers
+   complete. A due core's wake cannot change before its own turn, and a
+   write that wakes a parked core in time to retry this same cycle (id
+   past the writer) inserts it into the rest of the list, so every core
+   still gets its turn in index order.
+
+   [compiled] selects the compiled engine's inlined buffer and stall
+   fast paths (bit-identical to the general ones); [park] enables
+   spinner parking. The tracer, profiler and per-step trace branches
+   are never taken on the compiled engine's fast path. *)
+(* ------------------------------------------------------------------ *)
+
+let collect_due t ~n0 =
+  let cores = t.cores and due = t.due_ids in
+  let d = ref 0 in
+  for i = 0 to Array.length cores - 1 do
+    if (Array.unsafe_get cores i).wake <= n0 then begin
+      Array.unsafe_set due !d i;
+      incr d
+    end
+  done;
+  t.n_due <- !d
+
+(* One cycle over the due list built by [collect_due]. *)
+let step_cycle ?trace ?horizon t ~n0 ~compiled ~park =
+  let m = t.mem in
+  m.Mem.cycle <- n0;
+  m.Mem.accepted_this_cycle <- 0;
+  (* Stamp the shared hook record so diagnostics and sanitizer findings
+     raised anywhere this cycle carry the cycle number. *)
+  t.prev_cycle <- t.hooks.Hooks.cycle;
+  t.hooks.Hooks.cycle <- n0;
+  if t.obs.Obs.on then t.obs.Obs.cycle <- n0;
+  let scan0 = t.sb.SB.scan and free0 = t.sb.SB.free in
+  t.events := 0;
+  let cores = t.cores and due = t.due_ids in
+  for k = 0 to t.n_due - 1 do
+    let c = Array.unsafe_get cores (Array.unsafe_get due k) in
+    if compiled then tick_ports_compiled t c ~now:n0
+    else begin
+      (* [Port.tick] is a no-op unless the buffer is retrying acceptance
+         or an in-flight transfer just completed; checking status here
+         with direct field reads keeps the by-far-most-common idle case
+         free of the cross-module call. *)
+      let p = c.hl in
+      let st = p.Port.st in
+      if st = Port.st_waiting || (st = Port.st_in_flight && p.Port.done_at <= n0)
+      then Port.tick p m ~now:n0;
+      let p = c.hs in
+      let st = p.Port.st in
+      if st = Port.st_waiting || (st = Port.st_in_flight && p.Port.done_at <= n0)
+      then Port.tick p m ~now:n0;
+      let p = c.bl in
+      let st = p.Port.st in
+      if st = Port.st_waiting || (st = Port.st_in_flight && p.Port.done_at <= n0)
+      then Port.tick p m ~now:n0;
+      let p = c.bs in
+      let st = p.Port.st in
+      if st = Port.st_waiting || (st = Port.st_in_flight && p.Port.done_at <= n0)
+      then Port.tick p m ~now:n0
+    end
+  done;
+  t.saw_empty <- false;
+  t.n_awake <- 0;
+  let skip = t.cfg.skip in
+  (* [t.n_due] can grow during the walk: a write may wake a parked core
+     in time to retry this cycle ([insert_due]). *)
+  let k = ref 0 in
+  while !k < t.n_due do
+    let c = Array.unsafe_get cores (Array.unsafe_get due !k) in
+    incr k;
+    if c.park <> park_none then
+      (* Due for its buffer tick alone (phase 1 flipped the transfer that
+         completed): it stays parked until the next one. *)
+      rearm_parked t c
+    else begin
+      let hdr0 =
+        if t.n_park_header > 0 then Array.unsafe_get t.sb.SB.header_regs c.id
+        else 0
+      in
+      if compiled then step_core_compiled t c ~now:n0 else step_core t c;
+      (* Attribute this executed cycle: the stall latch carrying [n0]
+         identifies the stall category (it was counted exactly once by
+         [stall]); otherwise the post-step state says busy or idle. *)
+      if t.prof.Prof.on then
+        Prof.add t.prof ~core:c.id
+          ~bucket:
+            (if c.stall_cycle = n0 then 1 + stall_index c.stall_kind
+             else prof_bucket_of_state c.state)
+          1;
+      if t.obs.Obs.on then begin
+        if c.stall_cycle = n0 then
+          Obs.stall_run t.obs ~core:c.id
+            ~kind:(stall_index c.stall_kind)
+            ~cycle:n0 ~span:1;
+        Obs.set_phase t.obs ~core:c.id
+          ~phase:(phase_of_state c.state)
+          ~cycle:n0
+      end;
+      if
+        skip
+        && not
+             (park
+             && (match c.state with
+                | Try_lock_scan | Lock_child -> try_park t c ~now:n0
+                | _ -> false))
+      then begin
+        maybe_sleep t c ~now:n0;
+        if c.wake = n0 + 1 then push_awake t c
+      end;
+      if t.n_parked > 0 then wake_check t c ~now:n0 ~hdr0
+    end
+  done;
+  (* A prober still parked probed this cycle too, with no write before
+     its turn. *)
+  if t.n_park_empty > 0 then t.saw_empty <- true;
+  if t.obs.Obs.on && Obs.sample_due t.obs ~cycle:n0 then
+    Obs.sample t.obs ~cycle:n0
+      ~backlog:(t.sb.SB.free - t.sb.SB.scan)
+      ~fifo_depth:(Fifo.length t.fifo);
+  let empty_delta =
+    if t.parallel_phase && (not t.finished) && t.saw_empty then 1 else 0
+  in
+  t.empty_cycles <- t.empty_cycles + empty_delta;
+  (match trace with
+  | Some tr ->
+    if Trace.due tr ~cycle:n0 then begin
+      let activity =
+        String.init t.cfg.n_cores (fun i -> state_code t.cores.(i).state)
+      in
+      Trace.record tr ~cycle:n0 ~scan:(t.sb.SB.scan) ~free:(t.sb.SB.free)
+        ~fifo_depth:(Fifo.length t.fifo) ~activity
+    end;
+    if t.hooks.Hooks.on then begin
+      let fs = San.findings t.san in
+      let n = List.length fs in
+      if n > t.san_seen then begin
+        List.iteri
+          (fun i d ->
+            if i >= t.san_seen then
+              Trace.annotate tr ~cycle:n0 (Diag.to_string d))
+          fs;
+        t.san_seen <- n
+      end
+    end
+  | None -> ());
+  Kernel.tick t.clock;
+  let quiet = cycle_was_quiet t ~scan0 ~free0 in
+  if not (all_halted t) then begin
+    (* Watchdog: a quiet cycle made no global progress. The no-progress
+       window counts executed cycles only — skipped spans always end at
+       a wake-up that produces a transition, so they cannot mask a
+       deadlock (a true deadlock has no wake-up and spins cycle by
+       cycle, exactly what the window measures). *)
+    (match
+       Kernel.Watchdog.observe t.watchdog ~now:n0 ~progressed:(not quiet)
+     with
+    | Some trip -> raise (Stall_diagnosis (diagnose t trip))
+    | None -> ());
+    (* Whole-machine fast-forward (disabled while tracing: a trace wants
+       to sample the quiet cycles too). Two triggers: a quiescent cycle
+       (the classic idle-cycle skip, bounded by every buffer wake), or
+       every core asleep on a memory response, in which case nothing can
+       happen before the earliest armed wake even though this cycle
+       itself made progress. A parked core counts as awake there: the
+       spinner it stands for would have run. *)
+    if t.cfg.skip && Option.is_none trace then
+      if quiet then begin
+        let wake = next_wake_awake t ~now:n0 in
+        if wake < max_int then begin
+          let target =
+            imin (Wake_queue.bound ~horizon wake) (t.cfg.max_cycles + 1)
+          in
+          if target > n0 + 1 then begin
+            (* The skipped cycles are quiescent, so the counter samples a
+               naive stepper would take in them carry today's (frozen)
+               signal values — emit them before jumping so the event
+               stream stays stepping-invariant. *)
+            if t.obs.Obs.on then
+              Obs.catch_up_samples t.obs ~target
+                ~backlog:(t.sb.SB.free - t.sb.SB.scan)
+                ~fifo_depth:(Fifo.length t.fifo);
+            let span = Kernel.fast_forward t.clock ~target in
+            credit_awake t ~cycle:n0 ~span ~empty_delta
+          end
+        end
+      end
+      else if t.n_awake = 0 && t.n_parked = 0 then begin
+        let wake = Wake_queue.next_after t.wakeq ~now:n0 in
+        if wake < max_int then begin
+          let target =
+            imin (Wake_queue.bound ~horizon wake) (t.cfg.max_cycles + 1)
+          in
+          if target > n0 + 1 then begin
+            (* No awake core means no stall latch, no busy bit moving, no
+               worklist probe in the skipped span: sleeping cores were
+               credited when they went to sleep, so there is nothing to
+               credit here. Counter samples still need catching up — the
+               signals are frozen while everyone sleeps. *)
+            if t.obs.Obs.on then
+              Obs.catch_up_samples t.obs ~target
+                ~backlog:(t.sb.SB.free - t.sb.SB.scan)
+                ~fifo_depth:(Fifo.length t.fifo);
+            ignore (Kernel.fast_forward t.clock ~target)
+          end
+        end
+      end
+  end
 
 (* Closed-form retirement of a data-word copy run — the paper's inner
    loop: consume the loaded word, store it and issue the next load in
@@ -2159,7 +2319,7 @@ let data_run_macro t c ~limit =
      directly to [min wake limit] (the whole machine is asleep, so the
      queue-mediated all-asleep jump collapses to one assignment);
    - the wake queue is not touched per sleep — the single exit arm
-     below restores the queue invariant the fused path relies on;
+     below restores the queue invariant the shared cycle relies on;
    - watchdog observations of progressed cycles are deferred and
      flushed in one call (at the next quiet cycle or segment exit),
      which leaves bit-identical watchdog state because consecutive
@@ -2227,22 +2387,6 @@ let rec exclusive_loop ?horizon t c ~limit ~macro_ok =
            lone halt is a progressed cycle (events moved). The pinned
            wake ends the recursion at the next check. *)
         if not (all_halted t) then t.wd_defer <- n0
-      end
-      else if try_park t c ~now:n0 then begin
-        (* Parked on a lock held by a sleeping foreign core: the wake at
-           [max_int] ends the segment at the next recursion check, and
-           the dispatcher's no-awake fast-forward jumps to the holder.
-           The spin cycle still gets its watchdog observation. *)
-        if !(t.events) = 0 && t.sb.SB.scan = scan0 && t.sb.SB.free = free0
-        then begin
-          wd_flush t;
-          match
-            Kernel.Watchdog.observe t.watchdog ~now:n0 ~progressed:false
-          with
-          | Some trip -> raise (Stall_diagnosis (diagnose t trip))
-          | None -> ()
-        end
-        else t.wd_defer <- n0
       end
       else begin
         (* Inline [maybe_sleep]: same replay decision, but the credit
@@ -2333,150 +2477,28 @@ let step_exclusive ?horizon t c ~limit =
   in
   exclusive_loop ?horizon t c ~limit ~macro_ok;
   wd_flush t;
-  (* Restore the queue invariant for the general/fused paths: a sleeping
+  (* Restore the queue invariant for the shared cycle: a sleeping
      core's wake must be armed (stale earlier entries are filtered by
      [next_after]'s strictly-future check). *)
   if c.wake > t.clock.Kernel.now && c.wake < max_int then
     Wake_queue.arm t.wakeq ~id:c.id ~time:c.wake
 
-(* One fused cycle: the general [step] body with the tracer, profiler
-   and trace branches compiled out and the buffer/stall fast paths
-   inlined. The two-phase structure — every due buffer retries before
-   any core executes, both in core-index order — is preserved exactly;
-   acceptance order defines the bandwidth and ordering counters.
-
-   Both phases walk [t.due_ids] (the [d] cores the dispatcher found due,
-   in index order) instead of rescanning the core array: a due core's
-   wake cannot change before its own phase-2 turn (only its own step or
-   a parked-core wake mutates it, and due cores are never parked). The
-   one exception is a scan-lock release waking a *parked* core due this
-   same cycle (id past the releaser): the walk then falls back to a raw
-   index scan for the rest of the cycle, which hands both the woken
-   spinners and the remaining due cores their turns in index order —
-   exactly the per-cycle arbitration. *)
-let step_cycle_compiled ?horizon t ~n0 ~d =
-  let m = t.mem in
-  m.Mem.cycle <- n0;
-  m.Mem.accepted_this_cycle <- 0;
-  t.hooks.Hooks.cycle <- n0;
-  let scan0 = t.sb.SB.scan and free0 = t.sb.SB.free in
-  t.events := 0;
-  let cores = t.cores in
-  let due = t.due_ids in
-  for k = 0 to d - 1 do
-    tick_ports_compiled t
-      (Array.unsafe_get cores (Array.unsafe_get due k))
-      ~now:n0
-  done;
-  t.saw_empty <- false;
-  let awake_next = ref 0 in
-  let raw_from = ref (-1) in
-  let k = ref 0 in
-  while !raw_from < 0 && !k < d do
-    let c = Array.unsafe_get cores (Array.unsafe_get due !k) in
-    incr k;
-    step_core_compiled t c ~now:n0;
-    if not (try_park t c ~now:n0) then begin
-      maybe_sleep t c ~now:n0;
-      if c.wake = n0 + 1 then begin
-        Array.unsafe_set t.awake_ids !awake_next c.id;
-        incr awake_next
-      end
-    end;
-    (* Any step may have released the scan lock (a grab releases it
-       within the same step); parked spinners re-enter the arbitration
-       at exactly the cycle per-cycle stepping would let them. *)
-    if t.parked_mask <> 0 && t.sb.SB.scan_owner < 0 then begin
-      let woke_due = t.parked_mask lsr (c.id + 1) <> 0 in
-      awake_next := wake_parked t ~now:n0 ~after:c.id ~count:!awake_next;
-      if woke_due then raw_from := c.id + 1
-    end
-  done;
-  if !raw_from >= 0 then begin
-    (* A release woke parked spinners due this cycle: finish with the
-       raw scan (nested releases further down re-enter it naturally). *)
-    for i = !raw_from to Array.length cores - 1 do
-      let c = Array.unsafe_get cores i in
-      if c.wake <= n0 then begin
-        step_core_compiled t c ~now:n0;
-        if not (try_park t c ~now:n0) then begin
-          maybe_sleep t c ~now:n0;
-          if c.wake = n0 + 1 then begin
-            Array.unsafe_set t.awake_ids !awake_next c.id;
-            incr awake_next
-          end
-        end;
-        if t.parked_mask <> 0 && t.sb.SB.scan_owner < 0 then
-          awake_next := wake_parked t ~now:n0 ~after:i ~count:!awake_next
-      end
-    done
-  end;
-  let empty_delta =
-    if t.parallel_phase && (not t.finished) && t.saw_empty then 1 else 0
-  in
-  t.empty_cycles <- t.empty_cycles + empty_delta;
-  Kernel.tick t.clock;
-  let quiet = cycle_was_quiet t ~scan0 ~free0 in
-  if not (all_halted t) then begin
-    (match
-       Kernel.Watchdog.observe t.watchdog ~now:n0 ~progressed:(not quiet)
-     with
-    | Some trip -> raise (Stall_diagnosis (diagnose t trip))
-    | None -> ());
-    if quiet then begin
-      let wake = next_wake_awake t ~now:n0 ~count:!awake_next in
-      if wake < max_int then begin
-        let target =
-          imin (Wake_queue.bound ~horizon wake) (t.cfg.max_cycles + 1)
-        in
-        if target > n0 + 1 then begin
-          let span = Kernel.fast_forward t.clock ~target in
-          credit_awake t ~cycle:n0 ~span ~empty_delta ~count:!awake_next
-        end
-      end
-    end
-    else if !awake_next = 0 then begin
-      let wake = Wake_queue.next_after t.wakeq ~now:n0 in
-      if wake < max_int then begin
-        let target =
-          imin (Wake_queue.bound ~horizon wake) (t.cfg.max_cycles + 1)
-        in
-        if target > n0 + 1 then ignore (Kernel.fast_forward t.clock ~target)
-      end
-    end
-  end
-
-let step_compiled ?horizon t =
-  let n0 = t.clock.Kernel.now in
-  if n0 > t.cfg.max_cycles then
-    raise
-      (Simulation_diverged
-         (Printf.sprintf "exceeded %d cycles (scan=%d free=%d)" t.cfg.max_cycles
-            (t.sb.SB.scan) (t.sb.SB.free)));
-  let cores = t.cores in
-  let n = Array.length cores in
-  let due = t.due_ids in
-  let d = ref 0 in
-  for i = 0 to n - 1 do
-    if (Array.unsafe_get cores i).wake <= n0 then begin
-      Array.unsafe_set due !d i;
-      incr d
-    end
-  done;
-  if !d = 1 && t.parked_mask = 0 then begin
+let step_compiled ?horizon t ~n0 =
+  if t.n_due = 1 && t.n_parked = 0 then begin
     (* Exactly one core due and nobody parked: run it alone up to the
        earliest foreign wake (capped by the resume horizon, the
        divergence bound and the cycle budget, so batched segments never
        overshoot a boundary the per-cycle engines observe). Parked cores
-       are excluded because a release inside the segment would have to
-       hand them a same-cycle turn; the fused loop handles that. *)
-    let only = Array.unsafe_get due 0 in
+       are excluded because a write inside the segment would have to
+       hand them a same-cycle turn; the shared cycle handles that. *)
+    let cores = t.cores in
+    let only = Array.unsafe_get t.due_ids 0 in
     let limit = ref (t.cfg.max_cycles + 1) in
     (match horizon with Some h -> if h < !limit then limit := h | None -> ());
     (match t.cfg.cycle_budget with
     | Some b -> if b < !limit then limit := b
     | None -> ());
-    for i = 0 to n - 1 do
+    for i = 0 to Array.length cores - 1 do
       if i <> only then begin
         let w = (Array.unsafe_get cores i).wake in
         if w < !limit then limit := w
@@ -2484,25 +2506,29 @@ let step_compiled ?horizon t =
     done;
     if !limit > n0 + 1 then
       step_exclusive ?horizon t (Array.unsafe_get cores only) ~limit:!limit
-    else step_cycle_compiled ?horizon t ~n0 ~d:1
+    else step_cycle ?horizon t ~n0 ~compiled:true ~park:t.park_ok
   end
-  else step_cycle_compiled ?horizon t ~n0 ~d:!d
+  else step_cycle ?horizon t ~n0 ~compiled:true ~park:t.park_ok
 
 let step ?trace ?horizon t =
+  let n0 = t.clock.Kernel.now in
+  if n0 > t.cfg.max_cycles then
+    raise
+      (Simulation_diverged
+         (Printf.sprintf "exceeded %d cycles (scan=%d free=%d)" t.cfg.max_cycles
+            (t.sb.SB.scan) (t.sb.SB.free)));
   match trace with
-  | None when t.compiled_hot -> step_compiled ?horizon t
-  | _ ->
-    (* Falling out of the compiled fast path (e.g. a per-step trace
-       attached mid-run): the general engine has no notion of parked
-       cores, so flush them back to due spinners first. *)
-    if t.parked_mask <> 0 then unpark_all t;
-    let n0 = now t in
-    if n0 > t.cfg.max_cycles then
-      raise
-        (Simulation_diverged
-           (Printf.sprintf "exceeded %d cycles (scan=%d free=%d)"
-              t.cfg.max_cycles (t.sb.SB.scan) (t.sb.SB.free)));
-    step_general ?trace ?horizon t
+  | None ->
+    collect_due t ~n0;
+    if t.compiled_hot then step_compiled ?horizon t ~n0
+    else step_cycle ?horizon t ~n0 ~compiled:false ~park:t.park_ok
+  | Some _ ->
+    (* A per-step trace (possibly attached mid-run) samples every cycle
+       of the plain machine, so parking is off: flush parked cores back
+       to the spinners they stand for first. *)
+    unpark_all t;
+    collect_due t ~n0;
+    step_cycle ?trace ?horizon t ~n0 ~compiled:false ~park:false
 
 let finalize t =
   if not (all_halted t) then invalid_arg "Coprocessor.finalize: not halted";
@@ -2562,6 +2588,8 @@ let collect ?trace ?obs ?prof cfg heap =
 (* ------------------------------------------------------------------ *)
 
 let mutator_evacuate t addr =
+  (* A main-processor write can change a parked retry's outcome. *)
+  unpark_all t;
   let w0 = H.header0 t.heap addr in
   match Hdr.state w0 with
   | Gray ->
@@ -2599,6 +2627,7 @@ let mutator_evacuate t addr =
     end
 
 let mutator_alloc t ~pi ~delta =
+  unpark_all t;
   if SB.free_lock_owner t.sb <> None then `Wait
   else begin
     let size = Hdr.size_of ~pi ~delta in
@@ -2867,9 +2896,9 @@ module Snapshot = struct
       invalid_arg
         "Coprocessor.Snapshot.save: banked-machine banks are not \
          snapshottable";
-    (* Parked spinners are a compiled-engine scheduling artifact: flush
-       them to plain due cores so the snapshot is engine-independent
-       (the credited stalls are exactly the per-cycle ones). *)
+    (* Parked spinners are a scheduling artifact: flush them to the
+       spinners they stand for, so the image is the one an unparked
+       run writes at this cycle. *)
     unpark_all t;
     Ckpt.encode ~fingerprint
       ([
@@ -2946,6 +2975,12 @@ module Snapshot = struct
     with_sec "obs" (fun r ->
         Obs.restore t.obs r;
         Prof.restore t.prof r);
+    (* A snapshot never holds a parked core. *)
+    Array.iter (fun c -> c.park <- park_none) t.cores;
+    t.n_parked <- 0;
+    t.n_park_scan <- 0;
+    t.n_park_empty <- 0;
+    t.n_park_header <- 0;
     (* Rebuild the wake queue from the restored per-core wake times: a
        strictly-future wake is re-armed (the armed array is the queue's
        source of truth; stale entries are pruned lazily), everything

@@ -52,7 +52,15 @@ type config = {
           Default [true]; [false] is the pure poll-every-core-every-cycle
           parity reference ([--no-skip] in the CLI). Tracing temporarily
           disables the whole-machine jumps so quiet cycles are sampled
-          too. *)
+          too. In a plain run (more than one core; no tracer, profiler,
+          sanitizer, fault plan, scan unit or bank attachment; no
+          per-step trace) a core whose step failed a scan-lock grab,
+          an empty-worklist termination probe or a header lock {e parks}:
+          it is not stepped again until another core's write can change
+          the retry's outcome, and its skipped retries are credited in
+          bulk at the wake. A parked core counts as awake everywhere
+          outside the stepping loop, so parking changes no statistic,
+          no snapshot and not the executed/skipped split. *)
   faults : Hsgc_fault.Injector.spec option;
       (** fault-injection plan ({!Hsgc_fault.Injector}). Each simulator
           instance builds a private injector from the spec, so
@@ -291,7 +299,9 @@ val step : ?trace:Trace.t -> ?horizon:int -> sim -> unit
     to reach the next wake-up (statistics credited in bulk, bit-identical
     to naive stepping). [horizon] caps any fast-forward at the given
     cycle: a concurrent driver passes the time of its next mutator
-    operation so the coprocessor never jumps past an external event. *)
+    operation so the coprocessor never jumps past an external event. A
+    [trace] samples every cycle, so it turns spinner parking off (parked
+    cores are first returned to the spinners they stand for). *)
 
 val halted : sim -> bool
 (** All cores have passed the end barrier. *)
@@ -334,15 +344,16 @@ val awake_partition_mask : sim -> owner:int array -> int
 (** One bit per partition ([owner.(core) = partition], from a
     {!Hsgc_sim.Partition} plan): bit [p] is set iff some core owned by
     [p] is due at the current cycle ([wake <= now]). Halted cores are
-    never due. A pure read — calling it does not advance or perturb the
-    machine. *)
+    never due; a parked spinner always is. A pure read — calling it does
+    not advance or perturb the machine. *)
 
 val min_wake_outside : sim -> owner:int array -> partition:int -> int
 (** Earliest wake time over every core {e not} owned by [partition] —
     [max_int] when all of them have halted (or the partition owns every
     core). While those cores sleep their armed wakes are frozen, so
     until this cycle the machine's due set is confined to [partition]:
-    the exclusive-span horizon of the BSP scheduler ({!Bsp}). *)
+    the exclusive-span horizon of the BSP scheduler ({!Bsp}). A parked
+    spinner reads as the awake core it stands for. *)
 
 val sanitizer_findings : sim -> Hsgc_sanitizer.Diag.t list
 (** Kept sanitizer findings so far (mid-run peek; the final list is in

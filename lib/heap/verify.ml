@@ -103,7 +103,12 @@ let snapshot heap =
     for i = 0 to pi - 1 do
       children.(i) <- id_of ids mem.(obj + Header.header_words + i)
     done;
-    let data = Array.sub mem (obj + Header.header_words + pi) delta in
+    (* No copy for an empty data area: a stray pointer to the last word
+       of memory reads a zero header, and its (empty) data area would
+       start past the end of the array. *)
+    let data =
+      if delta = 0 then [||] else Array.sub mem (obj + Header.header_words + pi) delta
+    in
     if !k = Array.length !objects then begin
       let bigger = Array.make (Array.length ids.addrs) no_desc in
       Array.blit !objects 0 bigger 0 !k;

@@ -252,7 +252,10 @@ let barrier_arrive t ~core =
 (* The SB is combinational: locks, busy bits and the barrier all react
    to core actions within the same cycle and schedule nothing on their
    own. Under the event-driven kernel's contract that means it never
-   publishes a wake — cores blocked on SB state must poll every cycle. *)
+   publishes a wake time. A core blocked on SB state either polls every
+   cycle or, in the coprocessor's plain runs, parks until the write that
+   can change its retry's outcome (a lock release, [free] moving, the
+   busy count reaching zero) wakes it in the step that makes it. *)
 let next_wake (_ : t) : int option = None
 
 let assert_no_locks t ~core =

@@ -148,8 +148,11 @@ val next_wake : t -> int option
 (** Always [None]: the SB is combinational — locks, busy bits and the
     barrier change only in response to core actions in the same cycle,
     never on a self-scheduled future event. A core blocked on SB state
-    (a lock, the barrier) must therefore stay awake and poll every
-    cycle; only cores blocked on memory responses may sleep. *)
+    therefore cannot sleep on a wake time, as cores blocked on memory
+    responses do. It polls every cycle (barrier waits, and every wait
+    outside a plain run), or it parks on the write itself: a lock
+    release, [free] moving or the busy count reaching zero wakes it in
+    the step that makes the write ({!Hsgc_coproc.Coprocessor}). *)
 
 (** {2 Invariant checking} *)
 

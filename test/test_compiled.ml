@@ -21,6 +21,8 @@ module Workloads = Hsgc_objgraph.Workloads
 module Verify = Hsgc_heap.Verify
 module Checkpoint = Hsgc_checkpoint.Checkpoint
 module Tracer = Hsgc_obs.Tracer
+module Injector = Hsgc_fault.Injector
+module Trace = Hsgc_coproc.Trace
 
 (* Everything in gc_stats except the kernel-observability fields
    (executed/skipped split and wall time) must be bit-identical. *)
@@ -322,6 +324,240 @@ let test_compiled_trace_digest_matches () =
   Alcotest.(check int) "cycle counts equal" c_skip c_compiled;
   Alcotest.(check string) "trace digests equal" d_skip d_compiled
 
+(* ------------------------------------------------------------------ *)
+(* Spinner parking                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The unparked twin of a configuration: an inert fault plan (every
+   probability zero) turns spinner parking off without changing
+   anything the machine does, so the twin is the parked run's reference
+   down to the executed/skipped split and the snapshot bytes. *)
+let twin cfg = { cfg with Coprocessor.faults = Some Injector.default_spec }
+
+(* Three-way parity with naive stepping, plus split parity with the
+   unparked twin. Returns the parked default-engine statistics. *)
+let check_parking ctx ~mem ~n_cores build =
+  check_three ctx ~mem ~n_cores build;
+  let cfg = Coprocessor.config ~mem ~n_cores () in
+  let parked = Coprocessor.collect cfg (build ()) in
+  let unparked = Coprocessor.collect (twin cfg) (build ()) in
+  check_stats_equal ctx ~ref_name:"unparked" ~other_name:"parked" unparked
+    parked;
+  Alcotest.(check (pair int int))
+    (ctx ^ ": executed/skipped split")
+    (unparked.Coprocessor.executed_cycles, unparked.Coprocessor.skipped_cycles)
+    (parked.Coprocessor.executed_cycles, parked.Coprocessor.skipped_cycles);
+  parked
+
+let stall_total stats kind = Counters.get (Coprocessor.stalls_total stats) kind
+
+let latencies = [ 0; 20 ]
+
+let mem_at ?fifo_capacity lat =
+  let mem = Memsys.with_extra_latency Memsys.default_config lat in
+  match fifo_capacity with
+  | None -> mem
+  | Some fifo_capacity -> { mem with Memsys.fifo_capacity }
+
+(* cup's flat live set at 16 cores with a 4-entry FIFO: most grabs miss
+   the FIFO, so the grabber holds the scan lock across its header load
+   while the other cores retry against it. *)
+let test_park_scan_lock () =
+  List.iter
+    (fun lat ->
+      let ctx = Printf.sprintf "cup/16 fifo 4 +%d" lat in
+      let s =
+        check_parking ctx ~mem:(mem_at ~fifo_capacity:4 lat) ~n_cores:16
+          (fun () -> Workloads.build_heap ~scale:0.05 ~seed:42 Workloads.cup)
+      in
+      if stall_total s Counters.Scan_lock < 10_000 then
+        Alcotest.failf "%s: only %d scan-lock stalls" ctx
+          (stall_total s Counters.Scan_lock))
+    latencies
+
+(* javac's hot shared symbols at 16 cores: cores retry header locks on
+   the same child while its holder evacuates it. *)
+let test_park_header_lock () =
+  List.iter
+    (fun lat ->
+      let ctx = Printf.sprintf "javac/16 +%d" lat in
+      let s =
+        check_parking ctx ~mem:(mem_at lat) ~n_cores:16 (fun () ->
+            Workloads.build_heap ~scale:0.05 ~seed:42 Workloads.javac)
+      in
+      if stall_total s Counters.Header_lock < 100 then
+        Alcotest.failf "%s: only %d header-lock stalls" ctx
+          (stall_total s Counters.Header_lock))
+    latencies
+
+(* A 400-word object and, with [small], a 3-word one before it. Core 0
+   grabs the first frame, so without [small] core 0 copies the big
+   object while every other core probes the empty worklist; with
+   [small], core 0 finishes first and waits too, and core 1 is the last
+   busy core. Its blacken is the write that lets the next probe
+   terminate the collection. *)
+let termination_heap ~small () =
+  let plan = Plan.create () in
+  if small then Plan.add_root plan (Plan.obj plan ~pi:0 ~delta:3);
+  Plan.add_root plan (Plan.obj plan ~pi:0 ~delta:400);
+  Plan.materialize plan
+
+let test_park_termination () =
+  List.iter
+    (fun (n_cores, small) ->
+      List.iter
+        (fun lat ->
+          let last_busy = if small then 1 else 0 in
+          let ctx =
+            Printf.sprintf "%d cores, last busy core %d, +%d" n_cores last_busy
+              lat
+          in
+          let s =
+            check_parking ctx ~mem:(mem_at lat) ~n_cores
+              (termination_heap ~small)
+          in
+          Alcotest.(check int)
+            (ctx ^ ": the big object's copier")
+            400
+            s.Coprocessor.per_core.(last_busy).Counters.words_copied;
+          if s.Coprocessor.empty_worklist_cycles < 400 then
+            Alcotest.failf "%s: only %d empty-worklist cycles" ctx
+              s.Coprocessor.empty_worklist_cycles)
+        latencies)
+    [ (2, false); (2, true); (3, false); (3, true) ]
+
+(* Snapshots taken while cores are parked on each of the three waits:
+   every section but the configuration and the fault-stream state is
+   byte-identical to the unparked twin's at the same step, saving does
+   not perturb the run, and a run resumed from a mid-run image ends
+   bit-identical to a straight-through one, executed/skipped split
+   included. *)
+let test_park_snapshot_resume () =
+  let sections image =
+    let path = Filename.temp_file "hsgc-park" ".ckpt" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_bin path (fun oc -> output_string oc image);
+        List.filter_map
+          (fun (name, off, len) ->
+            if name = "config" || name = "rng" then None
+            else Some (name, String.sub image off len))
+          (Checkpoint.payload_ranges path))
+  in
+  let save sim =
+    Checkpoint.to_string (Coprocessor.Snapshot.save sim ~fingerprint:"park")
+  in
+  let split (s : Coprocessor.gc_stats) =
+    (s.Coprocessor.executed_cycles, s.Coprocessor.skipped_cycles)
+  in
+  List.iter
+    (fun (ctx, cfg, build) ->
+      let straight = Coprocessor.collect cfg (build ()) in
+      let a = Coprocessor.start cfg (build ()) in
+      let b = Coprocessor.start (twin cfg) (build ()) in
+      let steps = ref 0 and mid = ref None in
+      while not (Coprocessor.halted a) do
+        Coprocessor.step a;
+        Coprocessor.step b;
+        incr steps;
+        if !steps mod 53 = 0 then begin
+          let image = save a in
+          List.iter2
+            (fun (name, got) (_, want) ->
+              if got <> want then
+                Alcotest.failf "%s: section %S differs from the unparked twin \
+                                at cycle %d"
+                  ctx name (Coprocessor.now a))
+            (sections image) (sections (save b));
+          if !mid = None && 2 * Coprocessor.now a >= straight.total_cycles then
+            mid := Some image
+        end
+      done;
+      let saved = Coprocessor.finalize a in
+      check_stats_equal ctx ~ref_name:"straight" ~other_name:"saved" straight
+        saved;
+      Alcotest.(check (pair int int)) (ctx ^ ": saved split") (split straight)
+        (split saved);
+      let image = Option.get !mid in
+      let c = Coprocessor.start cfg (build ()) in
+      Coprocessor.Snapshot.restore c (Checkpoint.of_string image);
+      while not (Coprocessor.halted c) do
+        Coprocessor.step c
+      done;
+      let resumed = Coprocessor.finalize c in
+      check_stats_equal ctx ~ref_name:"straight" ~other_name:"resumed" straight
+        resumed;
+      Alcotest.(check (pair int int)) (ctx ^ ": resumed split")
+        (split straight) (split resumed))
+    [
+      ( "probers, 3 cores",
+        Coprocessor.config ~mem:(mem_at 20) ~n_cores:3 (),
+        termination_heap ~small:true );
+      ( "scan lock, cup/16 fifo 4",
+        Coprocessor.config ~mem:(mem_at ~fifo_capacity:4 0) ~n_cores:16 (),
+        fun () -> Workloads.build_heap ~scale:0.02 ~seed:42 Workloads.cup );
+      ( "header lock, javac/16",
+        Coprocessor.config ~mem:(mem_at 20) ~n_cores:16 (),
+        fun () -> Workloads.build_heap ~scale:0.02 ~seed:42 Workloads.javac );
+    ]
+
+(* A per-step trace attached mid-run, while cores are parked, samples
+   the machine exactly as it samples the unparked twin, and the run
+   still ends bit-identical to it, executed/skipped split included. *)
+let test_park_trace_mid_run () =
+  let cfg = Coprocessor.config ~mem:(mem_at 20) ~n_cores:3 () in
+  let build = termination_heap ~small:true in
+  let run cfg =
+    let sim = Coprocessor.start cfg (build ()) in
+    let trace = Trace.create ~interval:7 () in
+    let steps = ref 0 in
+    while not (Coprocessor.halted sim) do
+      incr steps;
+      (* Untraced for a stretch with probers parked, then traced. *)
+      if !steps < 200 || !steps > 400 then Coprocessor.step sim
+      else Coprocessor.step ~trace sim
+    done;
+    if Trace.length trace = 0 then Alcotest.fail "the trace took no sample";
+    (Coprocessor.finalize sim, Trace.to_csv trace)
+  in
+  let parked, csv = run cfg and unparked, csv_twin = run (twin cfg) in
+  check_stats_equal "trace mid-run" ~ref_name:"unparked" ~other_name:"parked"
+    unparked parked;
+  Alcotest.(check (pair int int))
+    "trace mid-run: executed/skipped split"
+    (unparked.Coprocessor.executed_cycles, unparked.Coprocessor.skipped_cycles)
+    (parked.Coprocessor.executed_cycles, parked.Coprocessor.skipped_cycles);
+  Alcotest.(check string) "trace samples" csv_twin csv
+
+(* A watchdog trip while cores are parked: the same cycle and the same
+   machine dump as the unparked twin. *)
+let test_park_watchdog_dump () =
+  let dump cfg =
+    match
+      Coprocessor.collect cfg (termination_heap ~small:true ())
+    with
+    | _ -> Alcotest.fail "the cycle budget did not trip"
+    | exception Coprocessor.Stall_diagnosis d ->
+      Format.asprintf "%a" Coprocessor.pp_diagnosis d
+  in
+  let cfg =
+    Coprocessor.config ~mem:(mem_at 20) ~cycle_budget:5_000 ~n_cores:3 ()
+  in
+  Alcotest.(check string) "machine dump" (dump (twin cfg)) (dump cfg)
+
+(* The compiled engine's parking shares the default engine's
+   implementation, with no core-count ceiling: 64 and 100 cores (the
+   latter past the wake queue's linear-scan regime) run its fast path. *)
+let test_compiled_many_cores () =
+  List.iter
+    (fun n_cores ->
+      check_three
+        (Printf.sprintf "search at %d cores" n_cores)
+        ~mem:Memsys.default_config ~n_cores (fun () ->
+          Workloads.build_heap ~scale:0.05 ~seed:42 Workloads.search))
+    [ 64; 100 ]
+
 let suite =
   [
     Alcotest.test_case "compiled equivalent on workload grid" `Slow
@@ -334,4 +570,17 @@ let suite =
       test_compiled_checkpoint_resume;
     Alcotest.test_case "traced compiled run matches naive digest" `Quick
       test_compiled_trace_digest_matches;
+    Alcotest.test_case "parked scan-lock waiters" `Quick test_park_scan_lock;
+    Alcotest.test_case "parked header-lock waiters" `Quick
+      test_park_header_lock;
+    Alcotest.test_case "termination with probers parked" `Quick
+      test_park_termination;
+    Alcotest.test_case "snapshots with cores parked" `Quick
+      test_park_snapshot_resume;
+    Alcotest.test_case "per-step trace attached mid-run" `Quick
+      test_park_trace_mid_run;
+    Alcotest.test_case "watchdog dump with cores parked" `Quick
+      test_park_watchdog_dump;
+    Alcotest.test_case "compiled engine at 64 and 100 cores" `Quick
+      test_compiled_many_cores;
   ]

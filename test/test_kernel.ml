@@ -431,6 +431,80 @@ let test_skipping_actually_skips () =
   Alcotest.(check int) "skip off executes everything"
     off.Coprocessor.total_cycles off.Coprocessor.executed_cycles
 
+(* The default engine's executed/skipped split, pinned. Statistics
+   parity with naive stepping leaves the split free; these values fix
+   it, so any change to when the machine fast-forwards (or which cycles
+   it executes) shows up here even when every statistic still matches.
+   Rows: workload, cores, extra memory latency, then total, executed
+   and skipped cycles, at scale 0.05 and seed 42. *)
+let pinned_splits =
+  [
+    ("compress", 1, 0, 13682, 8353, 5329);
+    ("compress", 4, 0, 5795, 5043, 752);
+    ("compress", 16, 0, 5565, 4829, 736);
+    ("cup", 1, 0, 72883, 43070, 29813);
+    ("cup", 4, 0, 18249, 17620, 629);
+    ("cup", 16, 0, 5414, 5404, 10);
+    ("db", 1, 0, 41321, 23125, 18196);
+    ("db", 4, 0, 10368, 9964, 404);
+    ("db", 16, 0, 3385, 3375, 10);
+    ("javac", 1, 0, 40073, 21313, 18760);
+    ("javac", 4, 0, 10308, 9889, 419);
+    ("javac", 16, 0, 4311, 4299, 12);
+    ("javacc", 1, 0, 21941, 12923, 9018);
+    ("javacc", 4, 0, 5513, 5333, 180);
+    ("javacc", 16, 0, 1644, 1634, 10);
+    ("jflex", 1, 0, 43529, 26269, 17260);
+    ("jflex", 4, 0, 10913, 10696, 217);
+    ("jflex", 16, 0, 3502, 3491, 11);
+    ("jlisp", 1, 0, 2269, 1387, 882);
+    ("jlisp", 4, 0, 602, 582, 20);
+    ("jlisp", 16, 0, 225, 214, 11);
+    ("search", 1, 0, 16005, 10005, 6000);
+    ("search", 4, 0, 11260, 8009, 3251);
+    ("search", 16, 0, 11073, 8009, 3064);
+    ("compress", 1, 20, 79750, 8353, 71397);
+    ("compress", 4, 20, 27432, 7974, 19458);
+    ("compress", 16, 20, 25723, 8099, 17624);
+    ("cup", 1, 20, 470401, 43070, 427331);
+    ("cup", 4, 20, 117762, 33324, 84438);
+    ("cup", 16, 20, 29696, 22432, 7264);
+    ("db", 1, 20, 305440, 23125, 282315);
+    ("db", 4, 20, 76542, 20289, 56253);
+    ("db", 16, 20, 19449, 13777, 5672);
+    ("javac", 1, 20, 240452, 21313, 219139);
+    ("javac", 4, 20, 60992, 18862, 42130);
+    ("javac", 16, 20, 19247, 15442, 3805);
+    ("javacc", 1, 20, 143820, 12923, 130897);
+    ("javacc", 4, 20, 36086, 11201, 24885);
+    ("javacc", 16, 20, 9328, 7057, 2271);
+    ("jflex", 1, 20, 253707, 26269, 227438);
+    ("jflex", 4, 20, 63565, 23785, 39780);
+    ("jflex", 16, 20, 17279, 12477, 4802);
+    ("jlisp", 1, 20, 13055, 1387, 11668);
+    ("jlisp", 4, 20, 3413, 1173, 2240);
+    ("jlisp", 16, 20, 1164, 611, 553);
+    ("search", 1, 20, 95005, 10005, 85000);
+    ("search", 4, 20, 51318, 13503, 37815);
+    ("search", 16, 20, 51131, 13129, 38002);
+  ]
+
+let test_split_pinned () =
+  List.iter
+    (fun (name, n_cores, latency, total, executed, skipped) ->
+      let w = Option.get (Workloads.find name) in
+      let heap = Workloads.build_heap ~scale:0.05 ~seed:42 w in
+      let mem = Memsys.with_extra_latency Memsys.default_config latency in
+      let s = Coprocessor.collect (Coprocessor.config ~mem ~n_cores ()) heap in
+      Alcotest.(check (triple int int int))
+        (Printf.sprintf "%s/%d cores/+%d: (total, executed, skipped)" name
+           n_cores latency)
+        (total, executed, skipped)
+        ( s.Coprocessor.total_cycles,
+          s.Coprocessor.executed_cycles,
+          s.Coprocessor.skipped_cycles ))
+    pinned_splits
+
 let qcheck_skip_equivalent_with_faults =
   QCheck.Test.make
     ~name:
@@ -543,29 +617,47 @@ let test_hot_loop_allocation_free () =
 let test_concurrent_skip_equivalent () =
   (* The concurrent engine caps every skip at the next mutator operation,
      so mutator interleavings — and with them every statistic — must be
-     identical with skipping on and off. *)
-  let run skip =
-    let heap = Workloads.build_heap ~scale:0.05 ~seed:11 Workloads.jlisp in
-    let cfg = Concurrent.default_config ~n_cores:4 () in
-    let cfg =
-      { cfg with Concurrent.gc = { cfg.Concurrent.gc with Coprocessor.skip } }
-    in
-    let stats = Concurrent.collect cfg heap in
-    ( stats.Concurrent.gc.Coprocessor.total_cycles,
-      stats.Concurrent.pause_cycles,
-      stats.Concurrent.barrier_evacuations,
-      stats.Concurrent.mutator_reads,
-      stats.Concurrent.mutator_allocs,
-      stats.Concurrent.mutator_wait_cycles )
-  in
-  let t_off, p_off, e_off, r_off, a_off, w_off = run false in
-  let t_on, p_on, e_on, r_on, a_on, w_on = run true in
-  Alcotest.(check int) "total cycles" t_off t_on;
-  Alcotest.(check int) "pause cycles" p_off p_on;
-  Alcotest.(check int) "barrier evacuations" e_off e_on;
-  Alcotest.(check int) "mutator reads" r_off r_on;
-  Alcotest.(check int) "mutator allocs" a_off a_on;
-  Alcotest.(check int) "mutator waits" w_off w_on
+     identical with skipping on and off. The linear heaps keep cores
+     parked on an empty worklist while the main processor allocates and
+     evacuates, the writes that must wake them. *)
+  List.iter
+    (fun (w, n_cores) ->
+      let run skip =
+        let heap = Workloads.build_heap ~scale:0.05 ~seed:11 w in
+        let cfg = Concurrent.default_config ~n_cores () in
+        let cfg =
+          { cfg with Concurrent.gc = { cfg.Concurrent.gc with Coprocessor.skip } }
+        in
+        Concurrent.collect cfg heap
+      in
+      let off = run false and on = run true in
+      let ctx what =
+        Printf.sprintf "%s/%d cores: %s" w.Workloads.name n_cores what
+      in
+      let gc_off = off.Concurrent.gc and gc_on = on.Concurrent.gc in
+      Alcotest.(check int) (ctx "total cycles")
+        gc_off.Coprocessor.total_cycles gc_on.Coprocessor.total_cycles;
+      Alcotest.(check int) (ctx "empty-worklist cycles")
+        gc_off.Coprocessor.empty_worklist_cycles
+        gc_on.Coprocessor.empty_worklist_cycles;
+      Alcotest.(check bool) (ctx "per-core counters") true
+        (gc_off.Coprocessor.per_core = gc_on.Coprocessor.per_core);
+      Alcotest.(check int) (ctx "pause cycles") off.Concurrent.pause_cycles
+        on.Concurrent.pause_cycles;
+      Alcotest.(check int) (ctx "barrier evacuations")
+        off.Concurrent.barrier_evacuations on.Concurrent.barrier_evacuations;
+      Alcotest.(check int) (ctx "mutator reads") off.Concurrent.mutator_reads
+        on.Concurrent.mutator_reads;
+      Alcotest.(check int) (ctx "mutator allocs") off.Concurrent.mutator_allocs
+        on.Concurrent.mutator_allocs;
+      Alcotest.(check int) (ctx "mutator waits")
+        off.Concurrent.mutator_wait_cycles on.Concurrent.mutator_wait_cycles)
+    [
+      (Workloads.jlisp, 4);
+      (Workloads.compress, 4);
+      (Workloads.search, 8);
+      (Workloads.db, 8);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel sweeps: determinism across jobs levels              *)
@@ -647,6 +739,8 @@ let suite =
       test_skip_equivalent_on_workloads;
     Alcotest.test_case "skip equivalent latency-bound" `Quick
       test_skip_equivalent_latency_bound;
+    Alcotest.test_case "executed/skipped split pinned" `Quick
+      test_split_pinned;
     Alcotest.test_case "skipping actually skips" `Quick
       test_skipping_actually_skips;
     Alcotest.test_case "concurrent skip equivalent" `Quick

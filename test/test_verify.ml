@@ -492,6 +492,27 @@ let qcheck_differential =
         collectors;
       true)
 
+(* A stray pointer to the last word of memory: its header word is the
+   zero of the unused tail, so it decodes as an object with no body, and
+   its (empty) data area starts past the end of the array. Both
+   snapshots must read it as that empty object, and both verifiers must
+   give the same verdict. *)
+let test_pointer_to_last_word () =
+  let h, pre, r, _, _ = collected_pair () in
+  let last = Array.length h.Heap.mem - 1 in
+  Alcotest.(check int) "last word is an unused zero" 0 h.Heap.mem.(last);
+  Heap.set_pointer h r 0 last;
+  (match (try_snapshot Verify.snapshot h, try_snapshot Reference.snapshot h) with
+  | Some got, Some want ->
+    if not (Reference.equal_snapshot got want) then
+      Alcotest.fail "snapshots of the stray pointer differ"
+  | None, _ -> Alcotest.fail "Verify.snapshot rejected the stray pointer"
+  | Some _, None -> Alcotest.fail "reference snapshot rejected the stray pointer");
+  Alcotest.(check string)
+    "same verdict as the reference"
+    (outcome (Reference.check_collection ~pre h))
+    (outcome (Verify.check_collection ~pre h))
+
 (* Verifying a correct collection allocates only fixed-size scratch on
    the minor heap: the id table, the BFS queue and the start bitmap are
    heap-sized, so they go straight to the major heap. *)
@@ -539,6 +560,8 @@ let suite =
     Alcotest.test_case "graph mismatch names the first difference" `Quick
       test_mismatch_names_the_difference;
     QCheck_alcotest.to_alcotest qcheck_differential;
+    Alcotest.test_case "stray pointer to the last word of memory" `Quick
+      test_pointer_to_last_word;
     Alcotest.test_case "check_collection allocation is bounded" `Quick
       test_check_allocation;
   ]

@@ -42,7 +42,9 @@ ban 'Printf\.printf' 'bare stdout formatting from library code'
 # anything heap-allocates at every evaluation, and the compiled engine's
 # contract is a zero-allocation stepping loop (gated by the perf suite's
 # compiled_words_per_cycle budget). Thunks belong in the setup layer,
-# not in per-cycle code.
+# not in per-cycle code. The sync block and the header FIFO are on that
+# path too: both run every cycle, and the spinner-parking wake checks
+# read the sync block after every core step.
 ban_hot() {
   file="$1"
   hits=$(grep -nE 'fun \(\) ->' "$root/$file" 2>/dev/null)
@@ -58,6 +60,8 @@ ban_hot lib/sim/kernel.ml
 ban_hot lib/sim/wake_queue.ml
 ban_hot lib/memsim/port.ml
 ban_hot lib/memsim/memsys.ml
+ban_hot lib/memsim/header_fifo.ml
+ban_hot lib/hwsync/sync_block.ml
 
 # Atomics allowlist. Every Atomic.* site in lib/ is shared mutable state
 # the model checker (lib/model) and the dynamic sanitizer cannot see:
