@@ -189,9 +189,9 @@ let no_skip_arg =
            (only wall time changes); use this flag to check it on any \
            configuration. Documented alias for $(b,--engine naive).")
 
-(* The three stepping engines (docs/PERFORMANCE.md). [--no-skip] and the
-   profile-forces-naive rule predate [--engine] and are kept as
-   documented aliases; contradictions exit 2. *)
+(* The three stepping engines (docs/PERFORMANCE.md). [--no-skip]
+   predates [--engine] and is kept as a documented alias; contradictions
+   exit 2. *)
 type engine = Naive | Skip | Compiled
 
 let engine_arg =
@@ -209,30 +209,24 @@ let engine_arg =
            three produce bit-identical statistics, verify results and \
            counters — only wall time and the executed/skipped split \
            differ. $(b,--no-skip) is the documented alias for \
-           $(b,--engine naive), and $(b,--profile) implies it unless an \
-           engine is named. $(b,--engine compiled) rejects \
-           $(b,--sanitize), $(b,--profile), $(b,--par-domains) and \
-           $(b,--scan-unit) (exit code 2).")
+           $(b,--engine naive). With $(b,--profile) the compiled engine \
+           runs its general paths (same results, no batching). \
+           $(b,--engine compiled) rejects $(b,--sanitize), \
+           $(b,--par-domains) and $(b,--scan-unit) (exit code 2).")
 
-let resolve_engine ~engine ~no_skip ~profile ~sanitize ~par_domains ~scan_unit =
+let resolve_engine ~engine ~no_skip ~sanitize ~par_domains ~scan_unit =
   let reject what =
     Format.eprintf "gcsim run: %s@." what;
     exit 2
   in
   match engine with
-  | None -> if no_skip || profile then Naive else Skip
+  | None -> if no_skip then Naive else Skip
   | Some Naive -> Naive
   | Some Skip ->
     if no_skip then reject "--engine skip contradicts --no-skip";
-    if profile then
-      reject "--engine skip contradicts --profile (profiling forces naive \
-              stepping so the attribution table sums to executed cycles)";
     Skip
   | Some Compiled ->
     if no_skip then reject "--engine compiled contradicts --no-skip";
-    if profile then
-      reject "--engine compiled is incompatible with --profile (profiling \
-              forces naive stepping; use --engine naive)";
     if sanitize <> Hsgc_sanitizer.Sanitizer.Off then
       reject "--engine compiled is incompatible with --sanitize (the \
               compiled engine resolves the sanitizer hooks away at \
@@ -558,7 +552,7 @@ let run_cmd =
       exit 2
     end;
     let engine =
-      resolve_engine ~engine ~no_skip ~profile ~sanitize ~par_domains ~scan_unit
+      resolve_engine ~engine ~no_skip ~sanitize ~par_domains ~scan_unit
     in
     if ckpt_every <> None || ckpt_dir <> None || resume_from <> None then begin
       if sanitize <> Hsgc_sanitizer.Sanitizer.Off then begin
@@ -583,10 +577,6 @@ let run_cmd =
       end
       else None
     in
-    (* --profile forces naive stepping so the printed attribution can be
-       read directly against executed cycles (every row sums to them);
-       all statistics are bit-identical under any engine by the kernel's
-       parity contract, only wall time changes. *)
     let skip = engine <> Naive in
     (* An explicit --par-domains must be a valid partition count for
        this core count even when naive stepping then forces the
@@ -686,8 +676,9 @@ let run_cmd =
             "Attach the stall-attribution profiler and print the per-core \
              cycle-accounting table: every simulated cycle of every core \
              lands in exactly one of busy / the seven stall categories / \
-             idle, so each row sums to the executed cycle count (naive \
-             stepping is forced; statistics are bit-identical either way).")
+             idle, so each row sums to the total cycle count. Runs on any \
+             engine; the table and every statistic are bit-identical on \
+             all of them.")
   in
   let par_domains_arg =
     Arg.(
@@ -700,10 +691,10 @@ let run_cmd =
              count clamped to the core count. Every statistic, verify \
              result and trace digest is bit-identical at any value (see \
              docs/PARALLEL.md). Must be between 1 and the core count. \
-             Interaction: $(b,--profile) and $(b,--no-skip) force naive \
-             stepping, under which every core is due every cycle and the \
-             BSP schedule degenerates to leader-only stepping — gcsim \
-             takes the direct sequential path there.")
+             Interaction: $(b,--no-skip) forces naive stepping, under \
+             which every core is due every cycle and the BSP schedule \
+             degenerates to leader-only stepping — gcsim takes the direct \
+             sequential path there.")
   in
   let span_timeout_arg =
     Arg.(

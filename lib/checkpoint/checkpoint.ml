@@ -220,4 +220,5 @@ let load path =
   in
   of_string data
 
-let payload_ranges path = (load path).s_sections
+let section_ranges s = s.s_sections
+let payload_ranges path = section_ranges (load path)

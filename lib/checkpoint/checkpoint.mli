@@ -64,7 +64,10 @@ val reader : snapshot -> string -> Hsgc_util.Codec.R.t
 (** A reader over a named section's payload, in place; raises
     {!Corrupt} when the section is absent. *)
 
-val payload_ranges : string -> (string * int * int) list
+val section_ranges : snapshot -> (string * int * int) list
 (** [(name, byte_offset, byte_length)] of every section payload within
-    the file — for mutation tests that flip one byte per section and
-    assert the CRC catches it. *)
+    the bytes the snapshot was read from, in file order. *)
+
+val payload_ranges : string -> (string * int * int) list
+(** {!section_ranges} of a snapshot file — for mutation tests that flip
+    one byte per section and assert the CRC catches it. *)

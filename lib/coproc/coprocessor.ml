@@ -344,14 +344,15 @@ type core = {
 
 type t = {
   cfg : config;
-  (* Plain-run guards, derived from the configuration once at [start]:
-     skipping on, more than one core, and no tracer, profiler,
-     sanitizer, fault plan, scan unit or bank attachment. Spinners park
-     on every step of such a run that carries no per-step trace. *)
+  (* Parking guards, derived from the configuration once at [start]:
+     skipping on, more than one core, and no sanitizer, fault plan, scan
+     unit or bank attachment. Spinners park on every step of such a run
+     that carries no per-step trace; an attached tracer or profiler is
+     credited at the wake ([unpark]). *)
   park_ok : bool;
   (* The compiled engine is actually used (not just requested): the
-     plain-run guards hold. A per-[step] trace still falls back
-     dynamically. *)
+     parking guards hold and no tracer or profiler is attached. A
+     per-[step] trace still falls back dynamically. *)
   compiled_hot : bool;
   (* Deferred watchdog progress observation of the compiled exclusive
      interpreter: the cycle of the latest progressed cycle not yet
@@ -1161,15 +1162,15 @@ let start ?(obs = Obs.disabled) ?(prof = Prof.disabled) ?remote cfg heap =
   in
   (* [compiled] already implies skipping, no sanitizer and no scan unit,
      and a bank never runs it (all validated above). *)
-  let plain =
+  let parkable =
     cfg.skip && cfg.faults = None && cfg.sanitize = San.Off
-    && cfg.scan_unit = None && remote = None && (not obs.Obs.on)
-    && not prof.Prof.on
+    && cfg.scan_unit = None && remote = None
   in
   {
     cfg;
-    park_ok = plain && cfg.n_cores > 1;
-    compiled_hot = cfg.compiled && plain;
+    park_ok = parkable && cfg.n_cores > 1;
+    compiled_hot =
+      cfg.compiled && parkable && (not obs.Obs.on) && not prof.Prof.on;
     wd_defer = -1;
     n_parked = 0;
     n_park_scan = 0;
@@ -1264,10 +1265,11 @@ let quiescent t =
    cannot sleep on a wake time: the sync block is combinational and
    publishes none ([SB.next_wake] = None), so the enabling event
    (another core releasing a lock) is not known in advance. Barrier
-   pollers, and every poller outside a plain run, stay awake and poll
-   each cycle. In a plain run, a lock or worklist poller whose retry
-   failed parks instead: the write that can change the retry's outcome
-   wakes it, at the step that makes the write (see "Spinner parking").
+   pollers, and every poller outside a parkable run, stay awake and
+   poll each cycle. In a parkable run, a lock or worklist poller whose
+   retry failed parks instead: the write that can change the retry's
+   outcome wakes it, at the step that makes the write (see "Spinner
+   parking").
 
    The wake time is the minimum over all four buffers' wake_after, not
    just the state's guard buffer: the core must be awake at every cycle
@@ -1476,9 +1478,11 @@ let next_wake_awake t ~now =
 
 (* Credit the statistics that [span] identical replays of the
    just-executed cycle would have accumulated for the awake cores: each
-   stalled core bumps its stall category once per cycle, set busy bits
-   accrue busy cycles, an idle worklist accrues empty cycles, and every
-   comparator-held header load is rejected once more each cycle.
+   stalled core bumps its stall category once per cycle, a core whose
+   termination probe failed probes again (a zero-cycle scan-lock hold)
+   each cycle, set busy bits accrue busy cycles, an idle worklist
+   accrues empty cycles, and every comparator-held header load is
+   rejected once more each cycle.
    Sleeping cores were already credited through their whole sleep span
    when they went to sleep — and the fast-forward target never passes
    their wake, so there is no double count. Parked cores are credited
@@ -1494,7 +1498,9 @@ let credit_awake t ~cycle ~span ~empty_delta =
         Obs.stall_run t.obs ~core:c.id
           ~kind:(stall_index c.stall_kind)
           ~cycle:limit ~span
-    end;
+    end
+    else if t.obs.Obs.on && c.probe_cycle = cycle then
+      Obs.scan_probes t.obs ~last:(cycle + span) ~n:span;
     (* Profiler: the skipped cycles replay the just-executed one, so
        each awake core repeats the bucket it was attributed there. *)
     if t.prof.Prof.on then
@@ -1718,10 +1724,10 @@ let tick_ports_compiled t c ~now =
    - a failed header lock on [child] while another core holds it: woken
      by the release of that header address.
 
-   In a plain run such a core parks after the step instead of being
-   stepped every cycle, provided none of its buffers is retrying
-   acceptance (a waiting buffer touches the shared bandwidth budget
-   every cycle). In-flight buffers are fine: the parked core's wake is
+   In a parkable run (see [park_ok]) such a core parks after the step
+   instead of being stepped every cycle, provided none of its buffers
+   is retrying acceptance (a waiting buffer touches the shared
+   bandwidth budget every cycle). In-flight buffers are fine: the parked core's wake is
    their next completion, where it is due for the tick alone, so every
    buffer transition still lands on its own cycle.
 
@@ -1735,6 +1741,15 @@ let tick_ports_compiled t c ~now =
    while its busy bit is set (it is its own bit, frozen while parked),
    and, for each cycle in which a parked prober would have probed
    before the first waking write, the empty-worklist observation.
+
+   Attached instruments get the same credit, in O(1) per wake. The
+   profiler's row gains the span in the spinner's stall bucket, or in
+   idle for a prober (a failed probe leaves no stall latch). The
+   tracer's stall run for a lock spinner is still open from the retry
+   that parked it, and nothing touches that core's run while it is
+   parked, so extending it by the span closes it where the spinner
+   would have; a prober's skipped probes are zero-cycle scan-lock
+   holds. A parked core's phase cannot change, so phases need nothing.
 
    A parked core counts as awake: no all-asleep fast-forward happens
    while one is parked, its tick is armed in the wake queue for the
@@ -1824,7 +1839,19 @@ let unpark t c ~upto ~wake ~latch =
     else if kind = park_header then
       k.Counters.header_lock <- k.Counters.header_lock + span;
     if Array.unsafe_get t.sb.SB.busy c.id then
-      k.Counters.busy_cycles <- k.Counters.busy_cycles + span
+      k.Counters.busy_cycles <- k.Counters.busy_cycles + span;
+    if t.prof.Prof.on then
+      Prof.add t.prof ~core:c.id
+        ~bucket:
+          (if kind = park_empty then Prof.bucket_idle
+           else 1 + stall_index c.stall_kind)
+        span;
+    if t.obs.Obs.on then
+      if kind = park_empty then Obs.scan_probes t.obs ~last:(upto - 1) ~n:span
+      else
+        Obs.stall_run t.obs ~core:c.id
+          ~kind:(stall_index c.stall_kind)
+          ~cycle:c.park_cycle ~span
   end;
   if kind = park_scan then t.n_park_scan <- t.n_park_scan - 1
   else if kind = park_empty then t.n_park_empty <- t.n_park_empty - 1
@@ -1875,8 +1902,8 @@ let wake_check t c ~now ~hdr0 =
 (* Flush every parked core back to the spinner it stands for, between
    steps: spins credited up to the current cycle, latch on the last
    executed cycle, due as an awake core is. Run before anything outside
-   the plain stepping loop can observe the machine — a snapshot, a
-   per-step trace, a main-processor write. *)
+   the stepping loop can observe the machine — a snapshot, a per-step
+   trace, a main-processor write. *)
 let unpark_all t =
   if t.n_parked > 0 then begin
     let upto = t.clock.Kernel.now and latch = t.hooks.Hooks.cycle in

@@ -52,15 +52,16 @@ type config = {
           Default [true]; [false] is the pure poll-every-core-every-cycle
           parity reference ([--no-skip] in the CLI). Tracing temporarily
           disables the whole-machine jumps so quiet cycles are sampled
-          too. In a plain run (more than one core; no tracer, profiler,
-          sanitizer, fault plan, scan unit or bank attachment; no
-          per-step trace) a core whose step failed a scan-lock grab,
-          an empty-worklist termination probe or a header lock {e parks}:
-          it is not stepped again until another core's write can change
-          the retry's outcome, and its skipped retries are credited in
-          bulk at the wake. A parked core counts as awake everywhere
-          outside the stepping loop, so parking changes no statistic,
-          no snapshot and not the executed/skipped split. *)
+          too. In a parkable run (more than one core; no sanitizer,
+          fault plan, scan unit or bank attachment; no per-step trace)
+          a core whose step failed a scan-lock grab, an empty-worklist
+          termination probe or a header lock {e parks}: it is not
+          stepped again until another core's write can change the
+          retry's outcome, and its skipped retries are credited in bulk
+          at the wake, to an attached tracer and profiler too. A parked
+          core counts as awake everywhere outside the stepping loop, so
+          parking changes no statistic, no snapshot, no trace event or
+          profile cell and not the executed/skipped split. *)
   faults : Hsgc_fault.Injector.spec option;
       (** fault-injection plan ({!Hsgc_fault.Injector}). Each simulator
           instance builds a private injector from the spec, so

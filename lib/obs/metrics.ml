@@ -65,10 +65,23 @@ let observe h v =
   h.sum <- h.sum + v;
   if v > h.max_value then h.max_value <- v
 
+(* [n] observations of the same value in one step: the bulk credit for
+   a span of identical replayed cycles. *)
+let observe_n h v n =
+  if n > 0 then begin
+    let v = if v < 0 then 0 else v in
+    let b = bucket_of_value v in
+    h.buckets.(b) <- h.buckets.(b) + n;
+    h.count <- h.count + n;
+    h.sum <- h.sum + (v * n);
+    if v > h.max_value then h.max_value <- v
+  end
+
 let hist_name h = h.h_name
 let hist_count h = h.count
 let hist_sum h = h.sum
 let hist_max h = h.max_value
+let hist_bucket h b = h.buckets.(b)
 
 let hist_mean h =
   if h.count = 0 then 0.0 else float_of_int h.sum /. float_of_int h.count

@@ -23,10 +23,18 @@ val observe : hist -> int -> unit
 (** Record one value (clamped at 0). Bucket [b > 0] spans
     [2^(b-1) .. 2^b - 1]; bucket 0 holds exact zeros. *)
 
+val observe_n : hist -> int -> int -> unit
+(** [observe_n h v n] records [v] [n] times in O(1); the same final
+    state as [n] calls of [observe h v]. [n <= 0] records nothing. *)
+
 val hist_name : hist -> string
 val hist_count : hist -> int
 val hist_sum : hist -> int
 val hist_max : hist -> int
+
+val hist_bucket : hist -> int -> int
+(** Observations in bucket [b], [0 <= b < hist_buckets]. *)
+
 val hist_mean : hist -> float
 
 val hist_percentile : hist -> int -> int

@@ -255,6 +255,13 @@ let lock_released t ~lock ~core =
   else
     Metrics.observe t.hist_hold_header (t.cycle - t.header_acquired.(core))
 
+(* Bulk credit for [n] skipped termination probes, the last at cycle
+   [last]. Each would have taken and released the scan lock within its
+   cycle: a zero-cycle hold, and an acquisition stamp at its cycle. *)
+let scan_probes t ~last ~n =
+  Metrics.observe_n t.hist_hold_scan 0 n;
+  if last > t.scan_acquired then t.scan_acquired <- last
+
 (* --- per-object scan latency ---------------------------------------- *)
 
 let object_begun t ~core = t.object_start.(core) <- t.cycle

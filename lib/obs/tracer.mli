@@ -131,6 +131,13 @@ val catch_up_samples :
 val fifo_push : t -> buffered:bool -> unit
 val lock_acquired : t -> lock:int -> core:int -> unit
 val lock_released : t -> lock:int -> core:int -> unit
+
+val scan_probes : t -> last:int -> n:int -> unit
+(** Credit [n] skipped empty-worklist probes, the last at cycle [last],
+    in O(1): each would have held the scan lock for zero cycles, so the
+    scan-lock hold histogram gains [n] zeros and the acquisition stamp
+    moves to [last] if that is later. *)
+
 val object_begun : t -> core:int -> unit
 val object_done : t -> core:int -> unit
 val mem_done : t -> kind:int -> latency:int -> unit

@@ -410,7 +410,7 @@ let golden_images =
     ( "observed",
       (fun () -> observed_machine ()),
       954054,
-      "765b45c1ca38c15faf5ef6e1f365748c" );
+      "2c7020eb511e7d5dec40c0e9e473f24f" );
   ]
 
 let test_golden_images () =

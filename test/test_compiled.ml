@@ -21,8 +21,10 @@ module Workloads = Hsgc_objgraph.Workloads
 module Verify = Hsgc_heap.Verify
 module Checkpoint = Hsgc_checkpoint.Checkpoint
 module Tracer = Hsgc_obs.Tracer
+module Profiler = Hsgc_obs.Profiler
 module Injector = Hsgc_fault.Injector
 module Trace = Hsgc_coproc.Trace
+module Codec = Hsgc_util.Codec
 
 (* Everything in gc_stats except the kernel-observability fields
    (executed/skipped split and wall time) must be bit-identical. *)
@@ -426,70 +428,143 @@ let test_park_termination () =
         latencies)
     [ (2, false); (2, true); (3, false); (3, true) ]
 
-(* Snapshots taken while cores are parked on each of the three waits:
-   every section but the configuration and the fault-stream state is
-   byte-identical to the unparked twin's at the same step, saving does
-   not perturb the run, and a run resumed from a mid-run image ends
-   bit-identical to a straight-through one, executed/skipped split
-   included. *)
+(* A tracer and a profiler for [n_cores], both enabled. *)
+let instruments ?capacity n_cores =
+  let obs = Tracer.create ?capacity ~n_cores () in
+  Tracer.enable obs;
+  let prof = Profiler.create ~n_cores () in
+  Profiler.enable prof;
+  (obs, prof)
+
+let encoded enc x =
+  let m = Codec.W.measure () in
+  enc x m;
+  let b = Bytes.create (Codec.W.pos m) in
+  enc x (Codec.W.into b ~pos:0);
+  Bytes.to_string b
+
+let ring obs =
+  let l = ref [] in
+  Tracer.iter obs (fun ~cycle ~code ~core ~a ~b ->
+      l := (cycle, code, core, a, b) :: !l);
+  Array.of_list (List.rev !l)
+
+(* The instruments saw the same run: the raw ring in emission order (a
+   full keep-oldest ring keeps whichever events came first, so the
+   sorted digest is not enough), the drop count, and both checkpoint
+   encodings. *)
+let check_instruments_equal ctx ~ref_name ~other_name (obs_a, prof_a)
+    (obs_b, prof_b) =
+  let ra = ring obs_a and rb = ring obs_b in
+  Array.iteri
+    (fun i e ->
+      if i < Array.length rb && rb.(i) <> e then
+        Alcotest.failf "%s: ring event %d differs (%s vs %s)" ctx i ref_name
+          other_name)
+    ra;
+  Alcotest.(check int) (ctx ^ ": ring length") (Array.length ra)
+    (Array.length rb);
+  Alcotest.(check int) (ctx ^ ": dropped") (Tracer.dropped obs_a)
+    (Tracer.dropped obs_b);
+  if encoded Tracer.encode obs_a <> encoded Tracer.encode obs_b then
+    Alcotest.failf "%s: tracer encodings differ (%s vs %s)" ctx ref_name
+      other_name;
+  if encoded Profiler.encode prof_a <> encoded Profiler.encode prof_b then
+    Alcotest.failf "%s: profiler encodings differ (%s vs %s)" ctx ref_name
+      other_name
+
+let split (s : Coprocessor.gc_stats) =
+  (s.Coprocessor.executed_cycles, s.Coprocessor.skipped_cycles)
+
+(* A snapshot image's sections, [config] and [rng] left out: the only
+   ones that differ between a parked run and its unparked twin (the
+   twin's inert fault plan). *)
+let twin_sections image =
+  List.filter_map
+    (fun (name, off, len) ->
+      if name = "config" || name = "rng" then None
+      else Some (name, String.sub image off len))
+    (Checkpoint.section_ranges (Checkpoint.of_string image))
+
+let save_image sim =
+  Checkpoint.to_string (Coprocessor.Snapshot.save sim ~fingerprint:"park")
+
+(* Snapshots taken while cores are parked: every section but the
+   configuration and the fault-stream state is byte-identical to the
+   unparked twin's every 53 steps, saving does not perturb the run, and
+   a run resumed from a mid-run image ends bit-identical to a
+   straight-through one, executed/skipped split included. With
+   [instrumented], every run carries a tracer and a profiler: their
+   sections are compared too, the saved and resumed runs end with the
+   straight run's raw ring and encodings (so its digest), and the
+   resumed profile rows close to the total. *)
+let check_park_snapshots ?(instrumented = false) ctx cfg build =
+  let n_cores = cfg.Coprocessor.n_cores in
+  let start cfg =
+    if instrumented then begin
+      let ((obs, prof) as ins) = instruments n_cores in
+      (Coprocessor.start ~obs ~prof cfg (build ()), Some ins)
+    end
+    else (Coprocessor.start cfg (build ()), None)
+  in
+  let finish sim =
+    while not (Coprocessor.halted sim) do
+      Coprocessor.step sim
+    done;
+    Coprocessor.finalize sim
+  in
+  let s, ins_straight = start cfg in
+  let straight = finish s in
+  let a, ins_saved = start cfg and b, _ = start (twin cfg) in
+  let steps = ref 0 and mid = ref None in
+  while not (Coprocessor.halted a) do
+    Coprocessor.step a;
+    Coprocessor.step b;
+    incr steps;
+    if !steps mod 53 = 0 then begin
+      let image = save_image a in
+      List.iter2
+        (fun (name, got) (_, want) ->
+          if got <> want then
+            Alcotest.failf
+              "%s: section %S differs from the unparked twin at cycle %d" ctx
+              name (Coprocessor.now a))
+        (twin_sections image)
+        (twin_sections (save_image b));
+      if !mid = None && 2 * Coprocessor.now a >= straight.total_cycles then
+        mid := Some image
+    end
+  done;
+  let saved = Coprocessor.finalize a in
+  check_stats_equal ctx ~ref_name:"straight" ~other_name:"saved" straight
+    saved;
+  Alcotest.(check (pair int int)) (ctx ^ ": saved split") (split straight)
+    (split saved);
+  let c, ins_resumed = start cfg in
+  Coprocessor.Snapshot.restore c (Checkpoint.of_string (Option.get !mid));
+  let resumed = finish c in
+  check_stats_equal ctx ~ref_name:"straight" ~other_name:"resumed" straight
+    resumed;
+  Alcotest.(check (pair int int)) (ctx ^ ": resumed split") (split straight)
+    (split resumed);
+  match (ins_straight, ins_saved, ins_resumed) with
+  | Some ins_straight, Some ins_saved, Some ((_, prof) as ins_resumed) ->
+    check_instruments_equal ctx ~ref_name:"straight" ~other_name:"saved"
+      ins_straight ins_saved;
+    check_instruments_equal ctx ~ref_name:"straight" ~other_name:"resumed"
+      ins_straight ins_resumed;
+    for core = 0 to n_cores - 1 do
+      Alcotest.(check int)
+        (Printf.sprintf "%s: resumed core %d row closes" ctx core)
+        resumed.Coprocessor.total_cycles
+        (Profiler.row_sum prof ~core)
+    done
+  | _ -> ()
+
+(* Snapshots while cores are parked on each of the three waits. *)
 let test_park_snapshot_resume () =
-  let sections image =
-    let path = Filename.temp_file "hsgc-park" ".ckpt" in
-    Fun.protect
-      ~finally:(fun () -> Sys.remove path)
-      (fun () ->
-        Out_channel.with_open_bin path (fun oc -> output_string oc image);
-        List.filter_map
-          (fun (name, off, len) ->
-            if name = "config" || name = "rng" then None
-            else Some (name, String.sub image off len))
-          (Checkpoint.payload_ranges path))
-  in
-  let save sim =
-    Checkpoint.to_string (Coprocessor.Snapshot.save sim ~fingerprint:"park")
-  in
-  let split (s : Coprocessor.gc_stats) =
-    (s.Coprocessor.executed_cycles, s.Coprocessor.skipped_cycles)
-  in
   List.iter
-    (fun (ctx, cfg, build) ->
-      let straight = Coprocessor.collect cfg (build ()) in
-      let a = Coprocessor.start cfg (build ()) in
-      let b = Coprocessor.start (twin cfg) (build ()) in
-      let steps = ref 0 and mid = ref None in
-      while not (Coprocessor.halted a) do
-        Coprocessor.step a;
-        Coprocessor.step b;
-        incr steps;
-        if !steps mod 53 = 0 then begin
-          let image = save a in
-          List.iter2
-            (fun (name, got) (_, want) ->
-              if got <> want then
-                Alcotest.failf "%s: section %S differs from the unparked twin \
-                                at cycle %d"
-                  ctx name (Coprocessor.now a))
-            (sections image) (sections (save b));
-          if !mid = None && 2 * Coprocessor.now a >= straight.total_cycles then
-            mid := Some image
-        end
-      done;
-      let saved = Coprocessor.finalize a in
-      check_stats_equal ctx ~ref_name:"straight" ~other_name:"saved" straight
-        saved;
-      Alcotest.(check (pair int int)) (ctx ^ ": saved split") (split straight)
-        (split saved);
-      let image = Option.get !mid in
-      let c = Coprocessor.start cfg (build ()) in
-      Coprocessor.Snapshot.restore c (Checkpoint.of_string image);
-      while not (Coprocessor.halted c) do
-        Coprocessor.step c
-      done;
-      let resumed = Coprocessor.finalize c in
-      check_stats_equal ctx ~ref_name:"straight" ~other_name:"resumed" straight
-        resumed;
-      Alcotest.(check (pair int int)) (ctx ^ ": resumed split")
-        (split straight) (split resumed))
+    (fun (ctx, cfg, build) -> check_park_snapshots ctx cfg build)
     [
       ( "probers, 3 cores",
         Coprocessor.config ~mem:(mem_at 20) ~n_cores:3 (),
@@ -546,6 +621,87 @@ let test_park_watchdog_dump () =
   in
   Alcotest.(check string) "machine dump" (dump (twin cfg)) (dump cfg)
 
+(* ------------------------------------------------------------------ *)
+(* Spinner parking under the tracer and profiler                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Instrumented runs park like plain ones, and the wake credits feed the
+   tracer and profiler exactly what the skipped retries would have: the
+   parked run and its unparked twin, both instrumented, end with equal
+   statistics, split, rings and encodings. At scale 0.3 a 4 096-event
+   ring overflows, so the kept prefix tests the emission order. *)
+let test_park_instrumented_parity () =
+  List.iter
+    (fun (scale, capacity) ->
+      List.iter
+        (fun w ->
+          List.iter
+            (fun n_cores ->
+              List.iter
+                (fun lat ->
+                  let ctx =
+                    Printf.sprintf "%s/%d +%d scale %g" w.Workloads.name
+                      n_cores lat scale
+                  in
+                  let run cfg =
+                    let ((obs, prof) as ins) = instruments ?capacity n_cores in
+                    let s =
+                      Coprocessor.collect ~obs ~prof cfg
+                        (Workloads.build_heap ~scale ~seed:42 w)
+                    in
+                    (s, ins)
+                  in
+                  let cfg = Coprocessor.config ~mem:(mem_at lat) ~n_cores () in
+                  let unparked, ins_u = run (twin cfg) in
+                  let parked, ins_p = run cfg in
+                  check_stats_equal ctx ~ref_name:"unparked"
+                    ~other_name:"parked" unparked parked;
+                  Alcotest.(check (pair int int))
+                    (ctx ^ ": executed/skipped split")
+                    (split unparked) (split parked);
+                  check_instruments_equal ctx ~ref_name:"unparked"
+                    ~other_name:"parked" ins_u ins_p)
+                latencies)
+            [ 2; 4; 16 ])
+        Workloads.all)
+    [ (0.05, None); (0.3, Some 4096) ]
+
+(* Instrumented runs keep the default engine's pinned executed/skipped
+   split. *)
+let test_park_instrumented_split () =
+  List.iter
+    (fun (name, n_cores, latency, total, executed, skipped) ->
+      let w = Option.get (Workloads.find name) in
+      let obs, prof = instruments n_cores in
+      let s =
+        Coprocessor.collect ~obs ~prof
+          (Coprocessor.config ~mem:(mem_at latency) ~n_cores ())
+          (Workloads.build_heap ~scale:0.05 ~seed:42 w)
+      in
+      Alcotest.(check (triple int int int))
+        (Printf.sprintf "%s/%d cores/+%d: (total, executed, skipped)" name
+           n_cores latency)
+        (total, executed, skipped)
+        ( s.Coprocessor.total_cycles,
+          s.Coprocessor.executed_cycles,
+          s.Coprocessor.skipped_cycles ))
+    Test_kernel.pinned_splits
+
+(* Snapshots of instrumented runs while cores are parked. *)
+let test_park_instrumented_snapshots () =
+  List.iter
+    (fun (ctx, n_cores, mem, w) ->
+      check_park_snapshots ~instrumented:true ctx
+        (Coprocessor.config ~mem ~n_cores ())
+        (fun () -> Workloads.build_heap ~scale:0.05 ~seed:42 w))
+    [
+      ("search/16 +20", 16, mem_at 20, Workloads.search);
+      ("javac/16 +0", 16, mem_at 0, Workloads.javac);
+      ("javac/16 +20", 16, mem_at 20, Workloads.javac);
+      ("cup/16 fifo 4", 16, mem_at ~fifo_capacity:4 0, Workloads.cup);
+      ("compress/8", 8, mem_at 0, Workloads.compress);
+    ]
+
 (* The compiled engine's parking shares the default engine's
    implementation, with no core-count ceiling: 64 and 100 cores (the
    latter past the wake queue's linear-scan regime) run its fast path. *)
@@ -583,4 +739,10 @@ let suite =
       test_park_watchdog_dump;
     Alcotest.test_case "compiled engine at 64 and 100 cores" `Quick
       test_compiled_many_cores;
+    Alcotest.test_case "instrumented parking matches the unparked twin" `Slow
+      test_park_instrumented_parity;
+    Alcotest.test_case "instrumented runs keep the pinned split" `Quick
+      test_park_instrumented_split;
+    Alcotest.test_case "instrumented snapshots with cores parked" `Quick
+      test_park_instrumented_snapshots;
   ]

@@ -10,6 +10,7 @@ module Coprocessor = Hsgc_coproc.Coprocessor
 module Counters = Hsgc_coproc.Counters
 module Workloads = Hsgc_objgraph.Workloads
 module Injector = Hsgc_fault.Injector
+module Memsys = Hsgc_memsim.Memsys
 
 let contains ~sub s =
   let n = String.length s and m = String.length sub in
@@ -54,6 +55,28 @@ let test_metrics_negative_clamped () =
   Metrics.observe h (-7);
   Alcotest.(check int) "clamped to zero" 0 (Metrics.hist_max h);
   Alcotest.(check int) "counted" 1 (Metrics.hist_count h)
+
+(* [observe_n] is [n] calls of [observe] in one step, including the
+   clamp of negative values; a non-positive [n] records nothing. *)
+let test_metrics_observe_n () =
+  let m = Metrics.create () in
+  let bulk = Metrics.hist m "bulk" and each = Metrics.hist m "each" in
+  List.iter
+    (fun (v, n) ->
+      Metrics.observe_n bulk v n;
+      for _ = 1 to n do
+        Metrics.observe each v
+      done)
+    [ (0, 5); (3, 2); (-4, 3); (100, 1); (7, 0); (9, -2); (1 lsl 40, 2) ];
+  Alcotest.(check int) "count" (Metrics.hist_count each)
+    (Metrics.hist_count bulk);
+  Alcotest.(check int) "sum" (Metrics.hist_sum each) (Metrics.hist_sum bulk);
+  Alcotest.(check int) "max" (Metrics.hist_max each) (Metrics.hist_max bulk);
+  for b = 0 to Metrics.hist_buckets - 1 do
+    Alcotest.(check int)
+      (Printf.sprintf "bucket %d" b)
+      (Metrics.hist_bucket each b) (Metrics.hist_bucket bulk b)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Tracer primitives                                                   *)
@@ -171,15 +194,17 @@ let test_profiler_close_pads_idle () =
 (* Live-coprocessor identities                                         *)
 (* ------------------------------------------------------------------ *)
 
-let instrumented_run ?faults ~workload ~n_cores ~skip () =
-  let heap = Workloads.build_heap ~scale:0.05 ~seed:11 workload in
+let instrumented_run ?faults ?(seed = 11) ?(latency = 0) ~workload ~n_cores
+    ~skip () =
+  let heap = Workloads.build_heap ~scale:0.05 ~seed workload in
   let obs = Tracer.create ~n_cores () in
   Tracer.enable obs;
   let prof = Profiler.create ~n_cores () in
   Profiler.enable prof;
+  let mem = Memsys.with_extra_latency Memsys.default_config latency in
   let stats =
     Coprocessor.collect ~obs ~prof
-      (Coprocessor.config ?faults ~skip ~n_cores ())
+      (Coprocessor.config ?faults ~mem ~skip ~n_cores ())
       heap
   in
   (stats, obs, prof)
@@ -215,22 +240,88 @@ let test_accounting_closes () =
       check_identities stats prof)
     [ 1; 4; 16 ]
 
+(* The profile matrix is a property of the machine: the default engine
+   (spinners parked, idle spans skipped) and naive stepping attribute
+   every core x cycle identically. *)
 let test_profile_skip_naive_identical () =
-  let _, _, prof_skip =
-    instrumented_run ~workload:Workloads.db ~n_cores:4 ~skip:true ()
+  List.iter
+    (fun workload ->
+      List.iter
+        (fun n_cores ->
+          List.iter
+            (fun latency ->
+              let _, _, prof_skip =
+                instrumented_run ~latency ~workload ~n_cores ~skip:true ()
+              in
+              let _, _, prof_naive =
+                instrumented_run ~latency ~workload ~n_cores ~skip:false ()
+              in
+              for c = 0 to n_cores - 1 do
+                for b = 0 to Profiler.n_buckets - 1 do
+                  let naive = Profiler.get prof_naive ~core:c ~bucket:b
+                  and skip = Profiler.get prof_skip ~core:c ~bucket:b in
+                  if naive <> skip then
+                    Alcotest.failf
+                      "%s/%d +%d: core %d %s differs (naive %d, skip %d)"
+                      workload.Workloads.name n_cores latency c
+                      (Profiler.bucket_name b) naive skip
+                done
+              done)
+            [ 0; 20 ])
+        [ 4; 16 ])
+    Workloads.all
+
+(* Every tracer histogram is a pure function of the simulated machine:
+   naive stepping, the default engine and its unparked twin (the same
+   configuration with an inert fault plan) agree on count, sum, max and
+   every bucket. The scan-lock holds include one zero-cycle hold per
+   failed termination probe, in executed, skipped and parked cycles
+   alike. Golden grid (seed 42), base and +20 latency. *)
+let test_histograms_engine_independent () =
+  let hists ?faults ~skip ~latency ~workload ~n_cores () =
+    let _, obs, _ =
+      instrumented_run ?faults ~seed:42 ~latency ~workload ~n_cores ~skip ()
+    in
+    Metrics.all_hists (Tracer.metrics obs)
   in
-  let _, _, prof_naive =
-    instrumented_run ~workload:Workloads.db ~n_cores:4 ~skip:false ()
+  let check ctx ~other_name reference other =
+    List.iter2
+      (fun h o ->
+        let name = Metrics.hist_name h in
+        let chk what a b =
+          if a <> b then
+            Alcotest.failf "%s: %s %s differs (naive %d, %s %d)" ctx name what
+              a other_name b
+        in
+        chk "count" (Metrics.hist_count h) (Metrics.hist_count o);
+        chk "sum" (Metrics.hist_sum h) (Metrics.hist_sum o);
+        chk "max" (Metrics.hist_max h) (Metrics.hist_max o);
+        for b = 0 to Metrics.hist_buckets - 1 do
+          chk
+            (Printf.sprintf "bucket %d" b)
+            (Metrics.hist_bucket h b) (Metrics.hist_bucket o b)
+        done)
+      reference other
   in
-  for c = 0 to 3 do
-    for b = 0 to Profiler.n_buckets - 1 do
-      Alcotest.(check int)
-        (Printf.sprintf "core %d %s identical skip vs naive" c
-           (Profiler.bucket_name b))
-        (Profiler.get prof_naive ~core:c ~bucket:b)
-        (Profiler.get prof_skip ~core:c ~bucket:b)
-    done
-  done
+  List.iter
+    (fun workload ->
+      List.iter
+        (fun n_cores ->
+          List.iter
+            (fun latency ->
+              let ctx =
+                Printf.sprintf "%s/%d +%d" workload.Workloads.name n_cores
+                  latency
+              in
+              let naive = hists ~skip:false ~latency ~workload ~n_cores () in
+              check ctx ~other_name:"parked" naive
+                (hists ~skip:true ~latency ~workload ~n_cores ());
+              check ctx ~other_name:"skip" naive
+                (hists ~faults:Injector.default_spec ~skip:true ~latency
+                   ~workload ~n_cores ()))
+            [ 0; 20 ])
+        [ 1; 4; 16 ])
+    Workloads.all
 
 let test_trace_deterministic () =
   let _, obs1, _ =
@@ -394,6 +485,8 @@ let suite =
     Alcotest.test_case "metrics histogram" `Quick test_metrics_histogram;
     Alcotest.test_case "metrics registry order" `Quick
       test_metrics_registry_order;
+    Alcotest.test_case "metrics bulk observation" `Quick
+      test_metrics_observe_n;
     Alcotest.test_case "metrics clamps negatives" `Quick
       test_metrics_negative_clamped;
     Alcotest.test_case "phase spans" `Quick test_phase_spans;
@@ -410,6 +503,8 @@ let suite =
       test_accounting_closes;
     Alcotest.test_case "profile identical skip vs naive" `Quick
       test_profile_skip_naive_identical;
+    Alcotest.test_case "histograms identical naive, skip and parked" `Quick
+      test_histograms_engine_independent;
     Alcotest.test_case "trace deterministic" `Quick test_trace_deterministic;
     Alcotest.test_case "trace digest skip-invariant" `Quick
       test_trace_skip_invariant;

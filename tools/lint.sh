@@ -44,7 +44,9 @@ ban 'Printf\.printf' 'bare stdout formatting from library code'
 # compiled_words_per_cycle budget). Thunks belong in the setup layer,
 # not in per-cycle code. The sync block and the header FIFO are on that
 # path too: both run every cycle, and the spinner-parking wake checks
-# read the sync block after every core step.
+# read the sync block after every core step. So are the instruments:
+# the tracer, the profiler and the metrics registry they feed run on
+# every traced cycle and inside the parked fast path's wake credits.
 ban_hot() {
   file="$1"
   hits=$(grep -nE 'fun \(\) ->' "$root/$file" 2>/dev/null)
@@ -62,6 +64,9 @@ ban_hot lib/memsim/port.ml
 ban_hot lib/memsim/memsys.ml
 ban_hot lib/memsim/header_fifo.ml
 ban_hot lib/hwsync/sync_block.ml
+ban_hot lib/obs/tracer.ml
+ban_hot lib/obs/profiler.ml
+ban_hot lib/obs/metrics.ml
 
 # Atomics allowlist. Every Atomic.* site in lib/ is shared mutable state
 # the model checker (lib/model) and the dynamic sanitizer cannot see:
