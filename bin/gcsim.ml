@@ -204,8 +204,8 @@ let engine_arg =
           "Stepping engine: $(b,naive) polls every core every cycle (the \
            parity reference); $(b,skip) (the default) adds event-driven \
            core sleeps and idle-cycle skipping; $(b,compiled) further \
-           specializes the per-cycle paths for the plain configuration and \
-           retires already-determined memory transactions in batches. All \
+           retires already-determined memory transactions in batches in \
+           the plain configuration. All \
            three produce bit-identical statistics, verify results and \
            counters — only wall time and the executed/skipped split \
            differ. $(b,--no-skip) is the documented alias for \
@@ -404,7 +404,7 @@ let run_with_checkpoints ~workload ~n_cores ~scale ~seed ~mem ~scan_unit
       | None -> (
         match resumed with
         | Some r -> r.Resume.meta.Resume.partitions
-        | None -> Partition.default_partitions ~n_cores:eff_cores)
+        | None -> 1)
   in
   let meta = { meta with Resume.partitions } in
   (* A signal ends the run at the next cycle boundary with a final
@@ -598,7 +598,7 @@ let run_cmd =
       else
         match par_domains with
         | Some p -> p
-        | None -> Partition.default_partitions ~n_cores
+        | None -> 1
     in
     let cfg =
       Coprocessor.config ~mem
@@ -687,10 +687,12 @@ let run_cmd =
       & info [ "par-domains" ] ~docv:"N"
           ~doc:
             "Step the machine as $(docv) BSP partitions (one pool lane \
-             each). The default is auto: the runtime's recommended domain \
-             count clamped to the core count. Every statistic, verify \
-             result and trace digest is bit-identical at any value (see \
-             docs/PARALLEL.md). Must be between 1 and the core count. \
+             each). The default is 1, the direct sequential path: the \
+             dense kernel serializes every superstep and runs slower on \
+             more domains than on one (docs/PARALLEL.md, section 4). \
+             Every statistic, verify result and trace digest is \
+             bit-identical at any value. Must be between 1 and the core \
+             count. \
              Interaction: $(b,--no-skip) forces naive stepping, under \
              which every core is due every cycle and the BSP schedule \
              degenerates to leader-only stepping — gcsim takes the direct \

@@ -54,9 +54,8 @@ type config = {
          findings into [gc_stats]; [Strict] raises [Diag.Violation] on
          the first finding. *)
   compiled : bool;
-      (* the compiled stepping engine: configuration-specialized fast
-         paths plus batched retirement on top of the event-driven
-         skipper. Requires [skip], [sanitize = Off] and
+      (* the compiled stepping engine: batched retirement on top of the
+         event-driven skipper. Requires [skip], [sanitize = Off] and
          [scan_unit = None] (validated by [start]); with a fault plan,
          tracer or profiler attached the machine silently falls back to
          the general engine. All statistics stay bit-identical to
@@ -605,9 +604,14 @@ and begin_gray_object t core ~frame ~h0 =
   core.counters.objects_scanned <- core.counters.objects_scanned + 1;
   if body = 0 then core.state <- Blacken else core.state <- Body_issue_load
 
+(* The states that run a handful of times per collection — start-up,
+   roots, barriers, flush and sub-object pieces — are marked
+   [@inline never]: release builds inline across modules (lib/dune),
+   and keeping them out of [step_core] keeps its hot arms compact. *)
+
 (* Hand out the next piece of the frame latched in [cur_frame]; the
    caller holds the scan lock. Costs one cycle and no header access. *)
-let begin_piece t core =
+let[@inline never] begin_piece t core =
   let u = Option.get t.cfg.scan_unit in
   let body = Hdr.pi t.cur_h0 + Hdr.delta t.cur_h0 in
   let start = t.cur_next_slot in
@@ -633,7 +637,7 @@ let begin_piece t core =
   SB.set_busy t.sb ~core:core.id true;
   core.state <- Body_issue_load
 
-let step_init t core =
+let[@inline never] step_init t core =
   let base = (H.to_space t.heap).Semispace.base in
   SB.set_scan t.sb base;
   SB.set_free t.sb base;
@@ -641,7 +645,7 @@ let step_init t core =
   core.state <- Root_next;
   mark t
 
-let step_root_next t core =
+let[@inline never] step_root_next t core =
   let roots = t.heap.H.roots in
   if core.root_idx >= Array.length roots then begin
     core.state <- Start_barrier;
@@ -668,7 +672,7 @@ let step_root_next t core =
     end
   end
 
-let step_root_header_wait t core =
+let[@inline never] step_root_header_wait t core =
   if not (port_ready core.hl) then stall t core Header_load
   else begin
     Port.consume core.hl;
@@ -696,7 +700,7 @@ let step_root_header_wait t core =
       core.state <- Root_next
   end
 
-let step_start_barrier t core =
+let[@inline never] step_start_barrier t core =
   if SB.barrier_arrive t.sb ~core:core.id then begin
     if not t.parallel_phase then begin
       t.parallel_phase <- true;
@@ -915,7 +919,7 @@ let step_store_slot t core =
   if port_idle core.bs then store_and_advance t core core.value
   else stall t core Body_store
 
-let step_piece_done t core =
+let[@inline never] step_piece_done t core =
   (* Retire one piece: the outstanding-piece count of the frame is
      decremented under the frame's header lock (the hardware keeps it in
      the header word); the last piece blackens the object. *)
@@ -975,7 +979,7 @@ let step_blacken t core =
     core.state <- Try_lock_scan
   end
 
-let step_flush t core =
+let[@inline never] step_flush t core =
   if
     port_idle core.hl && port_idle core.hs && port_idle core.bl
     && port_idle core.bs
@@ -984,7 +988,7 @@ let step_flush t core =
     mark t
   end
 
-let step_end_barrier t core =
+let[@inline never] step_end_barrier t core =
   if SB.barrier_arrive t.sb ~core:core.id then begin
     SB.assert_no_locks t.sb ~core:core.id;
     core.state <- Halt;
@@ -1333,6 +1337,13 @@ let replay_of t c =
   | Init | Root_next | Start_barrier | Try_lock_scan | Lock_child
   | Lock_free | Piece_done | End_barrier | Halt -> rp_no_sleep
 
+(* Credit [span] replayed stalls of category [rp] (> 0). *)
+let credit_replay (k : Counters.t) rp span =
+  if rp = rp_header_load then k.header_load <- k.header_load + span
+  else if rp = rp_body_load then k.body_load <- k.body_load + span
+  else if rp = rp_body_store then k.body_store <- k.body_store + span
+  else k.header_store <- k.header_store + span
+
 (* Int-specialized [min]/[max]: the polymorphic [Stdlib.min] is a real
    call into the generic comparison on the sleep/jump hot paths. *)
 let[@inline] imin (a : int) (b : int) = if a <= b then a else b
@@ -1421,7 +1432,7 @@ let maybe_sleep t c ~now =
         c.wake <- w;
         Wake_queue.arm t.wakeq ~id:c.id ~time:w;
         let span = w - now - 1 in
-        if rp > 0 then Counters.bump_n c.counters (stall_of_rp rp) span;
+        if rp > 0 then credit_replay c.counters rp span;
         (* The slept cycles replay the same stall (or the quiet Flush
            wait); attribute and trace them exactly as naive stepping
            would have, one bulk credit instead of per-cycle bumps. *)
@@ -1606,104 +1617,37 @@ let min_wake_outside t ~owner ~partition =
 (* The compiled stepping engine (ROADMAP item 2).
 
    A third engine alongside naive ([skip = false]) and the event-driven
-   skipper: the same microprogram, specialized at instantiation time for
-   the configuration the benchmarks and long parallel runs actually use
-   — no sanitizer, no fault plan, no tracer or profiler, whole-object
-   scanning. Under those guards (checked once, in [start]) the per-cycle
-   work compiles down to straight-line code:
-
-   - the Hooks/Tracer/Sanitizer/Injector branches disappear: the guards
-     hold by construction, so the fast paths below touch none of them;
-   - memory transactions whose completion cycle is already determined
-     retire in batches: with exactly one core awake the interpreter
-     runs it alone to the next foreign wake-up, and the body-copy
-     inner loop ([data_run_macro]) retires whole runs of data words in
-     closed form — a strict generalization of idle-skipping, advancing
-     the clock straight to the next semantic decision point;
-   - port status words, the sync-block shadow counts and the comparator
-     presence mask are probed as flat ints with precomputed masks.
+   skipper: the same microprogram and the same per-core tick and step,
+   run under the guards the benchmarks and long parallel runs use — no
+   sanitizer, no fault plan, no tracer or profiler, whole-object
+   scanning (checked once, in [start]). What it adds is batched
+   retirement: with exactly one core due the interpreter runs it alone
+   to the next foreign wake-up ([exclusive_loop]), and the body-copy
+   inner loop ([data_run_macro]) retires whole runs of data words in
+   closed form — a strict generalization of idle-skipping, advancing
+   the clock straight to the next semantic decision point.
 
    The contract is the skipper's: every reported statistic is
    bit-identical to naive stepping; only wall time and the
    executed/skipped split move. Whenever a guard fails — a per-step
    trace requested, an instrumented or fault-injected run — the machine
-   falls back to the general paths. Spinner parking and the due/awake
+   falls back to the general cycle. Spinner parking and the due/awake
    lists are not specializations: both engines share them, through the
    one machine cycle below ([step_cycle]). *)
 (* ------------------------------------------------------------------ *)
 
-(* Buffer retry/completion for one core, fast paths inlined. Body-class
-   transactions never touch the header cache, the comparator array or
-   the FIFO, so their acceptance is exactly the bandwidth check;
-   header-class buffers keep the general [Port.tick] on any path that
-   could consult shared structures. Order (hl, hs, bl, bs) matches the
-   general tick loop — acceptance order defines the bandwidth and
-   ordering counters. *)
-let tick_ports_compiled t c ~now =
+(* Buffer retry/completion for one core. Order (hl, hs, bl, bs) is the
+   static priority: acceptance order defines the bandwidth and ordering
+   counters. [Port.tick] is a no-op unless the buffer is retrying
+   acceptance or an in-flight transfer just completed; release builds
+   inline it down to that status test, and a body-class retry down to
+   the bandwidth check. *)
+let tick_ports t c ~now =
   let m = t.mem in
-  let bw = m.Mem.config.Mem.bandwidth in
-  let p = c.hl in
-  (let st = p.Port.st in
-   if st = Port.st_waiting then begin
-     (* Fast-reject only when provably pure: budget exhausted, no header
-        cache configured, and the comparator presence mask clears the
-        address (no pending store, hence no ordering rejection). *)
-     if
-       m.Mem.accepted_this_cycle >= bw
-       && m.Mem.config.Mem.header_cache_entries = 0
-       && m.Mem.ps_mask land (1 lsl (p.Port.addr land 31)) = 0
-     then m.Mem.rejected_bandwidth <- m.Mem.rejected_bandwidth + 1
-     else Port.tick p m ~now
-   end
-   else if st = Port.st_in_flight && p.Port.done_at <= now then begin
-     p.Port.st <- Port.st_ready;
-     incr t.events
-   end);
-  let p = c.hs in
-  (let st = p.Port.st in
-   if st = Port.st_waiting then begin
-     if m.Mem.accepted_this_cycle >= bw then
-       m.Mem.rejected_bandwidth <- m.Mem.rejected_bandwidth + 1
-     else Port.tick p m ~now
-   end
-   else if st = Port.st_in_flight && p.Port.done_at <= now then begin
-     p.Port.st <- Port.st_idle;
-     incr t.events
-   end);
-  let p = c.bl in
-  (let st = p.Port.st in
-   if st = Port.st_waiting then begin
-     if m.Mem.accepted_this_cycle >= bw then
-       m.Mem.rejected_bandwidth <- m.Mem.rejected_bandwidth + 1
-     else begin
-       m.Mem.accepted_this_cycle <- m.Mem.accepted_this_cycle + 1;
-       m.Mem.loads <- m.Mem.loads + 1;
-       p.Port.st <- Port.st_in_flight;
-       p.Port.done_at <- now + m.Mem.config.Mem.body_load_latency;
-       incr t.events
-     end
-   end
-   else if st = Port.st_in_flight && p.Port.done_at <= now then begin
-     p.Port.st <- Port.st_ready;
-     incr t.events
-   end);
-  let p = c.bs in
-  let st = p.Port.st in
-  if st = Port.st_waiting then begin
-    if m.Mem.accepted_this_cycle >= bw then
-      m.Mem.rejected_bandwidth <- m.Mem.rejected_bandwidth + 1
-    else begin
-      m.Mem.accepted_this_cycle <- m.Mem.accepted_this_cycle + 1;
-      m.Mem.stores <- m.Mem.stores + 1;
-      p.Port.st <- Port.st_in_flight;
-      p.Port.done_at <- now + m.Mem.config.Mem.store_latency;
-      incr t.events
-    end
-  end
-  else if st = Port.st_in_flight && p.Port.done_at <= now then begin
-    p.Port.st <- Port.st_idle;
-    incr t.events
-  end
+  Port.tick c.hl m ~now;
+  Port.tick c.hs m ~now;
+  Port.tick c.bl m ~now;
+  Port.tick c.bs m ~now
 
 (* --- Spinner parking -----------------------------------------------
 
@@ -1865,23 +1809,35 @@ let unpark t c ~upto ~wake ~latch =
 (* A write by core [after] during its step at [now] can change the
    outcome of every retry parked as [kind] (on header address [addr],
    for [park_header]): wake them in static priority. *)
-let wake_parked t ~kind ~addr ~now ~after =
+let[@inline never] wake_parked t ~kind ~addr ~now ~after =
   let cores = t.cores in
-  for i = 0 to Array.length cores - 1 do
-    let c = Array.unsafe_get cores i in
-    if c.park = kind && (kind <> park_header || c.child = addr) then
-      if i > after then begin
-        (* Due for a buffer tick means already in the due list. *)
-        let listed = c.wake <= now in
-        unpark t c ~upto:now ~wake:now ~latch:t.prev_cycle;
-        if not listed then insert_due t i
-      end
-      else begin
-        unpark t c ~upto:(now + 1) ~wake:(now + 1) ~latch:now;
-        (* It probed this cycle, before the write. *)
-        if kind = park_empty then t.saw_empty <- true;
-        push_awake t c
-      end
+  (* The walk ends once it has seen every core parked as [kind]. *)
+  let left =
+    ref
+      (if kind = park_scan then t.n_park_scan
+       else if kind = park_empty then t.n_park_empty
+       else t.n_park_header)
+  in
+  let i = ref 0 in
+  while !left > 0 && !i < Array.length cores do
+    let c = Array.unsafe_get cores !i in
+    if c.park = kind then begin
+      decr left;
+      if kind <> park_header || c.child = addr then
+        if !i > after then begin
+          (* Due for a buffer tick means already in the due list. *)
+          let listed = c.wake <= now in
+          unpark t c ~upto:now ~wake:now ~latch:t.prev_cycle;
+          if not listed then insert_due t !i
+        end
+        else begin
+          unpark t c ~upto:(now + 1) ~wake:(now + 1) ~latch:now;
+          (* It probed this cycle, before the write. *)
+          if kind = park_empty then t.saw_empty <- true;
+          push_awake t c
+        end
+    end;
+    incr i
   done
 
 (* The wake checks after core [c]'s step at [now]; [hdr0] is the header
@@ -1914,100 +1870,6 @@ let unpark_all t =
     done
   end
 
-(* One core step with the port-guard stall paths inlined (counter bump
-   plus stall latch, exactly [stall]); action paths reuse the general
-   microprogram step functions, whose hook/tracer sites are off by the
-   engine guards. Includes [step_core]'s trailing busy-cycle bump. *)
-let step_core_compiled t c ~now =
-  (match c.state with
-  | Body_wait ->
-    if c.bl.Port.st <> Port.st_ready then begin
-      let k = c.counters in
-      k.Counters.body_load <- k.Counters.body_load + 1;
-      c.stall_cycle <- now;
-      c.stall_kind <- Counters.Body_load
-    end
-    else step_body_wait t c
-  | Try_lock_scan -> step_try_lock_scan t c
-  | Body_issue_load ->
-    if c.bl.Port.st <> Port.st_idle then begin
-      let k = c.counters in
-      k.Counters.body_load <- k.Counters.body_load + 1;
-      c.stall_cycle <- now;
-      c.stall_kind <- Counters.Body_load
-    end
-    else step_body_issue_load t c
-  | Store_slot ->
-    if c.bs.Port.st <> Port.st_idle then begin
-      let k = c.counters in
-      k.Counters.body_store <- k.Counters.body_store + 1;
-      c.stall_cycle <- now;
-      c.stall_kind <- Counters.Body_store
-    end
-    else step_store_slot t c
-  (* The header-wait and header-store families get one arm each so the
-     dispatch stays a single jump table — [c.state = X] on the variant
-     would be a generic-equality call under classic ocamlopt. *)
-  | Scan_header_wait ->
-    if c.hl.Port.st <> Port.st_ready then begin
-      let k = c.counters in
-      k.Counters.header_load <- k.Counters.header_load + 1;
-      c.stall_cycle <- now;
-      c.stall_kind <- Counters.Header_load
-    end
-    else step_scan_header_wait t c
-  | Child_header_wait ->
-    if c.hl.Port.st <> Port.st_ready then begin
-      let k = c.counters in
-      k.Counters.header_load <- k.Counters.header_load + 1;
-      c.stall_cycle <- now;
-      c.stall_kind <- Counters.Header_load
-    end
-    else step_child_header_wait t c
-  | Root_header_wait ->
-    if c.hl.Port.st <> Port.st_ready then begin
-      let k = c.counters in
-      k.Counters.header_load <- k.Counters.header_load + 1;
-      c.stall_cycle <- now;
-      c.stall_kind <- Counters.Header_load
-    end
-    else step_root_header_wait t c
-  | Evac_store_fwd ->
-    if c.hs.Port.st <> Port.st_idle then begin
-      let k = c.counters in
-      k.Counters.header_store <- k.Counters.header_store + 1;
-      c.stall_cycle <- now;
-      c.stall_kind <- Counters.Header_store
-    end
-    else step_evac_store_fwd t c
-  | Evac_store_gray ->
-    if c.hs.Port.st <> Port.st_idle then begin
-      let k = c.counters in
-      k.Counters.header_store <- k.Counters.header_store + 1;
-      c.stall_cycle <- now;
-      c.stall_kind <- Counters.Header_store
-    end
-    else step_evac_store_gray t c
-  | Blacken ->
-    if c.hs.Port.st <> Port.st_idle then begin
-      let k = c.counters in
-      k.Counters.header_store <- k.Counters.header_store + 1;
-      c.stall_cycle <- now;
-      c.stall_kind <- Counters.Header_store
-    end
-    else step_blacken t c
-  | Lock_child -> step_lock_child t c
-  | Lock_free -> step_lock_free t c
-  | Start_barrier -> step_start_barrier t c
-  | End_barrier -> step_end_barrier t c
-  | Flush -> step_flush t c
-  | Piece_done -> step_piece_done t c
-  | Root_next -> step_root_next t c
-  | Init -> step_init t c
-  | Halt -> ());
-  if t.sb.SB.busy.(c.id) then
-    c.counters.busy_cycles <- c.counters.busy_cycles + 1
-
 (* ------------------------------------------------------------------ *)
 (* One machine cycle, shared by the event-driven and compiled engines.
 
@@ -2025,10 +1887,7 @@ let step_core_compiled t c ~now =
    past the writer) inserts it into the rest of the list, so every core
    still gets its turn in index order.
 
-   [compiled] selects the compiled engine's inlined buffer and stall
-   fast paths (bit-identical to the general ones); [park] enables
-   spinner parking. The tracer, profiler and per-step trace branches
-   are never taken on the compiled engine's fast path. *)
+   [park] enables spinner parking. *)
 (* ------------------------------------------------------------------ *)
 
 let collect_due t ~n0 =
@@ -2043,7 +1902,7 @@ let collect_due t ~n0 =
   t.n_due <- !d
 
 (* One cycle over the due list built by [collect_due]. *)
-let step_cycle ?trace ?horizon t ~n0 ~compiled ~park =
+let step_cycle ?trace ?horizon t ~n0 ~park =
   let m = t.mem in
   m.Mem.cycle <- n0;
   m.Mem.accepted_this_cycle <- 0;
@@ -2056,30 +1915,7 @@ let step_cycle ?trace ?horizon t ~n0 ~compiled ~park =
   t.events := 0;
   let cores = t.cores and due = t.due_ids in
   for k = 0 to t.n_due - 1 do
-    let c = Array.unsafe_get cores (Array.unsafe_get due k) in
-    if compiled then tick_ports_compiled t c ~now:n0
-    else begin
-      (* [Port.tick] is a no-op unless the buffer is retrying acceptance
-         or an in-flight transfer just completed; checking status here
-         with direct field reads keeps the by-far-most-common idle case
-         free of the cross-module call. *)
-      let p = c.hl in
-      let st = p.Port.st in
-      if st = Port.st_waiting || (st = Port.st_in_flight && p.Port.done_at <= n0)
-      then Port.tick p m ~now:n0;
-      let p = c.hs in
-      let st = p.Port.st in
-      if st = Port.st_waiting || (st = Port.st_in_flight && p.Port.done_at <= n0)
-      then Port.tick p m ~now:n0;
-      let p = c.bl in
-      let st = p.Port.st in
-      if st = Port.st_waiting || (st = Port.st_in_flight && p.Port.done_at <= n0)
-      then Port.tick p m ~now:n0;
-      let p = c.bs in
-      let st = p.Port.st in
-      if st = Port.st_waiting || (st = Port.st_in_flight && p.Port.done_at <= n0)
-      then Port.tick p m ~now:n0
-    end
+    tick_ports t (Array.unsafe_get cores (Array.unsafe_get due k)) ~now:n0
   done;
   t.saw_empty <- false;
   t.n_awake <- 0;
@@ -2099,7 +1935,7 @@ let step_cycle ?trace ?horizon t ~n0 ~compiled ~park =
         if t.n_park_header > 0 then Array.unsafe_get t.sb.SB.header_regs c.id
         else 0
       in
-      if compiled then step_core_compiled t c ~now:n0 else step_core t c;
+      step_core t c;
       (* Attribute this executed cycle: the stall latch carrying [n0]
          identifies the stall category (it was counted exactly once by
          [stall]); otherwise the post-step state says busy or idle. *)
@@ -2383,7 +2219,7 @@ let rec exclusive_loop ?horizon t c ~limit ~macro_ok =
     t.hooks.Hooks.cycle <- n0;
     let scan0 = t.sb.SB.scan and free0 = t.sb.SB.free in
     t.events := 0;
-    tick_ports_compiled t c ~now:n0;
+    tick_ports t c ~now:n0;
     if
       macro_ok
       && (match c.state with Body_wait -> true | _ -> false)
@@ -2400,7 +2236,7 @@ let rec exclusive_loop ?horizon t c ~limit ~macro_ok =
     end
     else begin
       t.saw_empty <- false;
-      step_core_compiled t c ~now:n0;
+      step_core t c;
       (* Executed cycle: inline [Kernel.tick]. *)
       clock.Kernel.now <- n0 + 1;
       clock.Kernel.executed <- clock.Kernel.executed + 1;
@@ -2436,7 +2272,7 @@ let rec exclusive_loop ?horizon t c ~limit ~macro_ok =
         if slept then begin
           c.wake <- w;
           let span = w - n0 - 1 in
-          if rp > 0 then Counters.bump_n c.counters (stall_of_rp rp) span;
+          if rp > 0 then credit_replay c.counters rp span;
           if t.sb.SB.busy.(c.id) then
             c.counters.busy_cycles <- c.counters.busy_cycles + span;
           if Port.order_held c.hl t.mem then Mem.add_rejected_order t.mem span;
@@ -2533,9 +2369,9 @@ let step_compiled ?horizon t ~n0 =
     done;
     if !limit > n0 + 1 then
       step_exclusive ?horizon t (Array.unsafe_get cores only) ~limit:!limit
-    else step_cycle ?horizon t ~n0 ~compiled:true ~park:t.park_ok
+    else step_cycle ?horizon t ~n0 ~park:t.park_ok
   end
-  else step_cycle ?horizon t ~n0 ~compiled:true ~park:t.park_ok
+  else step_cycle ?horizon t ~n0 ~park:t.park_ok
 
 let step ?trace ?horizon t =
   let n0 = t.clock.Kernel.now in
@@ -2548,14 +2384,14 @@ let step ?trace ?horizon t =
   | None ->
     collect_due t ~n0;
     if t.compiled_hot then step_compiled ?horizon t ~n0
-    else step_cycle ?horizon t ~n0 ~compiled:false ~park:t.park_ok
+    else step_cycle ?horizon t ~n0 ~park:t.park_ok
   | Some _ ->
     (* A per-step trace (possibly attached mid-run) samples every cycle
        of the plain machine, so parking is off: flush parked cores back
        to the spinners they stand for first. *)
     unpark_all t;
     collect_due t ~n0;
-    step_cycle ?trace ?horizon t ~n0 ~compiled:false ~park:false
+    step_cycle ?trace ?horizon t ~n0 ~park:false
 
 let finalize t =
   if not (all_halted t) then invalid_arg "Coprocessor.finalize: not halted";

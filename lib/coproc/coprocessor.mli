@@ -92,14 +92,13 @@ type config = {
           stop-the-world collection (it is detached at [finalize];
           concurrent-mode mutator activity is out of scope). *)
   compiled : bool;
-      (** the compiled stepping engine: the same microprogram,
-          specialized at instantiation time for the plain-run
-          configuration. Hook/tracer/sanitizer/injector branches are
-          resolved away, buffer retries and stall paths are inlined on
-          flat status ints, and transactions whose completion cycle is
-          already determined retire in batches (an exclusive awake core
-          runs alone to the next foreign wake-up; the body-copy inner
-          loop retires whole data-word runs in closed form) — a strict
+      (** the compiled stepping engine: the same microprogram and the
+          same per-core tick and step as the skip engine, plus, in the
+          plain-run configuration, batched retirement of transactions
+          whose completion cycle is already determined (an exclusive
+          awake core runs alone to the next foreign wake-up; the
+          body-copy inner loop retires whole data-word runs in closed
+          form) — a strict
           generalization of idle-cycle skipping, with the same
           contract: every reported statistic is bit-identical to naive
           stepping, only wall time and the executed/skipped split

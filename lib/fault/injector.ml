@@ -101,31 +101,37 @@ let enabled = function Off -> false | On _ -> true
 (* A Bernoulli trial that draws only when it can fire. *)
 let fires rng p = p > 0.0 && Rng.float rng 1.0 < p
 
-let extra_delay = function
-  | Off -> 0
-  | On s ->
-      if fires s.rng s.spec.delay_prob then begin
-        let d = 1 + Rng.int s.rng s.spec.delay_max in
-        s.c <- { s.c with delays = s.c.delays + 1;
-                 delay_cycles = s.c.delay_cycles + d };
-        d
-      end
-      else 0
+(* Every hook below is split in two: an inlinable [Off] test, which is
+   all a plain run executes, and the [On] path kept out of line, so a
+   hook inlined into the per-cycle code costs one load and one branch. *)
 
-let drop_push = function
-  | Off -> false
-  | On s ->
-      let hit = fires s.rng s.spec.fifo_drop_prob in
-      if hit then s.c <- { s.c with fifo_drops = s.c.fifo_drops + 1 };
-      hit
+let[@inline never] extra_delay_on s =
+  if fires s.rng s.spec.delay_prob then begin
+    let d = 1 + Rng.int s.rng s.spec.delay_max in
+    s.c <- { s.c with delays = s.c.delays + 1;
+             delay_cycles = s.c.delay_cycles + d };
+    d
+  end
+  else 0
 
-let invalidate_cache = function
+let[@inline] extra_delay = function Off -> 0 | On s -> extra_delay_on s
+
+let[@inline never] drop_push_on s =
+  let hit = fires s.rng s.spec.fifo_drop_prob in
+  if hit then s.c <- { s.c with fifo_drops = s.c.fifo_drops + 1 };
+  hit
+
+let[@inline] drop_push = function Off -> false | On s -> drop_push_on s
+
+let[@inline never] invalidate_cache_on s =
+  let hit = fires s.rng s.spec.cache_invalidate_prob in
+  if hit then
+    s.c <- { s.c with cache_invalidations = s.c.cache_invalidations + 1 };
+  hit
+
+let[@inline] invalidate_cache = function
   | Off -> false
-  | On s ->
-      let hit = fires s.rng s.spec.cache_invalidate_prob in
-      if hit then
-        s.c <- { s.c with cache_invalidations = s.c.cache_invalidations + 1 };
-      hit
+  | On s -> invalidate_cache_on s
 
 (* Spurious-busy draws happen on *every* acceptance attempt, including
    the retry a Waiting port makes each cycle. When busy_prob is positive
@@ -133,16 +139,16 @@ let invalidate_cache = function
    (sleeping the core, fast-forwarding the clock) would shift the fault
    stream and diverge from naive stepping. The event-driven scheduler
    asks this predicate before treating a waiting port as replayable. *)
-let retry_draws = function
+let[@inline] retry_draws = function
   | Off -> false
   | On s -> s.spec.busy_prob > 0.0
 
-let spurious_busy = function
-  | Off -> false
-  | On s ->
-      let hit = fires s.rng s.spec.busy_prob in
-      if hit then s.c <- { s.c with busies = s.c.busies + 1 };
-      hit
+let[@inline never] spurious_busy_on s =
+  let hit = fires s.rng s.spec.busy_prob in
+  if hit then s.c <- { s.c with busies = s.c.busies + 1 };
+  hit
+
+let[@inline] spurious_busy = function Off -> false | On s -> spurious_busy_on s
 
 (* Body words may be pointers or payload; any of the 62 usable bits of a
    heap word is fair game. Headers are only corrupted in the decoded
@@ -156,25 +162,25 @@ let corrupt_word s w bits =
   let bit = Rng.int s.rng bits in
   w lxor (1 lsl bit)
 
-let corrupt_body t w =
-  match t with
-  | Off -> w
-  | On s ->
-      if fires s.rng s.spec.corrupt_body_prob then begin
-        s.c <- { s.c with body_corruptions = s.c.body_corruptions + 1 };
-        corrupt_word s w body_bits
-      end
-      else w
+let[@inline never] corrupt_body_on s w =
+  if fires s.rng s.spec.corrupt_body_prob then begin
+    s.c <- { s.c with body_corruptions = s.c.body_corruptions + 1 };
+    corrupt_word s w body_bits
+  end
+  else w
 
-let corrupt_header t w =
-  match t with
-  | Off -> w
-  | On s ->
-      if fires s.rng s.spec.corrupt_header_prob then begin
-        s.c <- { s.c with header_corruptions = s.c.header_corruptions + 1 };
-        corrupt_word s w header_bits
-      end
-      else w
+let[@inline] corrupt_body t w =
+  match t with Off -> w | On s -> corrupt_body_on s w
+
+let[@inline never] corrupt_header_on s w =
+  if fires s.rng s.spec.corrupt_header_prob then begin
+    s.c <- { s.c with header_corruptions = s.c.header_corruptions + 1 };
+    corrupt_word s w header_bits
+  end
+  else w
+
+let[@inline] corrupt_header t w =
+  match t with Off -> w | On s -> corrupt_header_on s w
 
 let counts = function Off -> zero_counts | On s -> s.c
 

@@ -62,25 +62,27 @@ let locks_held t ~core =
   Buffer.add_char b '}';
   Buffer.contents b
 
-let protocol_fail t ~core ?addr check detail =
+(* Failure paths stay out of line: every protocol check below is kept,
+   and each costs the inlined caller one compare and branch. *)
+let[@inline never] protocol_fail t ~core ?addr check detail =
   Diag.fail ~cycle:t.hooks.Hooks.cycle ~core ?addr ~locks:(locks_held t ~core)
     check detail
 
 let scan t = t.scan
 let free t = t.free
 
-let set_scan t v =
+let[@inline] set_scan t v =
   t.scan <- v;
   if t.hooks.Hooks.on then t.hooks.Hooks.reg_set ~scan:true ~value:v
 
-let set_free t v =
+let[@inline] set_free t v =
   t.free <- v;
   if t.hooks.Hooks.on then t.hooks.Hooks.reg_set ~scan:false ~value:v
 
-let check_core t core =
-  if core < 0 || core >= t.n then invalid_arg "Sync_block: bad core index"
+let[@inline never] bad_core () = invalid_arg "Sync_block: bad core index"
+let[@inline] check_core t core = if core < 0 || core >= t.n then bad_core ()
 
-let try_lock_scan t ~core =
+let[@inline] try_lock_scan t ~core =
   check_core t core;
   if t.scan_owner = core then
     protocol_fail t ~core Diag.Lock_state "scan lock re-entry";
@@ -97,7 +99,7 @@ let try_lock_scan t ~core =
   end
   else false
 
-let unlock_scan t ~core =
+let[@inline] unlock_scan t ~core =
   if t.scan_owner <> core then
     protocol_fail t ~core Diag.Lock_state "unlock_scan by non-owner";
   t.scan_owner <- -1;
@@ -105,7 +107,7 @@ let unlock_scan t ~core =
     t.hooks.Hooks.lock_released ~lock:Hooks.scan_lock ~core ~addr:(-1);
   if t.obs.Obs.on then Obs.lock_released t.obs ~lock:Obs.lock_scan ~core
 
-let advance_scan t ~core n =
+let[@inline] advance_scan t ~core n =
   if t.scan_owner <> core then
     protocol_fail t ~core Diag.Scan_protocol "advance_scan without lock";
   let was = t.scan in
@@ -114,7 +116,7 @@ let advance_scan t ~core n =
     t.hooks.Hooks.scan_advanced ~core ~scan_was:was ~scan_now:t.scan
       ~free:t.free
 
-let try_lock_free t ~core =
+let[@inline] try_lock_free t ~core =
   check_core t core;
   if t.free_owner = core then
     protocol_fail t ~core Diag.Lock_state "free lock re-entry";
@@ -127,7 +129,7 @@ let try_lock_free t ~core =
   end
   else false
 
-let unlock_free t ~core =
+let[@inline] unlock_free t ~core =
   if t.free_owner <> core then
     protocol_fail t ~core Diag.Lock_state "unlock_free by non-owner";
   t.free_owner <- -1;
@@ -135,7 +137,7 @@ let unlock_free t ~core =
     t.hooks.Hooks.lock_released ~lock:Hooks.free_lock ~core ~addr:(-1);
   if t.obs.Obs.on then Obs.lock_released t.obs ~lock:Obs.lock_free ~core
 
-let claim_free t ~core n =
+let[@inline] claim_free t ~core n =
   if t.free_owner <> core then
     protocol_fail t ~core Diag.Free_protocol "claim_free without lock";
   let addr = t.free in
@@ -146,7 +148,17 @@ let claim_free t ~core n =
 let scan_lock_owner t = if t.scan_owner = -1 then None else Some t.scan_owner
 let free_lock_owner t = if t.free_owner = -1 then None else Some t.free_owner
 
-let try_lock_header t ~core ~addr =
+(* The comparator: does a core other than [core] hold a header lock on
+   [addr]? Stops at the first match. *)
+let header_conflict t ~core ~addr =
+  let regs = t.header_regs and n = t.n in
+  let i = ref 0 in
+  while !i < n && (!i = core || Array.unsafe_get regs !i <> addr) do
+    incr i
+  done;
+  !i < n
+
+let[@inline] try_lock_header t ~core ~addr =
   check_core t core;
   if addr = 0 then
     protocol_fail t ~core ~addr Diag.Null_header
@@ -157,14 +169,9 @@ let try_lock_header t ~core ~addr =
   if t.free_owner = core then
     protocol_fail t ~core ~addr Diag.Lock_order
       "lock-order violation acquiring header after free";
-  let conflict = ref false in
   (* With no header lock held anywhere the comparator cannot match; the
      count makes the common uncontended acquire O(1). *)
-  if t.hdr_locked_count > 0 then
-    for other = 0 to t.n - 1 do
-      if other <> core && t.header_regs.(other) = addr then conflict := true
-    done;
-  if !conflict then false
+  if t.hdr_locked_count > 0 && header_conflict t ~core ~addr then false
   else begin
     t.header_regs.(core) <- addr;
     t.hdr_locked_count <- t.hdr_locked_count + 1;
@@ -174,7 +181,7 @@ let try_lock_header t ~core ~addr =
     true
   end
 
-let unlock_header t ~core =
+let[@inline] unlock_header t ~core =
   if t.header_regs.(core) = 0 then
     protocol_fail t ~core Diag.Lock_state "unlock_header without lock";
   let addr = t.header_regs.(core) in
@@ -198,7 +205,7 @@ let header_locked_by_any t ~addr =
     !hit
   end
 
-let set_busy t ~core b =
+let[@inline] set_busy t ~core b =
   check_core t core;
   if t.busy.(core) <> b then begin
     t.busy.(core) <- b;
@@ -211,7 +218,7 @@ let any_busy t = t.busy_count > 0
 (* The termination probe: all busy bits clear, ignoring the probing
    core's own. Runs under the scan lock at every object grab, so the
    count (instead of an O(n_cores) sweep) is on the hot path. *)
-let none_busy_except t ~core =
+let[@inline] none_busy_except t ~core =
   t.busy_count = 0 || (t.busy_count = 1 && t.busy.(core))
 
 let barrier_arrive t ~core =

@@ -55,7 +55,10 @@ let push t addr =
       false
     end
     else begin
-      t.buf.((t.head + t.len) mod t.capacity) <- addr;
+      (* [head + len < 2 * capacity]: one conditional subtraction wraps
+         the ring index without a division. *)
+      let i = t.head + t.len in
+      t.buf.(if i >= t.capacity then i - t.capacity else i) <- addr;
       t.len <- t.len + 1;
       true
     end
@@ -68,9 +71,10 @@ let push t addr =
     Hsgc_obs.Tracer.fifo_push t.obs ~buffered;
   buffered
 
-let try_pop t addr =
+let[@inline] try_pop t addr =
   if t.len > 0 && t.buf.(t.head) = addr then begin
-    t.head <- (t.head + 1) mod t.capacity;
+    let h = t.head + 1 in
+    t.head <- (if h = t.capacity then 0 else h);
     t.len <- t.len - 1;
     t.hits <- t.hits + 1;
     if t.hooks.Hooks.on then t.hooks.Hooks.fifo_popped ~addr;

@@ -120,23 +120,25 @@ let begin_cycle t ~now =
 (* Commit cycle of a still-pending header store to [addr], or max_int.
    Committed entries may linger in the array until the next insertion
    compacts them out; the [commit > cycle] guard makes them invisible. *)
-let commit_after t ~addr =
+let[@inline never] commit_scan t ~addr =
   (* A [let rec go] scan here would heap-allocate its closure on every
      call — and this runs once per cycle per port waiting on an
      order-held header load — so the loop is written with unboxed
-     refs instead. The mask probe in front skips the scan whenever no
-     pending store can hash to [addr]'s bucket. *)
+     refs instead. *)
+  let n = t.ps_n in
+  let i = ref 0 and commit = ref max_int in
+  while !commit = max_int && !i < n do
+    if t.ps_addr.(!i) = addr && t.ps_commit.(!i) > t.cycle then
+      commit := t.ps_commit.(!i);
+    incr i
+  done;
+  !commit
+
+(* The mask probe inlines into every caller and skips the scan whenever
+   no pending store can hash to [addr]'s bucket. *)
+let[@inline] commit_after t ~addr =
   if t.ps_mask land (1 lsl (addr land 31)) = 0 then max_int
-  else begin
-    let n = t.ps_n in
-    let i = ref 0 and commit = ref max_int in
-    while !commit = max_int && !i < n do
-      if t.ps_addr.(!i) = addr && t.ps_commit.(!i) > t.cycle then
-        commit := t.ps_commit.(!i);
-      incr i
-    done;
-    !commit
-  end
+  else commit_scan t ~addr
 
 let store_commit_time t ~addr =
   let c = commit_after t ~addr in
@@ -149,14 +151,14 @@ let pending_store_count t =
   done;
   !n
 
-let store_pending t addr = commit_after t ~addr <> max_int
-
 (* Record a header store in the comparator array. One pass compacts out
    committed entries and finds an existing live entry for [addr] (kept
    with the later commit); the append slot is whatever the compaction
    freed, so the arrays only grow to the high-water mark of
-   simultaneously in-flight header stores. *)
-let record_header_store t ~addr ~commit =
+   simultaneously in-flight header stores. Returns the commit that now
+   orders loads of [addr] ([commit_after]'s answer): the appended one
+   when [addr] had no live entry. *)
+let[@inline never] record_header_store t ~addr ~commit =
   let j = ref 0 and found = ref (-1) in
   let mask = ref (1 lsl (addr land 31)) in
   for i = 0 to t.ps_n - 1 do
@@ -176,7 +178,8 @@ let record_header_store t ~addr ~commit =
     (* Keep the later commit if a store to this address is already
        pending (cannot happen under the locking protocol, but the model
        stays safe without it). *)
-    if commit > t.ps_commit.(!found) then t.ps_commit.(!found) <- commit
+    if commit > t.ps_commit.(!found) then t.ps_commit.(!found) <- commit;
+    commit_after t ~addr
   end
   else begin
     if t.ps_n = Array.length t.ps_addr then begin
@@ -189,7 +192,8 @@ let record_header_store t ~addr ~commit =
     end;
     t.ps_addr.(t.ps_n) <- addr;
     t.ps_commit.(t.ps_n) <- commit;
-    t.ps_n <- t.ps_n + 1
+    t.ps_n <- t.ps_n + 1;
+    commit
   end
 
 let next_wake t ~now =
@@ -200,7 +204,7 @@ let next_wake t ~now =
   done;
   if !best = max_int then None else Some !best
 
-let bandwidth_ok t =
+let[@inline] bandwidth_ok t =
   if t.accepted_this_cycle < t.config.bandwidth then true
   else begin
     t.rejected_bandwidth <- t.rejected_bandwidth + 1;
@@ -221,18 +225,41 @@ let cache_fill t addr =
    that prefer the typed interface; the per-cycle port retry loop uses
    these to stay allocation-free. *)
 
-let clock_check t ~now ~what =
-  if now <> t.cycle then
-    Hsgc_sanitizer.Diag.fail ~cycle:t.cycle
-      Hsgc_sanitizer.Diag.Mem_protocol
-      (Printf.sprintf
-         "%s offered at cycle %d but begin_cycle was last called at %d" what
-         now t.cycle)
+let[@inline never] clock_fail t ~now ~what =
+  Hsgc_sanitizer.Diag.fail ~cycle:t.cycle
+    Hsgc_sanitizer.Diag.Mem_protocol
+    (Printf.sprintf
+       "%s offered at cycle %d but begin_cycle was last called at %d" what
+       now t.cycle)
 
-let accept_load t ~now ~header ~addr =
+let[@inline] clock_check t ~now ~what =
+  if now <> t.cycle then clock_fail t ~now ~what
+
+(* Body-class acceptance: a body word never enters the header cache, the
+   comparator array or the FIFO, so accepting one is the clock check and
+   the bandwidth budget alone. *)
+let[@inline] accept_body_load t ~now =
+  clock_check t ~now ~what:"load";
+  if not (bandwidth_ok t) then -1
+  else begin
+    t.accepted_this_cycle <- t.accepted_this_cycle + 1;
+    t.loads <- t.loads + 1;
+    now + t.config.body_load_latency + Injector.extra_delay t.faults
+  end
+
+let[@inline] accept_body_store t ~now =
+  clock_check t ~now ~what:"store";
+  if not (bandwidth_ok t) then -1
+  else begin
+    t.accepted_this_cycle <- t.accepted_this_cycle + 1;
+    t.stores <- t.stores + 1;
+    now + t.config.store_latency + Injector.extra_delay t.faults
+  end
+
+let[@inline never] accept_header_load t ~now ~addr =
   clock_check t ~now ~what:"load";
   let cache_hit =
-    header && cache_lookup t addr
+    cache_lookup t addr
     && begin
          if Injector.invalidate_cache t.faults then begin
            (* Transient fault: the line is lost and the access replays
@@ -249,7 +276,7 @@ let accept_load t ~now ~header ~addr =
     t.cache_hits <- t.cache_hits + 1;
     now + 1
   end
-  else if header && store_pending t addr then begin
+  else if commit_after t ~addr <> max_int then begin
     t.rejected_order <- t.rejected_order + 1;
     -1
   end
@@ -257,42 +284,37 @@ let accept_load t ~now ~header ~addr =
   else begin
     t.accepted_this_cycle <- t.accepted_this_cycle + 1;
     t.loads <- t.loads + 1;
-    let latency =
-      if header then begin
-        if t.config.header_cache_entries > 0 then begin
-          t.cache_misses <- t.cache_misses + 1;
-          cache_fill t addr
-        end;
-        t.config.header_load_latency
-      end
-      else t.config.body_load_latency
-    in
-    now + latency + Injector.extra_delay t.faults
+    if t.config.header_cache_entries > 0 then begin
+      t.cache_misses <- t.cache_misses + 1;
+      cache_fill t addr
+    end;
+    now + t.config.header_load_latency + Injector.extra_delay t.faults
   end
 
-let accept_store t ~now ~header ~addr =
+let[@inline never] accept_header_store t ~now ~addr =
   clock_check t ~now ~what:"store";
   if not (bandwidth_ok t) then -1
   else begin
     t.accepted_this_cycle <- t.accepted_this_cycle + 1;
     t.stores <- t.stores + 1;
     let commit = now + t.config.store_latency + Injector.extra_delay t.faults in
-    if header then begin
-      cache_fill t addr;
-      record_header_store t ~addr ~commit;
-      (* The comparator may already have held a later commit for this
-         address; report the one that actually orders future loads. *)
-      commit_after t ~addr
-    end
-    else commit
+    cache_fill t addr;
+    (* The comparator may already have held a later commit for this
+       address; report the one that actually orders future loads. *)
+    record_header_store t ~addr ~commit
   end
 
 let try_accept_load t ~now ~header ~addr =
-  let c = accept_load t ~now ~header ~addr in
+  let c =
+    if header then accept_header_load t ~now ~addr else accept_body_load t ~now
+  in
   if c < 0 then None else Some c
 
 let try_accept_store t ~now ~header ~addr =
-  let c = accept_store t ~now ~header ~addr in
+  let c =
+    if header then accept_header_store t ~now ~addr
+    else accept_body_store t ~now
+  in
   if c < 0 then None else Some c
 
 let add_rejected_order t n = t.rejected_order <- t.rejected_order + n

@@ -123,13 +123,18 @@ val try_accept_store : t -> now:int -> header:bool -> addr:int -> int option
 (** Attempt to start a store; [Some c] is the commit cycle. Header stores
     are tracked for the comparator array until they commit. *)
 
-val accept_load : t -> now:int -> header:bool -> addr:int -> int
-(** Sentinel variant of {!try_accept_load} for the per-cycle hot path:
-    the completion cycle, or [-1] when rejected. Allocation-free. *)
-
-val accept_store : t -> now:int -> header:bool -> addr:int -> int
-(** Sentinel variant of {!try_accept_store}: the commit cycle, or [-1]
-    when rejected. Allocation-free. *)
+val accept_body_load : t -> now:int -> int
+val accept_body_store : t -> now:int -> int
+val accept_header_load : t -> now:int -> addr:int -> int
+val accept_header_store : t -> now:int -> addr:int -> int
+(** Sentinel variants of {!try_accept_load} and {!try_accept_store} for
+    the per-cycle hot path, one per transaction class ({!Port} fixes the
+    class at creation): the completion or commit cycle, or [-1] when
+    rejected. Allocation-free. A body transaction never touches the
+    header cache, the comparator array or the FIFO, so the body variants
+    are the clock check and the bandwidth budget alone, small enough to
+    inline; a header load consults the comparator array only when the
+    presence mask admits [addr]. *)
 
 val store_commit_time : t -> addr:int -> int option
 (** Commit cycle of a still-pending header store to [addr], if any.

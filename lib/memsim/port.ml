@@ -79,15 +79,24 @@ let misuse t detail =
 let kind t = t.kind
 let is_idle t = t.st = st_idle
 
-let try_accept t mem ~now ~addr =
+(* Acceptance by transaction class: a port's kind is fixed at creation,
+   so the match picks the class once; the body arms inline down to the
+   bandwidth check ({!Memsys.accept_body_load}), the header arms are
+   calls. *)
+let[@inline] accept t mem ~now ~addr =
+  match t.kind with
+  | Body_load -> Memsys.accept_body_load mem ~now
+  | Body_store -> Memsys.accept_body_store mem ~now
+  | Header_load -> Memsys.accept_header_load mem ~now ~addr
+  | Header_store -> Memsys.accept_header_store mem ~now ~addr
+
+let[@inline] try_accept t mem ~now ~addr =
   (* A spurious-busy fault rejects the attempt before it reaches the
      memory interface — the buffer stays in its normal retry loop, so
      the perturbation is pure timing. *)
   let done_at =
     if Hsgc_fault.Injector.spurious_busy t.faults then -1
-    else if is_load t.kind then
-      Memsys.accept_load mem ~now ~header:(is_header t.kind) ~addr
-    else Memsys.accept_store mem ~now ~header:(is_header t.kind) ~addr
+    else accept t mem ~now ~addr
   in
   if done_at >= 0 then begin
     t.st <- st_in_flight;
@@ -100,7 +109,7 @@ let try_accept t mem ~now ~addr =
     t.addr <- addr
   end
 
-let issue t mem ~now ~addr =
+let[@inline] issue t mem ~now ~addr =
   if t.st = st_idle then begin
     (* Idle -> Waiting is a transition too, even when memory rejects. *)
     incr t.events;
@@ -119,20 +128,28 @@ let issue_immediate t =
   end
   else misuse t "issue_immediate while busy"
 
-let tick t mem ~now =
+(* A completed transfer: a load's data is ready, a store's buffer is
+   free again. *)
+let[@inline] complete t =
+  t.st <- (if is_load t.kind then st_ready else st_idle);
+  (* Memory-wait observation: deposit-to-completion, measured against
+     [done_at] rather than [now] so the value is identical whether the
+     owning core observed the completion promptly (naive stepping) or
+     after waking from an event-driven sleep. *)
+  if t.obs.Hsgc_obs.Tracer.on then
+    Hsgc_obs.Tracer.mem_done t.obs ~kind:(obs_kind t.kind)
+      ~latency:(t.done_at - t.issued_at);
+  incr t.events
+
+(* A retry follows a rejected acceptance (bandwidth, comparator hold or
+   a spurious-busy fault), which is rare; it stays out of line so that
+   an inlined [tick] is the status test and the completion. *)
+let[@inline never] retry t mem ~now = try_accept t mem ~now ~addr:t.addr
+
+let[@inline] tick t mem ~now =
   let st = t.st in
-  if st = st_waiting then try_accept t mem ~now ~addr:t.addr
-  else if st = st_in_flight && t.done_at <= now then begin
-    t.st <- (if is_load t.kind then st_ready else st_idle);
-    (* Memory-wait observation: deposit-to-completion, measured against
-       [done_at] rather than [now] so the value is identical whether the
-       owning core observed the completion promptly (naive stepping) or
-       after waking from an event-driven sleep. *)
-    if t.obs.Hsgc_obs.Tracer.on then
-      Hsgc_obs.Tracer.mem_done t.obs ~kind:(obs_kind t.kind)
-        ~latency:(t.done_at - t.issued_at);
-    incr t.events
-  end
+  if st = st_waiting then retry t mem ~now
+  else if st = st_in_flight && t.done_at <= now then complete t
 
 let load_ready t = t.st = st_ready
 
@@ -143,7 +160,7 @@ let consume t =
   end
   else misuse t "consumed with no data ready"
 
-let wake_after t mem ~now =
+let[@inline] wake_after t mem ~now =
   let st = t.st in
   if st = st_idle || st = st_ready then max_int
   else if st = st_in_flight then
@@ -167,7 +184,7 @@ let polls t = t.st = st_waiting || t.st = st_ready
 
 let in_flight_done t = if t.st = st_in_flight then t.done_at else min_int
 
-let order_held t mem =
+let[@inline] order_held t mem =
   t.st = st_waiting && t.kind = Header_load
   && Memsys.commit_after mem ~addr:t.addr <> max_int
 

@@ -305,16 +305,20 @@ let on_forward_installed t ~core ~from_ ~to_ =
 let create ~mode:sm ~mem_words ~n_cores ~header_words hooks =
   if n_cores > 250 then invalid_arg "Sanitizer.create: too many cores";
   if mem_words < 0 then invalid_arg "Sanitizer.create: negative memory size";
+  (* The word shadows are read only through the hooks, which an [Off]
+     sanitizer never installs: size them to nothing then, instead of
+     four bytes per heap word on every machine start. *)
+  let shadow_words = if sm = Off then 0 else mem_words in
   let t =
     {
       sm;
       hooks;
       n_cores;
       header_words;
-      state = Bytes.make mem_words '\000';
-      last_core = Bytes.make mem_words (Char.chr no_core);
-      owner = Bytes.make mem_words (Char.chr no_core);
-      fwd = Bytes.make mem_words '\000';
+      state = Bytes.make shadow_words '\000';
+      last_core = Bytes.make shadow_words (Char.chr no_core);
+      owner = Bytes.make shadow_words (Char.chr no_core);
+      fwd = Bytes.make shadow_words '\000';
       scan_holder = -1;
       free_holder = -1;
       header_addr = Array.make (max n_cores 1) 0;

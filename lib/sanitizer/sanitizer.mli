@@ -31,7 +31,9 @@ val create :
   mode:mode -> mem_words:int -> n_cores:int -> header_words:int ->
   Hooks.t -> t
 (** Installs the observer closures into the hook record and flips
-    [hooks.on] when [mode <> Off].  At most 250 cores. *)
+    [hooks.on] when [mode <> Off]. The per-word shadow state (four bytes
+    per heap word) is allocated only then: an [Off] sanitizer is never
+    consulted. At most 250 cores. *)
 
 val detach : t -> unit
 (** Uninstall: flips [hooks.on] off so later (non-collection) machine

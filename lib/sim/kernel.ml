@@ -22,11 +22,11 @@ let create ?(skip = true) ?(obs = Hsgc_obs.Tracer.disabled) () =
 let now t = t.now
 let skip_enabled t = t.skip
 
-let tick t =
+let[@inline] tick t =
   t.now <- t.now + 1;
   t.executed <- t.executed + 1
 
-let fast_forward t ~target =
+let[@inline] fast_forward t ~target =
   if target <= t.now then 0
   else begin
     let span = target - t.now in
@@ -65,8 +65,10 @@ module Watchdog = struct
     | Budget_exceeded of { budget : int }
     | No_progress of { window : int; since : int }
 
+  (* The budget is stored as a plain int ([max_int] = none), so an
+     observation is one compare against it plus the progress update. *)
   type nonrec t = {
-    budget : int option;
+    budget : int;
     window : int;
     mutable quiet : int;
     mutable last_progress : int;
@@ -74,27 +76,30 @@ module Watchdog = struct
 
   let create ?budget ~window () =
     if window < 1 then invalid_arg "Kernel.Watchdog.create: window must be >= 1";
-    (match budget with
-    | Some b when b < 1 ->
-      invalid_arg "Kernel.Watchdog.create: budget must be >= 1"
-    | Some _ | None -> ());
+    let budget =
+      match budget with
+      | Some b when b < 1 ->
+        invalid_arg "Kernel.Watchdog.create: budget must be >= 1"
+      | Some b -> b
+      | None -> max_int
+    in
     { budget; window; quiet = 0; last_progress = 0 }
 
-  let observe w ~now ~progressed =
-    match w.budget with
-    | Some b when now >= b -> Some (Budget_exceeded { budget = b })
-    | _ ->
-      if progressed then begin
-        w.quiet <- 0;
-        w.last_progress <- now;
-        None
-      end
-      else begin
-        w.quiet <- w.quiet + 1;
-        if w.quiet >= w.window then
-          Some (No_progress { window = w.window; since = w.last_progress })
-        else None
-      end
+  let[@inline never] quiet_cycle w =
+    w.quiet <- w.quiet + 1;
+    if w.quiet >= w.window then
+      Some (No_progress { window = w.window; since = w.last_progress })
+    else None
+
+  (* A cycle never reaches [max_int], so no budget never trips. *)
+  let[@inline] observe w ~now ~progressed =
+    if now >= w.budget then Some (Budget_exceeded { budget = w.budget })
+    else if progressed then begin
+      w.quiet <- 0;
+      w.last_progress <- now;
+      None
+    end
+    else quiet_cycle w
 
   let pp_trip ppf = function
     | Budget_exceeded { budget } ->

@@ -82,5 +82,7 @@ let min_wake a b =
   | None, w | w, None -> w
   | Some x, Some y -> Some (min x y)
 
-let bound ~horizon target =
-  match horizon with None -> target | Some h -> min h target
+(* Int-typed: the polymorphic [min] would be a generic-compare call on
+   every fast-forward. *)
+let bound ~horizon (target : int) =
+  match horizon with None -> target | Some h -> if h <= target then h else target

@@ -35,6 +35,25 @@ let test_off_mode_inert () =
   hooks.Hooks.word_written ~core:0 ~base:8 ~addr:8;
   Alcotest.(check bool) "silent" true (San.is_silent san)
 
+let test_off_start_allocates_no_shadow () =
+  (* An [Off] sanitizer installs no hooks, so nothing reads its word
+     shadows: starting a machine must not pay four bytes per heap word
+     for them. Under one byte per heap word leaves room for the
+     machine's own fixed-size state, the header FIFO included. *)
+  let heap = Hsgc_heap.Heap.create ~semispace_words:500_000 in
+  let words = Array.length heap.Hsgc_heap.Heap.mem in
+  let cfg = Coprocessor.config ~n_cores:2 () in
+  let b0 = Gc.allocated_bytes () in
+  let sim = Coprocessor.start cfg heap in
+  let b1 = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity sim);
+  let per_word = (b1 -. b0) /. float_of_int words in
+  if per_word >= 1.0 then
+    Alcotest.failf
+      "start with the sanitizer off allocates %.2f bytes per heap word \
+       (budget: under 1)"
+      per_word
+
 let test_dedup_and_total () =
   let hooks, san = make () in
   (* The same unprotected store, reported three times: every repeat
@@ -149,6 +168,8 @@ let suite =
   [
     Alcotest.test_case "mode strings" `Quick test_modes;
     Alcotest.test_case "off mode inert" `Quick test_off_mode_inert;
+    Alcotest.test_case "off mode allocates no shadow state" `Quick
+      test_off_start_allocates_no_shadow;
     Alcotest.test_case "dedup and total" `Quick test_dedup_and_total;
     Alcotest.test_case "kept list capped" `Quick test_kept_is_capped;
     Alcotest.test_case "strict raises" `Quick test_strict_raises;

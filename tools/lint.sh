@@ -47,6 +47,9 @@ ban 'Printf\.printf' 'bare stdout formatting from library code'
 # read the sync block after every core step. So are the instruments:
 # the tracer, the profiler and the metrics registry they feed run on
 # every traced cycle and inside the parked fast path's wake credits.
+# Release builds inline across modules (lib/dune), which puts the fault
+# injector's hooks, the heap accessors and the stall counters inside
+# the cycle too: a closure literal there would allocate per cycle.
 ban_hot() {
   file="$1"
   hits=$(grep -nE 'fun \(\) ->' "$root/$file" 2>/dev/null)
@@ -67,6 +70,9 @@ ban_hot lib/hwsync/sync_block.ml
 ban_hot lib/obs/tracer.ml
 ban_hot lib/obs/profiler.ml
 ban_hot lib/obs/metrics.ml
+ban_hot lib/fault/injector.ml
+ban_hot lib/heap/heap.ml
+ban_hot lib/coproc/counters.ml
 
 # Atomics allowlist. Every Atomic.* site in lib/ is shared mutable state
 # the model checker (lib/model) and the dynamic sanitizer cannot see:
