@@ -10,9 +10,7 @@
 module Workloads = Hsgc_objgraph.Workloads
 module Mutator = Hsgc_objgraph.Mutator
 module Coprocessor = Hsgc_coproc.Coprocessor
-module Bsp = Hsgc_coproc.Bsp
 module Banked = Hsgc_coproc.Banked
-module Partition = Hsgc_sim.Partition
 module Domain_pool = Hsgc_sim.Domain_pool
 module Counters = Hsgc_coproc.Counters
 module Trace = Hsgc_coproc.Trace
@@ -211,10 +209,10 @@ let engine_arg =
            differ. $(b,--no-skip) is the documented alias for \
            $(b,--engine naive). With $(b,--profile) the compiled engine \
            runs its general paths (same results, no batching). \
-           $(b,--engine compiled) rejects $(b,--sanitize), \
-           $(b,--par-domains) and $(b,--scan-unit) (exit code 2).")
+           $(b,--engine compiled) rejects $(b,--sanitize) and \
+           $(b,--scan-unit) (exit code 2).")
 
-let resolve_engine ~engine ~no_skip ~sanitize ~par_domains ~scan_unit =
+let resolve_engine ~engine ~no_skip ~sanitize ~scan_unit =
   let reject what =
     Format.eprintf "gcsim run: %s@." what;
     exit 2
@@ -231,10 +229,6 @@ let resolve_engine ~engine ~no_skip ~sanitize ~par_domains ~scan_unit =
       reject "--engine compiled is incompatible with --sanitize (the \
               compiled engine resolves the sanitizer hooks away at \
               instantiation; use --engine skip or naive)";
-    if par_domains <> None then
-      reject "--engine compiled is incompatible with --par-domains (the \
-              compiled engine steps the machine on one domain; use \
-              --engine skip for the BSP parallel kernel)";
     if scan_unit > 0 then
       reject "--engine compiled is incompatible with --scan-unit \
               (sub-object scanning uses the general engine)";
@@ -320,8 +314,8 @@ let require_workload = function
     exit 2
 
 let run_with_checkpoints ~workload ~n_cores ~scale ~seed ~mem ~scan_unit
-    ~verify ~engine ~cycle_budget ~profile ~par_domains ~span_timeout
-    ~ckpt_every ~ckpt_dir ~resume_from =
+    ~verify ~engine ~cycle_budget ~profile ~ckpt_every ~ckpt_dir
+    ~resume_from =
   (match (ckpt_every, ckpt_dir) with
   | Some _, None ->
     Format.eprintf "gcsim run: --checkpoint-every needs --checkpoint-dir@.";
@@ -385,28 +379,6 @@ let run_with_checkpoints ~workload ~n_cores ~scale ~seed ~mem ~scan_unit
       (Coprocessor.start ?prof cfg heap, cfg, meta, heap, pre, prof)
   in
   let eff_cores = cfg.Coprocessor.n_cores in
-  (match par_domains with
-  | None -> ()
-  | Some p -> (
-    match Partition.validate ~n_cores:eff_cores ~n_partitions:p with
-    | Ok () -> ()
-    | Error msg ->
-      Format.eprintf "gcsim run: --par-domains: %s@." msg;
-      exit 2));
-  let partitions =
-    (* The compiled engine steps the machine on one domain (its batched
-       segments subsume the BSP exclusive spans); naive stepping keeps
-       every core due every cycle, degenerating BSP to leader-only. *)
-    if (not cfg.Coprocessor.skip) || cfg.Coprocessor.compiled then 1
-    else
-      match par_domains with
-      | Some p -> p
-      | None -> (
-        match resumed with
-        | Some r -> r.Resume.meta.Resume.partitions
-        | None -> 1)
-  in
-  let meta = { meta with Resume.partitions } in
   (* A signal ends the run at the next cycle boundary with a final
      checkpoint, then exits with the conventional 128+signal code. *)
   let stop_signal = ref None in
@@ -419,7 +391,7 @@ let run_with_checkpoints ~workload ~n_cores ~scale ~seed ~mem ~scan_unit
   match
     Resume.drive ?every:ckpt_every ?dir:ckpt_dir
       ~should_stop:(fun () -> !stop_signal <> None)
-      ?span_timeout_s:span_timeout ~partitions ~meta sim
+      ~meta sim
   with
   | exception Coprocessor.Stall_diagnosis d ->
     prerr_endline (Report.stall_diagnosis d);
@@ -438,21 +410,9 @@ let run_with_checkpoints ~workload ~n_cores ~scale ~seed ~mem ~scan_unit
       | Some p -> Printf.sprintf "; checkpoint written to %s" p
       | None -> "");
     if terminated then 143 else 130
-  | Resume.Finished (stats, bsp) -> (
+  | Resume.Finished (stats, ()) -> (
     Printf.printf "workload %s, %d cores\n" meta.Resume.workload eff_cores;
     print_stats stats;
-    (match bsp with
-    | None -> ()
-    | Some b ->
-      Printf.printf "parallel kernel     %d partitions: %s\n" partitions
-        (Format.asprintf "%a" Bsp.pp_stats b);
-      (match b.Bsp.degraded with
-      | Some reason ->
-        Format.eprintf
-          "gcsim run: warning: parallel kernel degraded to leader-only \
-           stepping: %s@."
-          reason
-      | None -> ()));
     (match prof with
     | None -> ()
     | Some p ->
@@ -469,13 +429,13 @@ let run_with_checkpoints ~workload ~n_cores ~scale ~seed ~mem ~scan_unit
         exit_verify_failed)
 
 (* The banked machine is its own run path: every non-default engine or
-   observation mode is either meaningless for it (BSP span supervision,
-   checkpoints of per-bank machines) or has no banked variant (the
-   compiled engine, sub-object scanning, the profiler) — reject them
-   up front with a usage error rather than silently ignoring them. *)
+   observation mode is either meaningless for it (checkpoints of
+   per-bank machines) or has no banked variant (the compiled engine,
+   sub-object scanning, the profiler) — reject them up front with a
+   usage error rather than silently ignoring them. *)
 let run_banked ~workload ~n_cores ~scale ~seed ~mem ~scan_unit ~verify ~engine
-    ~no_skip ~cycle_budget ~sanitize ~profile ~par_domains ~span_timeout
-    ~ckpt_every ~ckpt_dir ~resume_from ~bank_quantum =
+    ~no_skip ~cycle_budget ~sanitize ~profile ~par_domains ~ckpt_every
+    ~ckpt_dir ~resume_from ~bank_quantum =
   let reject msg =
     Format.eprintf "gcsim run: %s@." msg;
     exit 2
@@ -487,8 +447,6 @@ let run_banked ~workload ~n_cores ~scale ~seed ~mem ~scan_unit ~verify ~engine
     reject "--banked is incompatible with --profile (no banked profiler)";
   if scan_unit_opt scan_unit <> None then
     reject "--banked is incompatible with --scan-unit";
-  if span_timeout <> None then
-    reject "--banked is incompatible with --span-timeout (no BSP spans)";
   if ckpt_every <> None || ckpt_dir <> None || resume_from <> None then
     reject
       "--banked is incompatible with checkpointing (per-bank machines are \
@@ -496,10 +454,10 @@ let run_banked ~workload ~n_cores ~scale ~seed ~mem ~scan_unit ~verify ~engine
   let banks =
     match par_domains with
     | Some p -> (
-      match Partition.validate_banked ~n_cores ~n_partitions:p with
+      match Banked.validate_banks ~n_cores ~banks:p with
       | Ok () -> p
       | Error msg -> reject ("--par-domains: " ^ msg))
-    | None -> Partition.default_banked_partitions ~n_cores
+    | None -> Banked.default_banks ~n_cores
   in
   let workload = require_workload workload in
   let heap = Workloads.build_heap ~scale ~seed workload in
@@ -540,20 +498,23 @@ let run_banked ~workload ~n_cores ~scale ~seed ~mem ~scan_unit ~verify ~engine
 let run_cmd =
   let run workload n_cores scale seed extra_latency fifo bandwidth header_cache
       scan_unit verify engine no_skip cycle_budget sanitize profile par_domains
-      span_timeout ckpt_every ckpt_dir resume_from banked bank_quantum =
+      ckpt_every ckpt_dir resume_from banked bank_quantum =
     let mem = mem_config extra_latency fifo bandwidth header_cache in
     if banked then
       run_banked ~workload ~n_cores ~scale ~seed ~mem ~scan_unit ~verify
         ~engine ~no_skip ~cycle_budget ~sanitize ~profile ~par_domains
-        ~span_timeout ~ckpt_every ~ckpt_dir ~resume_from ~bank_quantum
+        ~ckpt_every ~ckpt_dir ~resume_from ~bank_quantum
     else begin
     if bank_quantum <> None then begin
       Format.eprintf "gcsim run: --bank-quantum needs --banked@.";
       exit 2
     end;
-    let engine =
-      resolve_engine ~engine ~no_skip ~sanitize ~par_domains ~scan_unit
-    in
+    if par_domains <> None then begin
+      Format.eprintf
+        "gcsim run: --par-domains needs --banked (it sets the bank count)@.";
+      exit 2
+    end;
+    let engine = resolve_engine ~engine ~no_skip ~sanitize ~scan_unit in
     if ckpt_every <> None || ckpt_dir <> None || resume_from <> None then begin
       if sanitize <> Hsgc_sanitizer.Sanitizer.Off then begin
         Format.eprintf
@@ -562,8 +523,8 @@ let run_cmd =
         exit 2
       end;
       run_with_checkpoints ~workload ~n_cores ~scale ~seed ~mem ~scan_unit
-        ~verify ~engine ~cycle_budget ~profile ~par_domains ~span_timeout
-        ~ckpt_every ~ckpt_dir ~resume_from
+        ~verify ~engine ~cycle_budget ~profile ~ckpt_every ~ckpt_dir
+        ~resume_from
     end
     else
     let workload = require_workload workload in
@@ -578,46 +539,12 @@ let run_cmd =
       else None
     in
     let skip = engine <> Naive in
-    (* An explicit --par-domains must be a valid partition count for
-       this core count even when naive stepping then forces the
-       single-partition schedule. *)
-    (match par_domains with
-    | None -> ()
-    | Some p -> (
-      match Partition.validate ~n_cores ~n_partitions:p with
-      | Ok () -> ()
-      | Error msg ->
-        Format.eprintf "gcsim run: --par-domains: %s@." msg;
-        exit 2));
-    let partitions =
-      (* Naive stepping keeps every core due every cycle, so the BSP
-         schedule would degenerate to leader-only stepping anyway; the
-         compiled engine's batched segments subsume the BSP exclusive
-         spans. Both take the direct path. *)
-      if engine <> Skip then 1
-      else
-        match par_domains with
-        | Some p -> p
-        | None -> 1
-    in
     let cfg =
       Coprocessor.config ~mem
         ?scan_unit:(scan_unit_opt scan_unit)
         ?cycle_budget ~sanitize ~skip ~compiled:(engine = Compiled) ~n_cores ()
     in
-    let bsp_stats = ref None in
-    let collect_once () =
-      if partitions <= 1 then Coprocessor.collect ?prof cfg heap
-      else begin
-        let stats, b =
-          Bsp.collect_par ?prof ?span_timeout_s:span_timeout ~partitions cfg
-            heap
-        in
-        bsp_stats := Some b;
-        stats
-      end
-    in
-    match collect_once () with
+    match Coprocessor.collect ?prof cfg heap with
     | exception Coprocessor.Stall_diagnosis d ->
       prerr_endline (Report.stall_diagnosis d);
       exit_stalled
@@ -628,18 +555,6 @@ let run_cmd =
     | stats -> (
       Printf.printf "workload %s, %d cores\n" workload.Workloads.name n_cores;
       print_stats stats;
-      (match !bsp_stats with
-      | None -> ()
-      | Some b ->
-        Printf.printf "parallel kernel     %d partitions: %s\n" partitions
-          (Format.asprintf "%a" Bsp.pp_stats b);
-        (match b.Bsp.degraded with
-        | Some reason ->
-          Format.eprintf
-            "gcsim run: warning: parallel kernel degraded to leader-only \
-             stepping: %s@."
-            reason
-        | None -> ()));
       (match prof with
       | None -> ()
       | Some p ->
@@ -686,29 +601,11 @@ let run_cmd =
       & opt (some (positive_conv "par-domains")) None
       & info [ "par-domains" ] ~docv:"N"
           ~doc:
-            "Step the machine as $(docv) BSP partitions (one pool lane \
-             each). The default is 1, the direct sequential path: the \
-             dense kernel serializes every superstep and runs slower on \
-             more domains than on one (docs/PARALLEL.md, section 4). \
-             Every statistic, verify result and trace digest is \
-             bit-identical at any value. Must be between 1 and the core \
-             count. \
-             Interaction: $(b,--no-skip) forces naive stepping, under \
-             which every core is due every cycle and the BSP schedule \
-             degenerates to leader-only stepping — gcsim takes the direct \
-             sequential path there.")
-  in
-  let span_timeout_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "span-timeout" ] ~docv:"SECONDS"
-          ~doc:
-            "Supervise parallel span dispatch: a worker lane that has not \
-             finished its span after $(docv) seconds of wall clock is \
-             abandoned (the lane is poisoned) and the run degrades to \
-             leader-only stepping with a warning — still completing with \
-             bit-identical results — instead of hanging the process.")
+            "Bank count of the $(b,--banked) machine (default: auto, the \
+             largest divisor of the core count not above the host's \
+             recommended domain count). Must divide the core count. Needs \
+             $(b,--banked) (exit code 2 otherwise): the paper's machine \
+             steps on one domain.")
   in
   let ckpt_every_arg =
     Arg.(
@@ -764,8 +661,8 @@ let run_cmd =
              $(b,--par-domains) selects the bank count (default: auto; \
              must divide the core count, exit code 2 otherwise). \
              Incompatible with $(b,--engine naive/compiled), \
-             $(b,--no-skip), $(b,--profile), $(b,--scan-unit), \
-             $(b,--span-timeout) and checkpointing.")
+             $(b,--no-skip), $(b,--profile), $(b,--scan-unit) and \
+             checkpointing.")
   in
   let bank_quantum_arg =
     Arg.(
@@ -784,8 +681,7 @@ let run_cmd =
       const run $ workload_opt_arg $ cores_arg $ scale_arg $ seed_arg
       $ latency_arg $ fifo_arg $ bandwidth_arg $ header_cache_arg
       $ scan_unit_arg $ verify_arg $ engine_arg $ no_skip_arg $ cycle_budget_arg
-      $ sanitize_arg $ profile_arg $ par_domains_arg $ span_timeout_arg
-      $ ckpt_every_arg $ ckpt_dir_arg $ resume_from_arg $ banked_arg
+      $ sanitize_arg $ profile_arg $ par_domains_arg $ ckpt_every_arg $ ckpt_dir_arg $ resume_from_arg $ banked_arg
       $ bank_quantum_arg)
 
 let sweep_cmd =
@@ -1213,9 +1109,9 @@ let bench_cmd =
           ~doc:
             "Compare against a committed BENCH_sim.json and fail (exit code 3) \
              on a >20% regression of any host-independent metric: skipped \
-             fraction, minor words per cycle, latency-bound skip speedup, the \
-             BSP kernel's exclusive-span fraction, and the banked machine's \
-             modeled-cycle ratio and remote-request fraction. Absolute \
+             fraction, minor words per cycle, latency-bound skip speedup, and \
+             the banked machine's modeled-cycle ratio and remote-request \
+             fraction. Absolute \
              Mcycles/s and the wall-clock speedups are never gated — they \
              depend on the host (the banked self-speedup floor arms only on \
              hosts with at least 4 recommended domains).")

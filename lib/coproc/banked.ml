@@ -8,7 +8,6 @@ module H = Hsgc_heap.Heap
 module Hdr = Hsgc_heap.Header
 module Semispace = Hsgc_heap.Semispace
 module Verify = Hsgc_heap.Verify
-module Partition = Hsgc_sim.Partition
 module Pool = Hsgc_sim.Domain_pool.Pool
 module C = Coprocessor
 
@@ -388,9 +387,33 @@ let aggregate d ~per_bank ~wall ~stitch_cycles ~live_words =
 
 (* --- the run --------------------------------------------------------- *)
 
+(* Largest divisor of [n] not above [p] ([p >= 1]). *)
+let rec divisor_at_most n p = if n mod p = 0 then p else divisor_at_most n (p - 1)
+
+let validate_banks ~n_cores ~banks =
+  if n_cores < 1 then
+    Error (Printf.sprintf "core count must be >= 1 (got %d)" n_cores)
+  else if banks < 1 then
+    Error (Printf.sprintf "bank count must be >= 1 (got %d)" banks)
+  else if banks > n_cores then
+    Error
+      (Printf.sprintf "bank count (%d) exceeds the core count (%d)" banks
+         n_cores)
+  else if n_cores mod banks <> 0 then
+    Error
+      (Printf.sprintf
+         "banked mode requires the bank count to divide the core count: %d \
+          cores cannot be split into %d equal banks (try %d)"
+         n_cores banks
+         (divisor_at_most n_cores banks))
+  else Ok ()
+
+let default_banks ~n_cores =
+  divisor_at_most n_cores
+    (max 1 (min n_cores (Hsgc_sim.Domain_pool.recommended_jobs ())))
+
 let validate_config cfg ~banks =
-  (match Partition.validate_banked ~n_cores:cfg.C.n_cores ~n_partitions:banks
-   with
+  (match validate_banks ~n_cores:cfg.C.n_cores ~banks with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Banked.collect: " ^ msg));
   if cfg.C.compiled then

@@ -95,6 +95,17 @@ type stats = {
   per_bank : Coprocessor.gc_stats array;
 }
 
+val validate_banks : n_cores:int -> banks:int -> (unit, string) result
+(** [Error msg] when either count is [< 1], when there are more banks
+    than cores, or when the bank count does not divide the core count
+    (equal banks; one core per bank is the limit case). The message is
+    suitable for a CLI error and proposes the nearest valid count. *)
+
+val default_banks : n_cores:int -> int
+(** Largest divisor of [n_cores] not above
+    [Domain.recommended_domain_count ()] — the [--par-domains] auto
+    default for [--banked]; always passes {!validate_banks}. *)
+
 val collect :
   ?lanes:int ->
   ?quantum:int ->
@@ -112,7 +123,7 @@ val collect :
     [lanes] (default: auto, clamped to [banks]) is the host-domain
     count; it changes wall-clock time only, never a statistic or the
     heap. Raises [Invalid_argument] when [banks] fails
-    {!Hsgc_sim.Partition.validate_banked} against [config.n_cores],
+    {!validate_banks} against [config.n_cores],
     when [quantum < 1], or when the config requests the compiled
     engine or sub-object scanning (neither has a banked variant).
     Raises {!Coprocessor.Heap_overflow} as the dense machine would. *)

@@ -1557,61 +1557,10 @@ let diagnose t trip =
            t.cores);
   }
 
-(* The core's published wake under the event-driven contract: [Some w] =
-   it next acts (or observes a buffer event) at cycle [w], never later
-   than the first cycle where one of its enabled events fires; [None] =
-   no self-scheduled event (halted, or every buffer idle while the core
-   waits on another agent). Poll-states publish [now + 1] — a parked
-   spinner included, exactly as if it still retried every cycle. *)
-let core_next_wake t ~core =
-  let c = t.cores.(core) in
-  if c.state = Halt then None
-  else
-    let now = now t in
-    if replay_of t c = rp_no_sleep then Some (now + 1)
-    else
-      let w = port_wake c t.mem ~now in
-      if w = max_int then None else Some w
-
-(* BSP superstep scheduling support ({!Bsp}). Which partitions own a
-   core that is due at the current cycle, and the earliest cycle any
-   core outside one partition can next act. Both are pure reads of the
-   per-core wake fields maintained by [maybe_sleep]: a due core has
-   [wake <= now], a sleeping core's armed wake is frozen until it is
-   stepped again, and a halted core is pinned at [max_int]. A parked
-   core reads as the spinner it stands for ([spin_wake]): awake, due
-   now. *)
-
-let n_cores t = Array.length t.cores
-let skip_enabled t = t.cfg.skip
-
 (* The wake an awake spinner carries between steps: the cycle after the
    last executed one (stamped into the hook record by every executed
    cycle). *)
 let spin_wake t = t.hooks.Hooks.cycle + 1
-
-let awake_partition_mask t ~owner =
-  let n0 = now t in
-  let cores = t.cores in
-  let m = ref 0 in
-  for i = 0 to Array.length cores - 1 do
-    let c = Array.unsafe_get cores i in
-    if c.wake <= n0 || c.park <> park_none then
-      m := !m lor (1 lsl Array.unsafe_get owner i)
-  done;
-  !m
-
-let min_wake_outside t ~owner ~partition =
-  let cores = t.cores in
-  let w = ref max_int in
-  for i = 0 to Array.length cores - 1 do
-    if Array.unsafe_get owner i <> partition then begin
-      let c = Array.unsafe_get cores i in
-      let cw = if c.park <> park_none then spin_wake t else c.wake in
-      if cw < !w then w := cw
-    end
-  done;
-  !w
 
 (* ------------------------------------------------------------------ *)
 (* The compiled stepping engine (ROADMAP item 2).

@@ -320,41 +320,6 @@ val roots_done : sim -> bool
 (** The root phase has completed and the start barrier has opened — in
     concurrent mode, the point at which the main processor resumes. *)
 
-val core_next_wake : sim -> core:int -> int option
-(** The core's published wake time under the event-driven contract:
-    [Some w] — the core next acts, or observes one of its memory
-    buffers change status, at cycle [w]; the kernel need not step it
-    before then, and [w] never overshoots the first cycle at which one
-    of the core's enabled events fires. A core that would act on the
-    very next cycle (every poll-state: locks, barrier, scan/free reads)
-    publishes [Some (now + 1)]. [None] — the core has no self-scheduled
-    event: it is halted, or all four buffers are idle while it waits on
-    another agent. Exposed for property tests of the no-overshoot
-    contract. *)
-
-val n_cores : sim -> int
-(** Core count of the running machine ([config.n_cores]). *)
-
-val skip_enabled : sim -> bool
-(** Whether event-driven scheduling is on ([config.skip]); with it off
-    every core is due every cycle, so a BSP schedule degenerates to
-    leader-only stepping ({!Bsp}). *)
-
-val awake_partition_mask : sim -> owner:int array -> int
-(** One bit per partition ([owner.(core) = partition], from a
-    {!Hsgc_sim.Partition} plan): bit [p] is set iff some core owned by
-    [p] is due at the current cycle ([wake <= now]). Halted cores are
-    never due; a parked spinner always is. A pure read — calling it does
-    not advance or perturb the machine. *)
-
-val min_wake_outside : sim -> owner:int array -> partition:int -> int
-(** Earliest wake time over every core {e not} owned by [partition] —
-    [max_int] when all of them have halted (or the partition owns every
-    core). While those cores sleep their armed wakes are frozen, so
-    until this cycle the machine's due set is confined to [partition]:
-    the exclusive-span horizon of the BSP scheduler ({!Bsp}). A parked
-    spinner reads as the awake core it stands for. *)
-
 val sanitizer_findings : sim -> Hsgc_sanitizer.Diag.t list
 (** Kept sanitizer findings so far (mid-run peek; the final list is in
     {!gc_stats}). *)

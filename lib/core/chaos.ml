@@ -334,13 +334,7 @@ module Interrupt = struct
   module Rng = Hsgc_util.Rng
   module Checkpoint = Hsgc_checkpoint.Checkpoint
 
-  type point = {
-    workload : string;
-    n_cores : int;
-    partitions : int;
-    seed : int;
-    draw : int;
-  }
+  type point = { workload : string; n_cores : int; seed : int; draw : int }
 
   type point_result = {
     point : point;
@@ -367,8 +361,8 @@ module Interrupt = struct
   let obs_capacity = 1 lsl 15
   let obs_interval = 64
 
-  let default_matrix ?workloads ?(cores = [ 8 ]) ?(partitions = [ 1; 4 ])
-      ?(draws = 1) ?(seed = 42) () =
+  let default_matrix ?workloads ?(cores = [ 8 ]) ?(draws = 2) ?(seed = 42)
+      () =
     let names =
       match workloads with
       | Some ws -> ws
@@ -378,11 +372,7 @@ module Interrupt = struct
       (fun workload ->
         List.concat_map
           (fun n_cores ->
-            List.concat_map
-              (fun parts ->
-                List.init draws (fun draw ->
-                    { workload; n_cores; partitions = parts; seed; draw }))
-              partitions)
+            List.init draws (fun draw -> { workload; n_cores; seed; draw }))
           cores)
       names
 
@@ -426,9 +416,7 @@ module Interrupt = struct
       Tracer.enable o;
       o
     in
-    (* Uninterrupted reference run. Sequential stepping is fine — the
-       BSP schedule is bit-identical by construction, so the resumed
-       run may step under any partition count. *)
+    (* Uninterrupted reference run. *)
     let base_stats, base_ok, base_digest =
       let heap = Workloads.build_heap ~scale ~seed:p.seed w in
       let pre = Verify.snapshot heap in
@@ -437,13 +425,15 @@ module Interrupt = struct
       (stats, Verify.check_collection ~pre heap = Ok (), Tracer.digest obs)
     in
     let total = base_stats.Coprocessor.total_cycles in
-    (* Deterministic random kill cycle, strictly inside the run. *)
+    (* Deterministic random kill cycle, strictly inside the run. The 31
+       is what a partition count of 1 added when points still carried
+       one, so draw-0 points keep the kill cycles recorded before. *)
     let rng =
       Rng.create
         (p.seed
         + (p.draw * 7919)
         + (p.n_cores * 131)
-        + (p.partitions * 31)
+        + 31
         + Hashtbl.hash p.workload)
     in
     let kill_cycle = 1 + Rng.int rng (total - 1) in
@@ -455,7 +445,7 @@ module Interrupt = struct
         Resume.workload = p.workload;
         scale;
         seed = p.seed;
-        partitions = p.partitions;
+        partitions = 1;
         obs_on = true;
         obs_capacity;
         obs_interval;
@@ -470,8 +460,7 @@ module Interrupt = struct
     let killed =
       let heap = Workloads.build_heap ~scale ~seed:p.seed w in
       let sim = Coprocessor.start ~obs:(mk_obs ()) cfg heap in
-      Resume.drive ~every ~dir ~stop_at:kill_cycle ~partitions:p.partitions
-        ~meta sim
+      Resume.drive ~every ~dir ~stop_at:kill_cycle ~meta sim
     in
     match killed with
     | Resume.Finished _ ->
@@ -500,10 +489,7 @@ module Interrupt = struct
           corrupt_caught;
         }
       in
-      (match
-         Resume.drive ~partitions:r.Resume.meta.Resume.partitions
-           ~meta:r.Resume.meta r.Resume.sim
-       with
+      (match Resume.drive ~meta:r.Resume.meta r.Resume.sim with
       | Resume.Stopped _ ->
         finish ~equivalent:false
           ~mismatch:(Some "resumed run stopped without a stop condition")
@@ -556,7 +542,7 @@ module Interrupt = struct
   let render s =
     let header =
       [
-        "workload"; "cores"; "parts"; "kill@"; "of"; "ckpts"; "resume";
+        "workload"; "cores"; "draw"; "kill@"; "of"; "ckpts"; "resume";
         "corrupt";
       ]
     in
@@ -566,7 +552,7 @@ module Interrupt = struct
           [
             r.point.workload;
             string_of_int r.point.n_cores;
-            string_of_int r.point.partitions;
+            string_of_int r.point.draw;
             string_of_int r.kill_cycle;
             string_of_int r.total_cycles;
             string_of_int r.checkpoints;
@@ -604,9 +590,9 @@ module Interrupt = struct
   let to_json s =
     let point_json r =
       Printf.sprintf
-        {|    {"workload": "%s", "cores": %d, "partitions": %d, "seed": %d, "draw": %d, "total_cycles": %d, "kill_cycle": %d, "checkpoints": %d, "equivalent": %b, "mismatch": %s, "corrupt_flips": %d, "corrupt_caught": %d}|}
+        {|    {"workload": "%s", "cores": %d, "seed": %d, "draw": %d, "total_cycles": %d, "kill_cycle": %d, "checkpoints": %d, "equivalent": %b, "mismatch": %s, "corrupt_flips": %d, "corrupt_caught": %d}|}
         (json_escape r.point.workload)
-        r.point.n_cores r.point.partitions r.point.seed r.point.draw
+        r.point.n_cores r.point.seed r.point.draw
         r.total_cycles r.kill_cycle r.checkpoints r.equivalent
         (match r.mismatch with
         | None -> "null"

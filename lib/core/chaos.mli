@@ -110,9 +110,6 @@ module Interrupt : sig
   type point = {
     workload : string;
     n_cores : int;
-    partitions : int;
-        (** BSP partition count the killed and resumed runs step under
-            (1 = sequential stepping) *)
     seed : int;  (** workload seed *)
     draw : int;  (** kill-cycle draw index — varies the kill position *)
   }
@@ -139,14 +136,12 @@ module Interrupt : sig
   val default_matrix :
     ?workloads:string list ->
     ?cores:int list ->
-    ?partitions:int list ->
     ?draws:int ->
     ?seed:int ->
     unit ->
     point list
-  (** All workloads (or [workloads]) × [cores] (default [[8]]) ×
-      [partitions] (default [[1; 4]]) × [draws] kill positions
-      (default 1). *)
+  (** All workloads (or [workloads]) × [cores] (default [[8]]) × [draws]
+      kill positions (default 2). *)
 
   val run_point : ?scale:float -> point -> point_result
   (** Uninterrupted reference run, killed-and-checkpointed run, corrupt

@@ -101,31 +101,6 @@ type obs_probe = {
   obs_overhead : float; (* instrumented wall over plain wall, minus one *)
 }
 
-(* The partitioned BSP kernel on a single run: sequential skip stepping
-   against Bsp.collect_par at several partition counts, plus one BSP run
-   with the sanitizer attached. Cycle equality across every leg and zero
-   sanitizer findings are runtime assertions (host-independent — the
-   --check gate's substance); the wall-clock speedup is recorded for
-   humans but never gated, because the exclusive-span schedule only
-   overlaps work the machine's dense interface set allows (and a
-   single-CPU runner overlaps nothing — see docs/PARALLEL.md). The
-   superstep-schedule statistics are deterministic simulation
-   quantities, so the exclusive fraction is gated against the
-   baseline. *)
-type par_probe = {
-  par_workload : string;
-  par_cores : int;
-  par_cycles : int;
-  par_points : (int * float) list;  (* partition count, wall seconds *)
-  par_seq_wall_s : float;  (* sequential skip stepping, same machine *)
-  par_speedup : float;  (* seq wall over the best partitioned wall *)
-  par_supersteps : int;  (* at the highest partition count *)
-  par_handoffs : int;
-  par_exclusive_frac : float;
-      (* fraction of simulated cycles covered by exclusive spans at the
-         highest partition count — deterministic, gated *)
-}
-
 (* The banked variant machine on a single run: the dense machine against
    Banked.collect at several bank counts. Semantic equivalence at every
    point and sanitizer silence are runtime assertions (raising
@@ -156,7 +131,6 @@ type suite = {
   latency_extra : int;
   latency : aggregate;
   obs : obs_probe;
-  par : par_probe;
   banked : banked_probe;
 }
 
@@ -450,84 +424,6 @@ let run_obs_probe ~scale ~seed =
       -. 1.0;
   }
 
-let run_par_probe ~scale ~seed ~latency_extra =
-  let module Bsp = Hsgc_coproc.Bsp in
-  let workload = Option.get (Workloads.find "db") in
-  let n_cores = 16 in
-  (* The latency-bound memory: long in-flight spans are where single
-     partitions hold the machine exclusively, so this is the
-     configuration the superstep scheduler is measured on. *)
-  let mem = Memsys.with_extra_latency Memsys.default_config latency_extra in
-  let cfg ?sanitize () = Coprocessor.config ~mem ?sanitize ~n_cores () in
-  let seq =
-    Coprocessor.collect (cfg ()) (Workloads.build_heap ~scale ~seed workload)
-  in
-  let partition_counts = [ 2; 4; 8 ] in
-  (* A low handoff threshold so the probe exercises the worker-dispatch
-     path (cross-domain span execution), not just leader-inline spans —
-     the dispatch cost is part of what the recorded walls measure. *)
-  let handoff_min = 8 in
-  let runs =
-    List.map
-      (fun partitions ->
-        let stats, b =
-          Bsp.collect_par ~handoff_min ~partitions (cfg ())
-            (Workloads.build_heap ~scale ~seed workload)
-        in
-        if stats.Coprocessor.total_cycles <> seq.Coprocessor.total_cycles then
-          raise
-            (Perf_regression
-               (Printf.sprintf
-                  "par probe: %d partitions took %d cycles, sequential %d — \
-                   BSP equivalence broken"
-                  partitions stats.Coprocessor.total_cycles
-                  seq.Coprocessor.total_cycles));
-        (partitions, stats, b))
-      partition_counts
-  in
-  let max_partitions = List.length partition_counts - 1 in
-  let _, _, (bmax : Bsp.stats) = List.nth runs max_partitions in
-  let san, _ =
-    Bsp.collect_par ~handoff_min
-      ~partitions:(List.nth partition_counts max_partitions)
-      (cfg ~sanitize:Hsgc_sanitizer.Sanitizer.Check ())
-      (Workloads.build_heap ~scale ~seed workload)
-  in
-  if san.Coprocessor.total_cycles <> seq.Coprocessor.total_cycles then
-    raise
-      (Perf_regression
-         (Printf.sprintf
-            "par probe: sanitized BSP run took %d cycles, sequential %d"
-            san.Coprocessor.total_cycles seq.Coprocessor.total_cycles));
-  if san.Coprocessor.sanitizer_total > 0 then
-    raise
-      (Perf_regression
-         (Printf.sprintf
-            "par probe: sanitizer flagged %d violation(s) under the BSP \
-             schedule"
-            san.Coprocessor.sanitizer_total));
-  let best_wall =
-    List.fold_left
-      (fun acc (_, s, _) -> Float.min acc s.Coprocessor.wall_seconds)
-      infinity runs
-  in
-  {
-    par_workload = workload.Workloads.name;
-    par_cores = n_cores;
-    par_cycles = seq.Coprocessor.total_cycles;
-    par_points =
-      List.map (fun (p, s, _) -> (p, s.Coprocessor.wall_seconds)) runs;
-    par_seq_wall_s = seq.Coprocessor.wall_seconds;
-    par_speedup = seq.Coprocessor.wall_seconds /. Float.max 1e-9 best_wall;
-    par_supersteps = bmax.Bsp.supersteps;
-    par_handoffs = bmax.Bsp.handoffs;
-    par_exclusive_frac =
-      (if seq.Coprocessor.total_cycles > 0 then
-         float_of_int bmax.Bsp.exclusive_cycles
-         /. float_of_int seq.Coprocessor.total_cycles
-       else 0.0);
-  }
-
 let run_banked_probe ~scale ~seed =
   let module Banked = Hsgc_coproc.Banked in
   let workload = Option.get (Workloads.find "db") in
@@ -667,7 +563,6 @@ let run ?(scale = 0.5) ?(seed = 42) ?(cores = default_cores)
     latency_extra;
     latency = aggregate lat_legs;
     obs = run_obs_probe ~scale ~seed;
-    par = run_par_probe ~scale ~seed ~latency_extra;
     banked = run_banked_probe ~scale ~seed;
   }
 
@@ -764,29 +659,6 @@ let to_json suite =
        o.trace_digest o.profile_busy_frac o.profile_stall_frac
        o.profile_idle_frac o.obs_wall_s o.obs_overhead);
   Buffer.add_string buf ",\n";
-  let p = suite.par in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"parallel\": {\n\
-       \    \"workload\": \"%s\",\n\
-       \    \"cores\": %d,\n\
-       \    \"cycles\": %d,\n\
-       \    \"seq_wall_s\": %.4f,\n\
-       \    \"points\": [%s],\n\
-       \    \"par_speedup\": %.2f,\n\
-       \    \"par_supersteps\": %d,\n\
-       \    \"par_handoffs\": %d,\n\
-       \    \"par_exclusive_frac\": %.4f\n\
-       \  }\n"
-       p.par_workload p.par_cores p.par_cycles p.par_seq_wall_s
-       (String.concat ", "
-          (List.map
-             (fun (parts, wall) ->
-               Printf.sprintf "{\"partitions\": %d, \"wall_s\": %.4f}" parts
-                 wall)
-             p.par_points))
-       p.par_speedup p.par_supersteps p.par_handoffs p.par_exclusive_frac);
-  Buffer.add_string buf ",\n";
   let k = suite.banked in
   Buffer.add_string buf
     (Printf.sprintf
@@ -848,12 +720,6 @@ let summary suite =
         (100.0 *. suite.obs.profile_stall_frac)
         (100.0 *. suite.obs.profile_idle_frac)
         (100.0 *. suite.obs.obs_overhead);
-      Printf.sprintf
-        "par probe: %s/%d cores, best %.2fx over sequential, %d supersteps \
-         (%d handoffs), %.1f%% cycles in exclusive spans"
-        suite.par.par_workload suite.par.par_cores suite.par.par_speedup
-        suite.par.par_supersteps suite.par.par_handoffs
-        (100.0 *. suite.par.par_exclusive_frac);
       Printf.sprintf
         "banked   : %s/%d cores, %.2fx wall over dense (self %.2fx at %d \
          host lanes), modeled ratio %.2f, %.3f remote req/object, %d \
@@ -1016,21 +882,6 @@ let check ~baseline suite =
       err "tracer-on overhead regressed: %.1f%% vs baseline %.1f%%"
         (100.0 *. suite.obs.obs_overhead)
         (100.0 *. ov0));
-  (* Parallel-kernel probe: the cycle-equality and zero-findings bars are
-     asserted at runtime inside [run_par_probe] (any violation raises
-     [Perf_regression] before a suite even exists), so the only gated
-     field here is the exclusive-span fraction — a deterministic
-     scheduling statistic of the BSP kernel, bit-identical across hosts.
-     A drop means the partitioner or the wake accounting got worse at
-     finding exclusively-awake windows. Speedup is recorded, never
-     gated: it is a wall-clock ratio and the CI runner may have a single
-     hardware thread. Only-if-recorded, like the overhead gates. *)
-  (match field_of_json baseline "par_exclusive_frac" with
-  | None -> ()
-  | Some frac0 ->
-    if suite.par.par_exclusive_frac < frac0 *. (1.0 -. tol) then
-      err "parallel exclusive-span fraction regressed: %.4f vs baseline %.4f"
-        suite.par.par_exclusive_frac frac0);
   (* Banked-machine probe: the equivalence contract and sanitizer
      silence are asserted at runtime inside [run_banked_probe], so the
      gated fields here are the two deterministic statistics of the

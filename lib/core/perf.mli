@@ -77,28 +77,6 @@ type obs_probe = {
     {!Perf_regression} if instrumentation perturbs the cycle count or
     the per-core attribution stops summing to the total. *)
 
-type par_probe = {
-  par_workload : string;
-  par_cores : int;
-  par_cycles : int;  (** collection length, identical across every leg *)
-  par_points : (int * float) list;  (** (partitions, BSP wall seconds) *)
-  par_seq_wall_s : float;  (** sequential skip-kernel wall, same heap *)
-  par_speedup : float;
-      (** sequential wall over the best partitioned wall — recorded for
-          humans, never gated (the runner may have one hardware thread) *)
-  par_supersteps : int;
-  par_handoffs : int;  (** spans dispatched to worker domains *)
-  par_exclusive_frac : float;
-      (** fraction of simulated cycles covered by exclusive spans at the
-          deepest partitioning — a deterministic scheduling statistic *)
-}
-(** One latency-bound collection (db at 16 cores) run sequentially and
-    then under the BSP kernel at 2/4/8 partitions. The probe raises
-    {!Perf_regression} if any partitioned leg's cycle count diverges
-    from the sequential run, or if the sanitized BSP leg reports a
-    finding — the host-independent acceptance bars of the parallel
-    kernel. *)
-
 type banked_probe = {
   bk_workload : string;
   bk_cores : int;
@@ -143,7 +121,6 @@ type suite = {
   latency_extra : int;
   latency : aggregate;
   obs : obs_probe;
-  par : par_probe;
   banked : banked_probe;
 }
 
@@ -188,20 +165,19 @@ val to_json : suite -> string
 (** Render the tracked [BENCH_sim.json] artifact. *)
 
 val summary : suite -> string
-(** Multi-line human summary (base, latency-bound, observability,
-    parallel and banked probes). *)
+(** Multi-line human summary (base, latency-bound, observability and
+    banked probes). *)
 
 val check : baseline:string -> suite -> (unit, string list) result
 (** Compare a fresh suite against the committed [BENCH_sim.json]
     contents. Gates only host-independent metrics — skipped fractions
     (deterministic statistics), allocation rates, the latency-bound
     skip-speedup ratio and the compiled/skip speedup ratios (each a
-    pair of walls from the same process), the BSP kernel's
-    exclusive-span fraction, and the banked machine's modeled-cycle
-    ratio and remote-request fraction — each with 20% tolerance plus
-    the hard
+    pair of walls from the same process), and the banked machine's
+    modeled-cycle ratio and remote-request fraction — each with 20%
+    tolerance plus the hard
     {!compiled_speedup_floor_base}/{!compiled_speedup_floor_latency}
-    bars; absolute Mcycles/s and the parallel speedup are
+    bars; absolute Mcycles/s and the banked wall speedup are
     informational. The banked self-speedup carries a hard 1.30x floor
     that arms only on hosts with at least 4 recommended domains — on a
     single-thread runner a wall gate would test the host, not the

@@ -1,16 +1,16 @@
 (* Deterministic checkpoint/restore driver.
 
    One driver behind both the CLI's crash-safe runs and the chaos
-   campaign's interrupt legs: it steps a machine — sequentially or
-   under the BSP scheduler — with every step horizon-capped at the next
-   checkpoint boundary, writes a snapshot exactly at each boundary, and
-   can reconstruct the machine from any such snapshot.
+   campaign's interrupt legs: it steps a machine with every step
+   horizon-capped at the next checkpoint boundary, writes a snapshot
+   exactly at each boundary, and can reconstruct the machine from any
+   such snapshot.
 
    The invariants this module is built on (argued in
    docs/ROBUSTNESS.md):
 
-   - a checkpoint is taken only between [step]s / [superstep]s, i.e. at
-     a cycle boundary, where the machine's mutable state is closed
+   - a checkpoint is taken only between [step]s, i.e. at a cycle
+     boundary, where the machine's mutable state is closed
      under the Snapshot codec;
    - the horizon cap can only split the kernel's fast-forwards, so the
      executed/skipped split is the sole statistic that checkpointing
@@ -23,9 +23,6 @@
 
 module Workloads = Hsgc_objgraph.Workloads
 module Coprocessor = Hsgc_coproc.Coprocessor
-module Bsp = Hsgc_coproc.Bsp
-module Partition = Hsgc_sim.Partition
-module Pool = Hsgc_sim.Domain_pool.Pool
 module Verify = Hsgc_heap.Verify
 module Tracer = Hsgc_obs.Tracer
 module Profiler = Hsgc_obs.Profiler
@@ -61,7 +58,10 @@ type meta = {
   workload : string;
   scale : float;
   seed : int;
-  partitions : int;  (* informational: the writer's BSP partition count *)
+  partitions : int;
+      (* Written as 1 by every run and ignored on resume; kept because the
+         meta codec puts it on disk and bench/e2e/pipelines.ml builds a
+         meta with [partitions = 1]. *)
   obs_on : bool;
   obs_capacity : int;
   obs_interval : int;
@@ -194,8 +194,10 @@ let resume ?fingerprint:fp ~path () =
 
 (* --- the checkpointing driver ------------------------------------- *)
 
+(* [Finished]'s [unit] is a placeholder: bench/e2e/pipelines.ml matches
+   [Finished (s, _)]. *)
 type outcome =
-  | Finished of Coprocessor.gc_stats * Bsp.stats option
+  | Finished of Coprocessor.gc_stats * unit
   | Stopped of { at_cycle : int; checkpoint : string option }
 
 let postmortem_name = "postmortem.ckpt"
@@ -204,8 +206,8 @@ let postmortem_name = "postmortem.ckpt"
    next checkpoint boundary (a multiple of [every]) and at [stop_at].
    The cap can only split fast-forwards — with checkpointing off both
    caps are [max_int] and the loop is byte-for-byte the plain run. *)
-let drive ?every ?dir ?stop_at ?(should_stop = fun () -> false) ?span_timeout_s
-    ?fail_hook ~partitions ~meta sim =
+let drive ?every ?dir ?stop_at ?(should_stop = fun () -> false)
+    ?partitions:_ ~meta sim =
   (match every with
   | Some e when e <= 0 -> invalid_arg "Resume.drive: every must be > 0"
   | _ -> ());
@@ -223,47 +225,29 @@ let drive ?every ?dir ?stop_at ?(should_stop = fun () -> false) ?span_timeout_s
     match every with None -> max_int | Some e -> ((now / e) + 1) * e
   in
   let stop_bound = match stop_at with None -> max_int | Some s -> s in
-  let loop step_once finish =
-    let rec go due =
-      if Coprocessor.halted sim then finish ()
-      else if should_stop () || Coprocessor.now sim >= stop_bound then begin
-        let cycle = Coprocessor.now sim in
-        let checkpoint =
-          if every = None then None else save_to (checkpoint_name cycle)
-        in
-        Stopped { at_cycle = cycle; checkpoint }
+  let rec go due =
+    if Coprocessor.halted sim then Finished (Coprocessor.finalize sim, ())
+    else if should_stop () || Coprocessor.now sim >= stop_bound then begin
+      let cycle = Coprocessor.now sim in
+      let checkpoint =
+        if every = None then None else save_to (checkpoint_name cycle)
+      in
+      Stopped { at_cycle = cycle; checkpoint }
+    end
+    else begin
+      let h = min due stop_bound in
+      (if h = max_int then Coprocessor.step sim
+       else Coprocessor.step ~horizon:h sim);
+      if Coprocessor.now sim >= due then begin
+        ignore (save_to (checkpoint_name (Coprocessor.now sim)));
+        go (next_due (Coprocessor.now sim))
       end
-      else begin
-        let h = min due stop_bound in
-        (if h = max_int then step_once ?horizon:None ()
-         else step_once ?horizon:(Some h) ());
-        if Coprocessor.now sim >= due then begin
-          ignore (save_to (checkpoint_name (Coprocessor.now sim)));
-          go (next_due (Coprocessor.now sim))
-        end
-        else go due
-      end
-    in
-    try go (next_due (Coprocessor.now sim))
-    with Coprocessor.Stall_diagnosis _ as e ->
-      (* The watchdog tripped at a cycle boundary: preserve the machine
-         for offline inspection next to the structured diagnosis. *)
-      ignore (try save_to postmortem_name with _ -> None);
-      raise e
+      else go due
+    end
   in
-  if partitions <= 1 then
-    loop
-      (fun ?horizon () -> Coprocessor.step ?horizon sim)
-      (fun () -> Finished (Coprocessor.finalize sim, None))
-  else begin
-    let plan =
-      Partition.plan ~n_cores:(Coprocessor.n_cores sim) ~n_partitions:partitions
-    in
-    Pool.with_pool ~lanes:partitions (fun pool ->
-        let b = Bsp.of_sim ~pool ?span_timeout_s ?fail_hook ~plan sim in
-        loop
-          (fun ?horizon () -> Bsp.superstep ?horizon b)
-          (fun () ->
-            let gc = Bsp.finalize b in
-            Finished (gc, Some (Bsp.stats b))))
-  end
+  try go (next_due (Coprocessor.now sim))
+  with Coprocessor.Stall_diagnosis _ as e ->
+    (* The watchdog tripped at a cycle boundary: preserve the machine
+       for offline inspection next to the structured diagnosis. *)
+    ignore (try save_to postmortem_name with _ -> None);
+    raise e

@@ -1,7 +1,7 @@
 (** Deterministic checkpoint/restore driver — crash-safe long runs.
 
-    Steps a collection (sequentially or under the BSP scheduler) with
-    every step horizon-capped at the next checkpoint boundary, writes an
+    Steps a collection with every step horizon-capped at the next
+    checkpoint boundary, writes an
     atomic CRC-guarded snapshot ({!Hsgc_checkpoint.Checkpoint}) exactly
     at each boundary, and reconstructs a machine from any such snapshot
     so the run continues bit-identically.
@@ -27,7 +27,11 @@ type meta = {
   workload : string;
   scale : float;
   seed : int;
-  partitions : int;  (** writer's BSP partition count (informational) *)
+  partitions : int;
+      (** Unused: written as 1 and ignored on resume (a snapshot that
+          records more partitions resumes on the one stepping path with
+          the same results). Kept because the meta section stores it and
+          bench/e2e/pipelines.ml builds a meta with [partitions = 1]. *)
   obs_on : bool;
   obs_capacity : int;
   obs_interval : int;
@@ -71,8 +75,9 @@ val postmortem_name : string
 (** File name of the watchdog post-mortem snapshot ([postmortem.ckpt]). *)
 
 type outcome =
-  | Finished of Hsgc_coproc.Coprocessor.gc_stats * Hsgc_coproc.Bsp.stats option
-      (** ran to completion ([finalize]d); BSP stats when [partitions > 1] *)
+  | Finished of Hsgc_coproc.Coprocessor.gc_stats * unit
+      (** ran to completion ([finalize]d). The [unit] is a placeholder
+          kept because bench/e2e/pipelines.ml matches [Finished (s, _)]. *)
   | Stopped of { at_cycle : int; checkpoint : string option }
       (** [should_stop]/[stop_at] ended the run early; [checkpoint] is
           the final snapshot written (when checkpointing is on) *)
@@ -82,9 +87,7 @@ val drive :
   ?dir:string ->
   ?stop_at:int ->
   ?should_stop:(unit -> bool) ->
-  ?span_timeout_s:float ->
-  ?fail_hook:(int -> unit) ->
-  partitions:int ->
+  ?partitions:int ->
   meta:meta ->
   Hsgc_coproc.Coprocessor.sim ->
   outcome
@@ -94,7 +97,6 @@ val drive :
     [should_stop] is polled between steps (signal handlers set a flag);
     [stop_at] is the chaos campaign's deterministic in-process kill.
     Both end the run with a final checkpoint and [Stopped].
-    [partitions > 1] drives the machine through {!Hsgc_coproc.Bsp} with
-    worker supervision ([span_timeout_s]/[fail_hook] as in
-    {!Hsgc_coproc.Bsp.start}). If the watchdog trips, a post-mortem
+    [partitions] is ignored; it stays because bench/e2e/pipelines.ml
+    passes [~partitions:1]. If the watchdog trips, a post-mortem
     snapshot is written to [dir] before [Stall_diagnosis] propagates. *)

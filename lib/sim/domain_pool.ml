@@ -1,35 +1,29 @@
 (* Shared parallel runtime: one persistent domain pool implementation
    behind every parallel surface of the simulator — experiment sweeps,
-   chaos campaigns, and the BSP kernel's superstep dispatch.
+   chaos campaigns, and the banked machine's superstep lanes.
 
    A [Pool.t] owns [lanes - 1] worker domains parked on a per-lane
-   mutex/condvar cell; lane 0 is always the calling domain. Work is
-   handed to a specific lane ([run_on]) or to every lane at once
-   ([run]); the caller blocks until the work completes, so at most one
-   domain ever executes the closure and the mutex hand-off provides the
-   happens-before edges in both directions (everything the leader wrote
-   before [run_on] is visible to the worker, everything the worker
-   wrote is visible to the leader after it returns). Exceptions raised
-   by a lane are captured and re-raised on the caller — under [run],
-   the lowest-numbered failing lane wins, deterministically. *)
+   mutex/condvar cell; lane 0 is always the calling domain. [run] hands
+   work to every lane at once and blocks until all of it completes, and
+   the mutex hand-off provides the happens-before edges in both
+   directions (everything the caller wrote before [run] is visible to
+   the workers, everything a worker wrote is visible to the caller after
+   it returns). Exceptions raised by a lane are captured and re-raised
+   on the caller — the lowest-numbered failing lane wins,
+   deterministically. *)
 
 module Pool = struct
   (* One cell per worker lane. [job]/[done_]/[failed] are only touched
      under [mutex]; the single condvar serves both directions because a
-     worker waits only while [job = None] and the leader waits only
+     worker waits only while [job = None] and the caller waits only
      while a job is outstanding — the two never wait at once. *)
   type cell = {
     mutex : Mutex.t;
     cond : Condition.t;
     mutable job : (unit -> unit) option;
-    mutable busy : bool;  (* job posted and not yet reaped *)
     mutable done_ : bool;  (* job finished, result not yet reaped *)
     mutable failed : exn option;
     mutable stop : bool;
-    mutable poisoned : bool;
-        (* a supervised wait timed out and abandoned the outstanding
-           job: the worker domain may still be running it, so the lane
-           accepts no further work and shutdown must not join it *)
   }
 
   type t = {
@@ -72,129 +66,50 @@ module Pool = struct
             mutex = Mutex.create ();
             cond = Condition.create ();
             job = None;
-            busy = false;
             done_ = false;
             failed = None;
             stop = false;
-            poisoned = false;
           })
     in
     let workers = Array.map (fun c -> Domain.spawn (fun () -> worker_loop c)) cells in
     { lanes; cells; workers; closed = false }
 
-  let check_open t op =
-    if t.closed then invalid_arg (Printf.sprintf "Domain_pool.Pool.%s: pool is shut down" op)
-
-  let post t ~lane f =
-    check_open t "post";
-    if lane < 1 || lane >= t.lanes then
-      invalid_arg
-        (Printf.sprintf "Domain_pool.Pool.post: lane %d out of range 1..%d" lane
-           (t.lanes - 1));
-    let c = t.cells.(lane - 1) in
-    if c.poisoned then
-      invalid_arg "Domain_pool.Pool.post: lane was poisoned by a timed-out job";
+  (* Hand a job to a worker cell without blocking. [wait] left the
+     cell's result fields cleared. *)
+  let post c f =
     Mutex.lock c.mutex;
-    if c.busy then begin
-      Mutex.unlock c.mutex;
-      invalid_arg "Domain_pool.Pool.post: lane already has an outstanding job"
-    end;
-    c.busy <- true;
-    c.done_ <- false;
-    c.failed <- None;
     c.job <- Some f;
     Condition.broadcast c.cond;
     Mutex.unlock c.mutex
 
-  let wait t ~lane =
-    check_open t "wait";
-    let c = t.cells.(lane - 1) in
+  (* Block until the cell's job finishes; its exception, if any. *)
+  let wait c =
     Mutex.lock c.mutex;
-    if not c.busy then begin
-      Mutex.unlock c.mutex;
-      invalid_arg "Domain_pool.Pool.wait: lane has no outstanding job"
-    end;
     while not c.done_ do
       Condition.wait c.cond c.mutex
     done;
     let failed = c.failed in
-    c.busy <- false;
     c.done_ <- false;
     c.failed <- None;
     Mutex.unlock c.mutex;
-    match failed with Some e -> raise e | None -> ()
-
-  (* Supervised reap: poll for completion with a wall-clock deadline.
-     The stdlib [Condition] has no timed wait, so the caller spins on
-     [cpu_relax] between checks — acceptable because a supervising
-     leader has nothing else to do, and the poll holds the mutex only
-     for a field read per iteration. On timeout the job is {e
-     abandoned}, not cancelled: OCaml domains cannot be killed, so the
-     lane is poisoned (takes no further work, is not joined at
-     shutdown) and the caller is expected to stop sharing state with
-     it and degrade. *)
-  let try_wait t ~lane ~timeout_s =
-    check_open t "try_wait";
-    let c = t.cells.(lane - 1) in
-    Mutex.lock c.mutex;
-    if not c.busy then begin
-      Mutex.unlock c.mutex;
-      invalid_arg "Domain_pool.Pool.try_wait: lane has no outstanding job"
-    end;
-    let deadline =
-      Int64.add (Monotonic_clock.now ())
-        (Int64.of_float (timeout_s *. 1e9))
-    in
-    let rec poll () =
-      if c.done_ then begin
-        let failed = c.failed in
-        c.busy <- false;
-        c.done_ <- false;
-        c.failed <- None;
-        Mutex.unlock c.mutex;
-        match failed with Some e -> `Failed e | None -> `Done
-      end
-      else if Monotonic_clock.now () >= deadline then begin
-        c.poisoned <- true;
-        Mutex.unlock c.mutex;
-        `Timed_out
-      end
-      else begin
-        Mutex.unlock c.mutex;
-        Domain.cpu_relax ();
-        Mutex.lock c.mutex;
-        poll ()
-      end
-    in
-    poll ()
-
-  let poisoned t ~lane =
-    lane >= 1 && lane < t.lanes && t.cells.(lane - 1).poisoned
-
-  let run_on t ~lane f =
-    if lane = 0 then f ()
-    else begin
-      post t ~lane f;
-      wait t ~lane
-    end
+    failed
 
   let run t f =
-    check_open t "run";
-    for lane = 1 to t.lanes - 1 do
-      post t ~lane (fun () -> f lane)
-    done;
+    if t.closed then invalid_arg "Domain_pool.Pool.run: pool is shut down";
+    Array.iteri (fun i c -> post c (fun () -> f (i + 1))) t.cells;
     let leader_failed = match f 0 with () -> None | exception e -> Some e in
     (* Reap every lane before raising anything, so no worker is left
        running against state the caller is about to unwind. Lowest
        failing lane wins, leader (lane 0) first — deterministic
        regardless of wall-clock completion order. *)
-    let first_failure = ref leader_failed in
-    for lane = 1 to t.lanes - 1 do
-      match wait t ~lane with
-      | () -> ()
-      | exception e -> if !first_failure = None then first_failure := Some e
-    done;
-    match !first_failure with Some e -> raise e | None -> ()
+    let first_failure =
+      Array.fold_left
+        (fun first c ->
+          let failed = wait c in
+          match first with None -> failed | Some _ -> first)
+        leader_failed t.cells
+    in
+    Option.iter raise first_failure
 
   let shutdown t =
     if not t.closed then begin
@@ -206,13 +121,7 @@ module Pool = struct
           Condition.broadcast c.cond;
           Mutex.unlock c.mutex)
         t.cells;
-      (* A poisoned lane's worker may be stuck in an abandoned job and
-         never observe [stop]; joining it would hang the shutdown. If it
-         does finish, it sees [stop] on its next loop and exits on its
-         own — the process just won't wait for it. *)
-      Array.iteri
-        (fun i w -> if not t.cells.(i).poisoned then Domain.join w)
-        t.workers
+      Array.iter Domain.join t.workers
     end
 
   let with_pool ~lanes f =

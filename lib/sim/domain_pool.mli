@@ -2,63 +2,36 @@
 
     One pool implementation behind every parallel surface of the
     simulator: experiment sweeps and chaos campaigns ({!map_list},
-    {!map_list_policy}) and the BSP kernel's superstep dispatch
-    ({!Pool.run_on}). Results and re-raised exceptions are deterministic
+    {!map_list_policy}) and the banked machine's superstep lanes
+    ({!Pool.run}). Results and re-raised exceptions are deterministic
     at every [jobs]/[lanes] level, so any derived report is
     byte-identical regardless of host parallelism. *)
 
 (** {2 Persistent worker pool}
 
     [lanes - 1] worker domains parked on mutex/condvar cells, plus the
-    calling domain as lane 0. Handing work to a lane blocks the caller
-    until it completes, so at most one domain executes a given closure
-    and the mutex hand-off orders memory in both directions: everything
-    the caller wrote before dispatch is visible to the worker, and
-    everything the worker wrote is visible to the caller on return.
-    That makes it safe to hand a lane a closure over arbitrary mutable
-    simulator state, as the BSP kernel does with whole machine
-    partitions. *)
+    calling domain as lane 0. {!Pool.run} blocks the caller until every
+    lane completes, and the mutex hand-off orders memory in both
+    directions: everything the caller wrote before dispatch is visible
+    to the workers, and everything a worker wrote is visible to the
+    caller on return. That makes it safe to hand the lanes closures
+    over disjoint mutable simulator state, as the banked machine does
+    with its banks. *)
 module Pool : sig
   type t
 
   val create : lanes:int -> t
   (** Spawn [lanes - 1] worker domains (so [lanes = 1] spawns none and
-      every [run]/[run_on] degenerates to a plain call). *)
+      {!run} degenerates to a plain call). *)
 
   val lanes : t -> int
-
-  val run_on : t -> lane:int -> (unit -> unit) -> unit
-  (** Execute the closure on the given lane ([0] = the calling domain,
-      inline) and block until it finishes. An exception raised by the
-      closure is re-raised here. *)
 
   val run : t -> (int -> unit) -> unit
   (** [run t f] executes [f lane] on every lane concurrently — [f 0] on
       the calling domain — and returns once all lanes finish. If lanes
       fail, the exception of the lowest-numbered failing lane is
-      re-raised after every lane has been reaped. *)
-
-  val post : t -> lane:int -> (unit -> unit) -> unit
-  (** Asynchronous half of {!run_on}: hand the closure to a worker lane
-      ([>= 1]) without blocking. Each lane holds at most one
-      outstanding job. *)
-
-  val wait : t -> lane:int -> unit
-  (** Block until the lane's outstanding job finishes; re-raises its
-      exception. *)
-
-  val try_wait :
-    t -> lane:int -> timeout_s:float -> [ `Done | `Failed of exn | `Timed_out ]
-  (** Supervised form of {!wait}: poll for completion with a wall-clock
-      deadline. [`Failed e] reports the job's exception without raising
-      it. [`Timed_out] {e abandons} the job — domains cannot be killed —
-      and poisons the lane: it accepts no further work ({!post} raises)
-      and {!shutdown} will not join its worker. The caller must stop
-      sharing mutable state with the abandoned job. *)
-
-  val poisoned : t -> lane:int -> bool
-  (** Whether a supervised wait timed out on this lane ([false] for lane
-      0 and out-of-range lanes). *)
+      re-raised after every lane has been reaped. Raises
+      [Invalid_argument] after {!shutdown}. *)
 
   val shutdown : t -> unit
   (** Stop and join every worker. Idempotent; the pool is unusable
@@ -75,7 +48,7 @@ val recommended_jobs : unit -> int
 val resolve_jobs : limit:int -> int -> int
 (** Resolve a CLI-level jobs request: [<= 0] means auto
     ({!recommended_jobs}); the result is clamped to [1 .. limit]
-    (the leg or partition count — more lanes than work is waste). *)
+    (the leg or bank count — more lanes than work is waste). *)
 
 (** {2 One-shot parallel maps} *)
 

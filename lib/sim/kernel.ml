@@ -20,7 +20,6 @@ let create ?(skip = true) ?(obs = Hsgc_obs.Tracer.disabled) () =
   }
 
 let now t = t.now
-let skip_enabled t = t.skip
 
 let[@inline] tick t =
   t.now <- t.now + 1;

@@ -40,8 +40,6 @@ val create : ?skip:bool -> ?obs:Hsgc_obs.Tracer.t -> unit -> t
 val now : t -> int
 (** The current simulated cycle. *)
 
-val skip_enabled : t -> bool
-
 val tick : t -> unit
 (** One cycle was executed: [now] advances by 1. *)
 

@@ -1,31 +1,40 @@
-type t = { mutable state : int64 }
+(* The 64-bit SplitMix64 counter lives in an 8-byte buffer rather than
+   a [mutable int64] field: a field store boxes its int64 on every
+   draw, while [Bytes.get_int64_ne]/[set_int64_ne] move it unboxed, so
+   with [mix64] and [int64] inlined a draw that returns an int or a bool
+   allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
+
+let copy = Bytes.copy
 
 (* Raw state accessors for checkpoint/restore: the generator is pure
    state, so capturing and reinstating the 64-bit word replays the
    stream exactly. *)
-let state t = t.state
-let set_state t s = t.state <- s
+let state t = Bytes.get_int64_ne t 0
+let set_state t s = Bytes.set_int64_ne t 0 s
 
 (* SplitMix64 finalizer: xor-shift / multiply mix of the advancing
    counter. Constants from the reference implementation. *)
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] int64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
 
-let split t =
-  let seed = int64 t in
-  { state = seed }
+let split t = of_state (int64 t)
 
 let int t bound =
   assert (bound > 0);

@@ -1,12 +1,11 @@
-(* The banked variant machine (Hsgc_coproc.Banked): the banking
-   partition plan, then the load-bearing property — the differential
-   semantic-equivalence contract against the dense machine, on the full
-   workload grid and on random graphs under delay-class faults. Plus
-   the banked driver's own guarantees: byte-determinism at every lane
-   count, quantum invariance of the final heap, and sanitizer silence
-   in strict mode. *)
+(* The banked variant machine (Hsgc_coproc.Banked): the bank-count
+   validation and bank split, then the load-bearing property — the
+   differential semantic-equivalence contract against the dense
+   machine, on the full workload grid and on random graphs under
+   delay-class faults. Plus the banked driver's own guarantees:
+   byte-determinism at every lane count, quantum invariance of the
+   final heap, and sanitizer silence in strict mode. *)
 
-module Partition = Hsgc_sim.Partition
 module Coprocessor = Hsgc_coproc.Coprocessor
 module Banked = Hsgc_coproc.Banked
 module Memsys = Hsgc_memsim.Memsys
@@ -17,77 +16,87 @@ module Heap = Hsgc_heap.Heap
 module Injector = Hsgc_fault.Injector
 
 (* ------------------------------------------------------------------ *)
-(* Banking partition plan                                              *)
+(* Bank count and bank split                                           *)
 (* ------------------------------------------------------------------ *)
 
-let test_banking_validate () =
-  let ok ~n_cores ~n_partitions =
-    match Partition.validate_banked ~n_cores ~n_partitions with
-    | Ok () -> ()
-    | Error msg ->
-      Alcotest.failf "validate_banked rejected %d/%d: %s" n_cores n_partitions
-        msg
-  in
-  let err ~n_cores ~n_partitions =
-    match Partition.validate_banked ~n_cores ~n_partitions with
-    | Error _ -> ()
-    | Ok () ->
-      Alcotest.failf "validate_banked accepted %d cores / %d banks" n_cores
-        n_partitions
-  in
-  (* 1 core: only the single-bank limit case is valid. *)
-  ok ~n_cores:1 ~n_partitions:1;
-  err ~n_cores:1 ~n_partitions:2;
-  (* more banks than cores is always rejected *)
-  err ~n_cores:8 ~n_partitions:9;
-  err ~n_cores:4 ~n_partitions:16;
-  (* non-dividing counts are rejected; dividing ones accepted *)
-  err ~n_cores:8 ~n_partitions:3;
-  err ~n_cores:6 ~n_partitions:4;
-  err ~n_cores:16 ~n_partitions:5;
-  ok ~n_cores:8 ~n_partitions:4;
-  ok ~n_cores:6 ~n_partitions:3;
-  ok ~n_cores:16 ~n_partitions:16;
-  (* degenerate counts *)
-  err ~n_cores:0 ~n_partitions:1;
-  err ~n_cores:8 ~n_partitions:0;
-  (* the rejection message proposes the nearest valid count *)
-  (match Partition.validate_banked ~n_cores:8 ~n_partitions:3 with
+let banks_ok ~n_cores ~banks =
+  match Banked.validate_banks ~n_cores ~banks with
+  | Ok () -> ()
   | Error msg ->
-    if not (String.length msg > 0) then Alcotest.fail "empty error message"
-  | Ok () -> Alcotest.fail "8/3 accepted")
+    Alcotest.failf "validate_banks rejected %d/%d: %s" n_cores banks msg
 
-let test_banking_plan () =
-  let p = Partition.banking ~n_cores:8 ~n_partitions:4 in
-  Alcotest.(check int) "cores" 8 (Partition.n_cores p);
-  Alcotest.(check int) "banks" 4 (Partition.n_partitions p);
-  (match Partition.kind p with
-  | Partition.Banked -> ()
-  | Partition.Dense -> Alcotest.fail "banking plan is Dense");
-  for q = 0 to 3 do
-    let lo, hi = Partition.range p ~partition:q in
-    Alcotest.(check int) (Printf.sprintf "bank %d size" q) 2 (hi - lo)
-  done;
-  (* The only cross-bank interface is the header FIFO. *)
-  Alcotest.(check (list string))
-    "interfaces" [ "header-fifo" ]
-    (List.map Partition.interface_name (Partition.interfaces p));
-  Alcotest.(check (list string))
-    "single bank shares nothing" []
-    (List.map Partition.interface_name
-       (Partition.interfaces (Partition.banking ~n_cores:4 ~n_partitions:1)));
-  (* Invalid pairs raise. *)
-  (match Partition.banking ~n_cores:8 ~n_partitions:3 with
+let banks_err ~n_cores ~banks =
+  match Banked.validate_banks ~n_cores ~banks with
+  | Error _ -> ()
+  | Ok () ->
+    Alcotest.failf "validate_banks accepted %d cores / %d banks" n_cores banks
+
+let test_banking_validate () =
+  (* 1 core: only the single-bank limit case is valid. *)
+  banks_ok ~n_cores:1 ~banks:1;
+  banks_err ~n_cores:1 ~banks:2;
+  (* more banks than cores is always rejected *)
+  banks_err ~n_cores:8 ~banks:9;
+  banks_err ~n_cores:4 ~banks:16;
+  (* non-dividing counts are rejected; dividing ones accepted *)
+  banks_err ~n_cores:8 ~banks:3;
+  banks_err ~n_cores:6 ~banks:4;
+  banks_err ~n_cores:16 ~banks:5;
+  banks_ok ~n_cores:8 ~banks:4;
+  banks_ok ~n_cores:6 ~banks:3;
+  banks_ok ~n_cores:16 ~banks:16;
+  (* degenerate counts *)
+  banks_err ~n_cores:0 ~banks:1;
+  banks_err ~n_cores:8 ~banks:0;
+  (* the rejection message proposes the nearest valid count *)
+  match Banked.validate_banks ~n_cores:8 ~banks:3 with
+  | Error msg ->
+    if not (Test_table.contains ~sub:"(try 2)" msg) then
+      Alcotest.failf "no nearest valid count in %S" msg
+  | Ok () -> Alcotest.fail "8/3 accepted"
+
+let test_bank_count_bounds () =
+  (* Zero, negative and more-than-cores bank counts, and zero cores, are
+     refused; one core per bank is the largest valid split. *)
+  banks_err ~n_cores:4 ~banks:0;
+  banks_err ~n_cores:4 ~banks:(-3);
+  banks_err ~n_cores:4 ~banks:5;
+  banks_err ~n_cores:0 ~banks:1;
+  banks_ok ~n_cores:16 ~banks:16;
+  (* The driver refuses what the validator refuses. *)
+  let heap = Workloads.build_heap ~scale:0.02 ~seed:3 Workloads.db in
+  (match
+     Banked.collect ~lanes:1 ~banks:5 (Coprocessor.config ~n_cores:4 ()) heap
+   with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "banking 8/3 did not raise");
+  | _ -> Alcotest.fail "collect must reject more banks than cores");
+  let d = Banked.default_banks ~n_cores:4 in
+  if d < 1 || d > 4 then Alcotest.failf "default_banks out of range: %d" d;
+  Alcotest.(check int) "single-core default" 1 (Banked.default_banks ~n_cores:1)
+
+let test_bank_split () =
+  (* Equal banks: every bank machine runs [n_cores / banks] cores. *)
+  let heap = Workloads.build_heap ~scale:0.02 ~seed:3 Workloads.db in
+  let _, b =
+    Banked.collect ~lanes:1 ~banks:4 (Coprocessor.config ~n_cores:8 ()) heap
+  in
+  Alcotest.(check int) "banks" 4 b.Banked.banks;
+  Alcotest.(check int) "per-bank records" 4 (Array.length b.Banked.per_bank);
+  Array.iteri
+    (fun i (s : Coprocessor.gc_stats) ->
+      Alcotest.(check int)
+        (Printf.sprintf "bank %d cores" i)
+        2
+        (Array.length s.Coprocessor.per_core))
+    b.Banked.per_bank;
   (* The auto default always validates and divides. *)
   List.iter
     (fun n_cores ->
-      let b = Partition.default_banked_partitions ~n_cores in
-      match Partition.validate_banked ~n_cores ~n_partitions:b with
+      let b = Banked.default_banks ~n_cores in
+      match Banked.validate_banks ~n_cores ~banks:b with
       | Ok () -> ()
       | Error msg ->
-        Alcotest.failf "default_banked_partitions %d -> %d: %s" n_cores b msg)
+        Alcotest.failf "default_banks %d -> %d: %s" n_cores b msg)
     [ 1; 2; 3; 4; 5; 6; 7; 8; 12; 16; 24; 32 ]
 
 (* ------------------------------------------------------------------ *)
@@ -330,8 +339,8 @@ let suite =
   [
     Alcotest.test_case "banked partition validation" `Quick
       test_banking_validate;
-    Alcotest.test_case "banking plan shape and interfaces" `Quick
-      test_banking_plan;
+    Alcotest.test_case "bank count bounds" `Quick test_bank_count_bounds;
+    Alcotest.test_case "bank split and auto default" `Quick test_bank_split;
     Alcotest.test_case "equivalence grid: workloads x cores x banks" `Quick
       test_equivalence_grid;
     QCheck_alcotest.to_alcotest qcheck_banked_equivalence;

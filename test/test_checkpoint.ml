@@ -7,7 +7,7 @@
    latest snapshot must end in the same final state (verify result,
    total cycles, per-core counters, trace digest) as a run that was
    never interrupted, for every default workload across the core grid,
-   with or without fault injection, under sequential or BSP stepping. *)
+   with or without fault injection. *)
 
 module Coprocessor = Hsgc_coproc.Coprocessor
 module Workloads = Hsgc_objgraph.Workloads
@@ -476,7 +476,7 @@ let test_checkpoint_boundaries_exact () =
       prof_on = false;
     }
   in
-  (match Resume.drive ~every ~dir ~partitions:1 ~meta sim with
+  (match Resume.drive ~every ~dir ~meta sim with
   | Resume.Finished _ -> ()
   | Resume.Stopped _ -> Alcotest.fail "run stopped without a stop condition");
   let files = Sys.readdir dir in
@@ -520,12 +520,10 @@ let test_drive_off_matches_collect () =
       prof_on = false;
     }
   in
-  match Resume.drive ~partitions:1 ~meta sim with
+  match Resume.drive ~meta sim with
   | Resume.Stopped _ -> Alcotest.fail "stopped without a stop condition"
-  | Resume.Finished (stats, None) ->
+  | Resume.Finished (stats, ()) ->
     Test_kernel.check_stats_equal "drive-off vs collect" reference stats
-  | Resume.Finished (_, Some _) ->
-    Alcotest.fail "sequential drive reported BSP stats"
 
 (* ------------------------------------------------------------------ *)
 (* Resume equivalence                                                  *)
@@ -541,22 +539,16 @@ let check_point_result (r : Interrupt.point_result) ctx =
   if r.Interrupt.checkpoints < 1 then
     Alcotest.failf "%s: no checkpoints written before the kill" ctx
 
-(* Every default workload across the core grid, sequential and BSP
-   stepping: kill at a deterministic random cycle, resume, demand the
-   final state is indistinguishable from an uninterrupted run's. *)
+(* Every default workload across the core grid: kill at a deterministic
+   random cycle, resume, demand the final state is indistinguishable
+   from an uninterrupted run's. *)
 let test_resume_equivalence_grid () =
   List.iter
     (fun w ->
       List.iter
         (fun n_cores ->
           let p =
-            {
-              Interrupt.workload = w.Workloads.name;
-              n_cores;
-              partitions = min 4 n_cores;
-              seed = 42;
-              draw = 0;
-            }
+            { Interrupt.workload = w.Workloads.name; n_cores; seed = 42; draw = 0 }
           in
           let r = Interrupt.run_point ~scale:0.05 p in
           check_point_result r
@@ -566,7 +558,9 @@ let test_resume_equivalence_grid () =
 
 (* Resume must also replay the fault injector's RNG mid-stream and the
    scan-unit sub-object machinery: a delay-faulted, scan-unit-enabled
-   run killed mid-flight still ends bit-identical. *)
+   run killed mid-flight still ends bit-identical. Its snapshots record
+   4 partitions, as those of the retired partitioned kernel could: the
+   count is decoded and ignored. *)
 let test_resume_with_faults_and_scan_unit () =
   with_tmpdir @@ fun dir ->
   let w = Workloads.db in
@@ -591,7 +585,7 @@ let test_resume_with_faults_and_scan_unit () =
       Resume.workload = w.Workloads.name;
       scale;
       seed;
-      partitions = 1;
+      partitions = 4;
       obs_on = true;
       obs_capacity = capacity;
       obs_interval = interval;
@@ -602,8 +596,7 @@ let test_resume_with_faults_and_scan_unit () =
   let killed =
     let heap = Workloads.build_heap ~scale ~seed w in
     let sim = Coprocessor.start ~obs:(mk_obs ()) cfg heap in
-    Resume.drive ~every:(max 1 (stop_at / 2)) ~dir ~stop_at ~partitions:1 ~meta
-      sim
+    Resume.drive ~every:(max 1 (stop_at / 2)) ~dir ~stop_at ~meta sim
   in
   match killed with
   | Resume.Finished _ -> Alcotest.fail "run finished before its stop point"
@@ -611,7 +604,8 @@ let test_resume_with_faults_and_scan_unit () =
     Alcotest.fail "no final checkpoint"
   | Resume.Stopped { checkpoint = Some path; _ } -> (
     let r = Resume.resume ~path () in
-    match Resume.drive ~partitions:1 ~meta:r.Resume.meta r.Resume.sim with
+    Alcotest.(check int) "partitions decoded" 4 r.Resume.meta.Resume.partitions;
+    match Resume.drive ~meta:r.Resume.meta r.Resume.sim with
     | Resume.Stopped _ -> Alcotest.fail "resumed run stopped"
     | Resume.Finished (stats, _) ->
       Alcotest.(check int) "total cycles" total stats.Coprocessor.total_cycles;
@@ -629,7 +623,7 @@ let test_resume_with_faults_and_scan_unit () =
         Alcotest.failf "resumed heap failed verification: %a" Verify.pp_failure
           f)
 
-(* qcheck leg: random workload, seed, kill draw and partition count. *)
+(* qcheck leg: random workload, seed and kill draw. *)
 let qcheck_resume_equivalence =
   QCheck.Test.make
     ~name:
@@ -637,23 +631,20 @@ let qcheck_resume_equivalence =
        ends bit-identical to an uninterrupted run"
     ~count:12
     (QCheck.make
-       ~print:(fun (wi, seed, draw, parts) ->
-         Printf.sprintf "workload=%d seed=%d draw=%d partitions=%d" wi seed
-           draw parts)
+       ~print:(fun (wi, seed, draw) ->
+         Printf.sprintf "workload=%d seed=%d draw=%d" wi seed draw)
        QCheck.Gen.(
          let* wi = int_range 0 (List.length Workloads.all - 1) in
          let* seed = int_range 0 1000 in
          let* draw = int_range 0 5 in
-         let* parts = oneofl [ 1; 2; 4 ] in
-         return (wi, seed, draw, parts)))
-    (fun (wi, seed, draw, parts) ->
+         return (wi, seed, draw)))
+    (fun (wi, seed, draw) ->
       let w = List.nth Workloads.all wi in
       let r =
         Interrupt.run_point ~scale:0.03
           {
             Interrupt.workload = w.Workloads.name;
             n_cores = 4;
-            partitions = parts;
             seed;
             draw;
           }

@@ -23,16 +23,11 @@ let scale = 0.05
 let seed = 42
 let core_counts = [ 1; 4; 16 ]
 
-(* Parameterized over the collector so the BSP parity suite
-   (test_bsp.ml) can fingerprint the exact same corpus configurations
-   through Bsp.collect_par and compare byte-for-byte. *)
-let fingerprint_with ~collect workload n_cores =
+let fingerprint workload n_cores =
   let heap = Workloads.build_heap ~scale ~seed workload in
   let obs = Tracer.create ~n_cores () in
   Tracer.enable obs;
-  let stats : Coprocessor.gc_stats =
-    collect ~obs (Coprocessor.config ~n_cores ()) heap
-  in
+  let stats = Coprocessor.collect ~obs (Coprocessor.config ~n_cores ()) heap in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "workload %s cores %d seed %d scale %g\n"
@@ -59,11 +54,6 @@ let fingerprint_with ~collect workload n_cores =
        (Tracer.dropped obs));
   Buffer.add_string buf (Printf.sprintf "digest %s\n" (Tracer.digest obs));
   Buffer.contents buf
-
-let fingerprint workload n_cores =
-  fingerprint_with
-    ~collect:(fun ~obs cfg heap -> Coprocessor.collect ~obs cfg heap)
-    workload n_cores
 
 let golden_basename workload n_cores =
   Printf.sprintf "%s_c%d.txt" workload.Workloads.name n_cores

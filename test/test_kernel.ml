@@ -1,16 +1,20 @@
 (* Tests for the shared simulation kernel (Hsgc_sim): clock accounting,
    the event wheel, the domain pool, and — the load-bearing property —
    that idle-cycle skipping and domain-parallel sweeps leave every
-   simulation statistic bit-identical to naive stepping. *)
+   simulation statistic, the post-collection heap and the trace digest
+   bit-identical to naive stepping. *)
 
 module Kernel = Hsgc_sim.Kernel
 module Wheel = Hsgc_sim.Wheel
 module Wake_queue = Hsgc_sim.Wake_queue
 module Domain_pool = Hsgc_sim.Domain_pool
+module Pool = Domain_pool.Pool
 module Coprocessor = Hsgc_coproc.Coprocessor
 module Counters = Hsgc_coproc.Counters
 module Concurrent = Hsgc_coproc.Concurrent
 module Memsys = Hsgc_memsim.Memsys
+module Injector = Hsgc_fault.Injector
+module Tracer = Hsgc_obs.Tracer
 module Plan = Hsgc_objgraph.Plan
 module Workloads = Hsgc_objgraph.Workloads
 module Verify = Hsgc_heap.Verify
@@ -228,6 +232,59 @@ let test_pool_matches_map () =
         (Domain_pool.map_list ~jobs f xs))
     [ 1; 2; 4; 8; 40 ]
 
+let test_pool_run () =
+  Pool.with_pool ~lanes:4 (fun pool ->
+      Alcotest.(check int) "lanes" 4 (Pool.lanes pool);
+      let hits = Array.make 4 0 in
+      (* Reusable across rounds: same pool, fresh work each time. Each
+         lane writes its own slot; the mutex hand-off makes the workers'
+         writes visible here once [run] returns. *)
+      for _round = 1 to 3 do
+        Pool.run pool (fun lane -> hits.(lane) <- hits.(lane) + 1)
+      done;
+      Alcotest.(check (list int)) "every lane ran every round" [ 3; 3; 3; 3 ]
+        (Array.to_list hits));
+  (* One lane spawns no domain: run is a plain call on lane 0. *)
+  Pool.with_pool ~lanes:1 (fun pool ->
+      let seen = ref [] in
+      Pool.run pool (fun lane -> seen := lane :: !seen);
+      Alcotest.(check (list int)) "single lane runs inline" [ 0 ] !seen)
+
+exception Lane_boom of int
+
+let test_pool_run_exceptions () =
+  Pool.with_pool ~lanes:4 (fun pool ->
+      (* Lowest failing lane wins deterministically. *)
+      (match
+         Pool.run pool (fun lane ->
+             if lane mod 2 = 1 then raise (Lane_boom lane))
+       with
+      | () -> Alcotest.fail "expected an exception"
+      | exception Lane_boom l ->
+        Alcotest.(check int) "lowest failing lane" 1 l);
+      (* The pool survives a failed round. *)
+      let ok = Array.make 4 0 in
+      Pool.run pool (fun lane -> ok.(lane) <- 1);
+      Alcotest.(check int) "pool usable after failure" 4
+        (Array.fold_left ( + ) 0 ok));
+  (* Shutdown is idempotent, and a shut-down pool refuses work. *)
+  let pool = Pool.create ~lanes:2 in
+  Pool.shutdown pool;
+  Pool.shutdown pool;
+  match Pool.run pool (fun _ -> ()) with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "run after shutdown must raise"
+
+let test_resolve_jobs () =
+  Alcotest.(check int) "explicit within limit" 3
+    (Domain_pool.resolve_jobs ~limit:10 3);
+  Alcotest.(check int) "explicit clamped" 4 (Domain_pool.resolve_jobs ~limit:4 99);
+  let auto = Domain_pool.resolve_jobs ~limit:4 0 in
+  if auto < 1 || auto > 4 then Alcotest.failf "auto out of range: %d" auto;
+  Alcotest.(check int) "limit floor" 1 (Domain_pool.resolve_jobs ~limit:0 0);
+  if Domain_pool.recommended_jobs () < 1 then
+    Alcotest.fail "recommended_jobs must be >= 1"
+
 exception Boom of int
 
 let test_pool_exception () =
@@ -306,6 +363,29 @@ let check_stats_equal ctx (a : Coprocessor.gc_stats)
     <> b.Coprocessor.total_cycles
   then Alcotest.failf "%s: executed + skipped <> total" ctx
 
+(* A random object graph of [n] objects: up to 3 pointer slots and 4
+   data words each, 70 % of slots linked, 1-3 roots. *)
+let random_plan ~n ~seed =
+  let rng = Hsgc_util.Rng.create (seed + 1) in
+  let plan = Plan.create () in
+  let ids =
+    Array.init n (fun _ ->
+        Plan.obj plan
+          ~pi:(Hsgc_util.Rng.int rng 4)
+          ~delta:(Hsgc_util.Rng.int rng 5))
+  in
+  Array.iter
+    (fun id ->
+      for slot = 0 to Plan.pi_of plan id - 1 do
+        if Hsgc_util.Rng.int rng 100 < 70 then
+          Plan.link plan ~parent:id ~slot ~child:ids.(Hsgc_util.Rng.int rng n)
+      done)
+    ids;
+  for _ = 1 to 1 + Hsgc_util.Rng.int rng 3 do
+    Plan.add_root plan ids.(Hsgc_util.Rng.int rng n)
+  done;
+  plan
+
 let collect_both ~mem ?scan_unit ~n_cores plan =
   let run skip =
     let heap = Plan.materialize plan in
@@ -349,25 +429,7 @@ let qcheck_skip_equivalent =
          pair gen_plan gen_config))
     (fun ((n, seed), (n_cores, scan_unit, cache, extra_latency, bandwidth, fifo))
     ->
-      let rng = Hsgc_util.Rng.create (seed + 1) in
-      let plan = Plan.create () in
-      let ids =
-        Array.init n (fun _ ->
-            Plan.obj plan
-              ~pi:(Hsgc_util.Rng.int rng 4)
-              ~delta:(Hsgc_util.Rng.int rng 5))
-      in
-      Array.iter
-        (fun id ->
-          for slot = 0 to Plan.pi_of plan id - 1 do
-            if Hsgc_util.Rng.int rng 100 < 70 then
-              Plan.link plan ~parent:id ~slot
-                ~child:ids.(Hsgc_util.Rng.int rng n)
-          done)
-        ids;
-      for _ = 1 to 1 + Hsgc_util.Rng.int rng 3 do
-        Plan.add_root plan ids.(Hsgc_util.Rng.int rng n)
-      done;
+      let plan = random_plan ~n ~seed in
       let mem =
         Memsys.with_extra_latency
           {
@@ -534,27 +596,9 @@ let qcheck_skip_equivalent_with_faults =
          the draws (and with them every statistic) diverge from naive
          stepping. This is the property that pins down [next_wake]'s
          no-overshoot contract under fault injection. *)
-      let rng = Hsgc_util.Rng.create (seed + 1) in
-      let plan = Plan.create () in
-      let ids =
-        Array.init n (fun _ ->
-            Plan.obj plan
-              ~pi:(Hsgc_util.Rng.int rng 4)
-              ~delta:(Hsgc_util.Rng.int rng 5))
-      in
-      Array.iter
-        (fun id ->
-          for slot = 0 to Plan.pi_of plan id - 1 do
-            if Hsgc_util.Rng.int rng 100 < 70 then
-              Plan.link plan ~parent:id ~slot
-                ~child:ids.(Hsgc_util.Rng.int rng n)
-          done)
-        ids;
-      for _ = 1 to 1 + Hsgc_util.Rng.int rng 3 do
-        Plan.add_root plan ids.(Hsgc_util.Rng.int rng n)
-      done;
+      let plan = random_plan ~n ~seed in
       let faults =
-        Hsgc_fault.Injector.delay_class ~seed:(seed + 3) ~intensity ()
+        Injector.delay_class ~seed:(seed + 3) ~intensity ()
       in
       let run skip =
         let heap = Plan.materialize plan in
@@ -569,6 +613,83 @@ let qcheck_skip_equivalent_with_faults =
       let skip, snap_skip = run true in
       check_stats_equal "delay faults" naive skip;
       Verify.equal_snapshot snap_naive snap_skip)
+
+(* Naive against default stepping on a fresh identical heap each, with a
+   tracer attached to both: statistics, the post-collection heap and the
+   trace digest must all agree. *)
+let check_naive_default ctx ?faults ~mem ~n_cores build =
+  let run skip =
+    let heap = build () in
+    let obs = Tracer.create ~n_cores () in
+    Tracer.enable obs;
+    let stats =
+      Coprocessor.collect ~obs
+        (Coprocessor.config ~mem ?faults ~skip ~n_cores ())
+        heap
+    in
+    (stats, Verify.snapshot heap, Tracer.digest obs)
+  in
+  let naive, snap_n, dig_n = run false in
+  let default, snap_d, dig_d = run true in
+  check_stats_equal ctx naive default;
+  if not (Verify.equal_snapshot snap_n snap_d) then
+    Alcotest.failf "%s: naive/default heap snapshots differ" ctx;
+  if not (String.equal dig_n dig_d) then
+    Alcotest.failf "%s: naive/default trace digests differ" ctx
+
+let test_naive_default_parity_on_workloads () =
+  List.iter
+    (fun w ->
+      List.iter
+        (fun n_cores ->
+          List.iter
+            (fun faults ->
+              let ctx =
+                Printf.sprintf "%s at %d cores%s" w.Workloads.name n_cores
+                  (match faults with None -> "" | Some _ -> " with delay faults")
+              in
+              check_naive_default ctx ?faults ~mem:Memsys.default_config
+                ~n_cores (fun () ->
+                  Workloads.build_heap ~scale:0.02 ~seed:11 w))
+            [ None; Some (Injector.delay_class ~seed:5 ~intensity:0.4 ()) ])
+        [ 1; 4; 16 ])
+    Workloads.all
+
+let qcheck_naive_default_parity =
+  QCheck.Test.make
+    ~name:"naive/default parity, random configs" ~count:40
+    (QCheck.make
+       ~print:(fun ((n, s), (nc, el, bw, intensity)) ->
+         Printf.sprintf "graph(n=%d seed=%d) cores=%d lat+%d bw=%d fault=%g" n
+           s nc el bw intensity)
+       QCheck.Gen.(
+         let gen_graph =
+           let* n = int_range 1 60 in
+           let* seed = small_nat in
+           return (n, seed)
+         in
+         let gen_config =
+           let* n_cores = int_range 1 16 in
+           let* extra_latency = oneofl [ 0; 3; 20 ] in
+           let* bandwidth = oneofl [ 1; 4; 8 ] in
+           let* intensity = oneofl [ 0.0; 0.1; 0.8 ] in
+           return (n_cores, extra_latency, bandwidth, intensity)
+         in
+         pair gen_graph gen_config))
+    (fun ((n, seed), (n_cores, extra_latency, bandwidth, intensity)) ->
+      let plan = random_plan ~n ~seed in
+      let mem =
+        Memsys.with_extra_latency
+          { Memsys.default_config with Memsys.bandwidth }
+          extra_latency
+      in
+      let faults =
+        if intensity = 0.0 then None
+        else Some (Injector.delay_class ~seed:(seed + 3) ~intensity ())
+      in
+      check_naive_default "random config" ?faults ~mem ~n_cores (fun () ->
+          Plan.materialize plan);
+      true)
 
 let test_pieces_accounting_closes () =
   (* Sub-object mode: every split frame's outstanding-piece count lives
@@ -769,8 +890,15 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_wakeq_matches_model;
     Alcotest.test_case "pool matches List.map" `Quick test_pool_matches_map;
     Alcotest.test_case "pool exception determinism" `Quick test_pool_exception;
+    Alcotest.test_case "pool run / reuse" `Quick test_pool_run;
+    Alcotest.test_case "pool run exception discipline" `Quick
+      test_pool_run_exceptions;
+    Alcotest.test_case "jobs resolution" `Quick test_resolve_jobs;
     QCheck_alcotest.to_alcotest qcheck_skip_equivalent;
     QCheck_alcotest.to_alcotest qcheck_skip_equivalent_with_faults;
+    Alcotest.test_case "naive/default parity on workloads" `Quick
+      test_naive_default_parity_on_workloads;
+    QCheck_alcotest.to_alcotest qcheck_naive_default_parity;
     Alcotest.test_case "pieces accounting closes to zero" `Quick
       test_pieces_accounting_closes;
     Alcotest.test_case "hot loop is allocation-free" `Quick

@@ -4,7 +4,6 @@ let () =
   Alcotest.run "hsgc"
     [
       ("rng", Test_rng.suite);
-      ("stats-acc", Test_stats_acc.suite);
       ("table", Test_table.suite);
       ("header", Test_header.suite);
       ("semispace", Test_semispace.suite);
@@ -30,7 +29,6 @@ let () =
       ("experiment", Test_experiment.suite);
       ("kernel", Test_kernel.suite);
       ("compiled", Test_compiled.suite);
-      ("bsp", Test_bsp.suite);
       ("banked", Test_banked.suite);
       ("checkpoint", Test_checkpoint.suite);
       ("fault", Test_fault.suite);

@@ -23,10 +23,13 @@ let test_copy_independent () =
   let xa = Rng.int64 a in
   let xb = Rng.int64 b in
   Alcotest.(check int64) "copy continues identically" xa xb;
+  (* The two share no state: drawing from one leaves the other put. *)
+  let sb = Rng.state b in
   ignore (Rng.int64 a);
-  (* advancing a does not affect b *)
-  let xa2 = Rng.int64 a and xb2 = Rng.int64 b in
-  Alcotest.(check bool) "streams advanced separately" true (xa2 <> xb2 || xa2 = xb2)
+  Alcotest.(check int64) "copy unmoved by the original" sb (Rng.state b);
+  let sa = Rng.state a in
+  ignore (Rng.int64 b);
+  Alcotest.(check int64) "original unmoved by the copy" sa (Rng.state a)
 
 let test_split_diverges () =
   let a = Rng.create 99 in
@@ -35,7 +38,34 @@ let test_split_diverges () =
   for _ = 1 to 50 do
     if Rng.int64 a = Rng.int64 b then incr same
   done;
-  Alcotest.(check int) "split streams do not collide" 0 !same
+  Alcotest.(check int) "split streams do not collide" 0 !same;
+  let sa = Rng.state a in
+  ignore (Rng.int64 b);
+  Alcotest.(check int64) "parent unmoved by the child" sa (Rng.state a)
+
+(* A draw that returns an int or a bool allocates nothing: the state is
+   read, advanced and mixed unboxed. Graph generation draws per object
+   and an enabled fault injector per hook, so a boxed int64 per draw
+   would show in both. *)
+let test_draws_allocation_free () =
+  let r = Rng.create 7 in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000_000 do
+    acc := !acc + Rng.int r 1000
+  done;
+  let w1 = Gc.minor_words () in
+  for _ = 1 to 1_000_000 do
+    if Rng.bool r then incr acc
+  done;
+  let w2 = Gc.minor_words () in
+  (* The budget covers the boxed floats [Gc.minor_words] returns. *)
+  if w1 -. w0 > 16.0 then
+    Alcotest.failf "Rng.int allocated %.0f minor words over 1M draws" (w1 -. w0);
+  if w2 -. w1 > 16.0 then
+    Alcotest.failf "Rng.bool allocated %.0f minor words over 1M draws"
+      (w2 -. w1);
+  Alcotest.(check bool) "draws were consumed" true (!acc > 0)
 
 let test_int_bounds () =
   let r = Rng.create 5 in
@@ -233,6 +263,8 @@ let suite =
     Alcotest.test_case "int covers residues" `Quick test_int_covers;
     Alcotest.test_case "float bounds" `Quick test_float_bounds;
     Alcotest.test_case "bool balanced" `Quick test_bool_balanced;
+    Alcotest.test_case "int and bool draws allocate nothing" `Quick
+      test_draws_allocation_free;
     Alcotest.test_case "choose member" `Quick test_choose;
     Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
     Alcotest.test_case "shuffle moves elements" `Quick test_shuffle_moves;

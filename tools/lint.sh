@@ -82,13 +82,13 @@ ban_hot lib/coproc/counters.ml
 # engines that legitimately need atomics are enumerated below; anything
 # else must either route through the sync block or extend the
 # model/sanitizer story first (see docs/MODELCHECK.md).
-atomics_allowed='^lib/swgc/|^lib/sim/mailbox\.mli?:|^lib/sim/domain_pool\.ml:|^lib/coproc/bsp\.ml:'
+atomics_allowed='^lib/swgc/|^lib/sim/domain_pool\.ml:'
 atomics_hits=$(cd "$root" && grep -rn 'Atomic\.' lib --include='*.ml' --include='*.mli' 2>/dev/null \
   | grep -vE "($atomics_allowed)")
 if [ -n "$atomics_hits" ]; then
   echo "lint: Atomic.* outside the allowlist (invisible to the model checker and sanitizer):" >&2
   echo "$atomics_hits" >&2
-  echo "lint: allowed: lib/swgc/, lib/sim/mailbox.ml{,i}, lib/sim/domain_pool.ml, lib/coproc/bsp.ml" >&2
+  echo "lint: allowed: lib/swgc/, lib/sim/domain_pool.ml" >&2
   echo "lint: route new synchronization through the sync block, or extend lib/model + the sanitizer first (docs/MODELCHECK.md)." >&2
   status=1
 fi
