@@ -156,10 +156,10 @@ let fifo_summary data =
 let heap_size_invariance ?(scale = 1.0) ?(seed = 42) () =
   let module Plan = Hsgc_objgraph.Plan in
   let w = Option.get (Workloads.find "db") in
+  let plan = w.Workloads.build ~scale ~seed in
   let rows =
     List.map
       (fun factor ->
-        let plan = w.Workloads.build ~scale ~seed in
         let heap = Plan.materialize ~heap_factor:factor plan in
         let s = Coprocessor.collect (Coprocessor.config ~n_cores:8 ()) heap in
         [
@@ -170,7 +170,8 @@ let heap_size_invariance ?(scale = 1.0) ?(seed = 42) () =
       [ 1.2; 2.0; 4.0; 8.0 ]
   in
   "Heap-size invariance (paper Section VI-B: heap size has little to no\n\
-   influence): db at 8 cores, semispace sized as a multiple of the live data.\n"
+   influence): db at 8 cores, each semispace sized as a multiple of\n\
+   everything the workload allocated (live data plus garbage).\n"
   ^ Table.render ~header:[ "heap factor"; "GC cycles"; "live objects" ] ~rows
 
 let baselines ?(scale = 0.2) ?(seed = 7) () =

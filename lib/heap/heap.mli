@@ -26,7 +26,8 @@ val null : int
 (** The null pointer (address 0, never a valid object address). *)
 
 val create : semispace_words:int -> t
-(** A heap with two semispaces of [semispace_words] words each. *)
+(** A heap with two semispaces of [semispace_words] words each. Every
+    word starts at 0, so a fresh heap's pointer slots are all null. *)
 
 val from_space : t -> Semispace.t
 (** The current allocation space — fromspace during a collection. *)

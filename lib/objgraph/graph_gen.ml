@@ -1,4 +1,5 @@
 module Rng = Hsgc_util.Rng
+module Header = Hsgc_heap.Header
 
 let chain plan ~n ~pi ~delta =
   if n <= 0 then invalid_arg "Graph_gen.chain: n must be positive";
@@ -52,28 +53,41 @@ let layered plan _rng ~widths ~delta =
   let n_layers = Array.length widths in
   if n_layers = 0 then invalid_arg "Graph_gen.layered";
   Array.iter (fun w -> if w <= 0 then invalid_arg "Graph_gen.layered: width") widths;
-  (* Build bottom-up so a parent's π equals its block of children. *)
+  (* Build bottom-up so a parent's π equals its block of children. A
+     layer's ids are contiguous; [build i] returns layer [i]'s first. *)
   let rec build i =
+    let below = if i + 1 < n_layers then build (i + 1) else 0 in
+    let below_n = if i + 1 < n_layers then widths.(i + 1) else 0 in
     let w = widths.(i) in
-    if i = n_layers - 1 then Array.init w (fun _ -> Plan.obj plan ~pi:0 ~delta)
-    else begin
-      let children = build (i + 1) in
-      let next_n = Array.length children in
-      Array.init w (fun j ->
-          (* Contiguous near-even partition of the next layer. *)
-          let lo = j * next_n / w in
-          let hi = (j + 1) * next_n / w in
-          let parent = Plan.obj plan ~pi:(hi - lo) ~delta in
-          for k = lo to hi - 1 do
-            Plan.link plan ~parent ~slot:(k - lo) ~child:children.(k)
-          done;
-          parent)
-    end
+    let first = Plan.n_objects plan in
+    for j = 0 to w - 1 do
+      (* Contiguous near-even partition of the next layer. *)
+      let lo = j * below_n / w in
+      let hi = (j + 1) * below_n / w in
+      let parent = Plan.obj plan ~pi:(hi - lo) ~delta in
+      for k = lo to hi - 1 do
+        Plan.link plan ~parent ~slot:(k - lo) ~child:(below + k)
+      done
+    done;
+    first
   in
   let top = build 0 in
-  let hub = Plan.obj plan ~pi:(Array.length top) ~delta:0 in
-  Array.iteri (fun slot c -> Plan.link plan ~parent:hub ~slot ~child:c) top;
+  let hub = Plan.obj plan ~pi:widths.(0) ~delta:0 in
+  for slot = 0 to widths.(0) - 1 do
+    Plan.link plan ~parent:hub ~slot ~child:(top + slot)
+  done;
   hub
+
+(* An (object, slot) pair packed into one int. Every slot of an object
+   with π up to [Header.max_area] fits below the radix. *)
+let slot_radix = Header.max_area + 1
+
+let slot_ref ~id ~slot =
+  if id < 0 || slot < 0 || slot >= slot_radix then invalid_arg "Graph_gen.slot_ref";
+  (id * slot_radix) + slot
+
+let ref_id r = r / slot_radix
+let ref_slot r = r mod slot_radix
 
 let random_tree plan rng ~n ~max_fanout ?(reserve_slots = 0) ~delta_min ~delta_max
     () =
@@ -85,35 +99,37 @@ let random_tree plan rng ~n ~max_fanout ?(reserve_slots = 0) ~delta_min ~delta_m
     Plan.obj plan ~pi ~delta
   in
   let root = new_node () in
-  (* Nodes that still have a free pointer slot, as (id, next free slot). *)
-  let open_nodes = ref [| (root, 0) |] in
-  let open_count = ref 1 in
+  (* Nodes that still have a free pointer slot, as [slot_ref]s of their
+     next free slot. Every node enters with slot 0 free, so the list is
+     never empty. *)
+  let open_refs = ref (Array.make 16 0) in
+  let open_count = ref 0 in
   let push id slot =
-    if !open_count >= Array.length !open_nodes then begin
-      let bigger = Array.make (2 * !open_count) (0, 0) in
-      Array.blit !open_nodes 0 bigger 0 !open_count;
-      open_nodes := bigger
+    if !open_count >= Array.length !open_refs then begin
+      (* A loop, not [Array.blit]: see [Plan]'s growth. *)
+      let old = !open_refs in
+      let bigger = Array.make (2 * !open_count) 0 in
+      for i = 0 to !open_count - 1 do
+        bigger.(i) <- old.(i)
+      done;
+      open_refs := bigger
     end;
-    !open_nodes.(!open_count) <- (id, slot);
+    !open_refs.(!open_count) <- slot_ref ~id ~slot;
     incr open_count
   in
+  push root 0;
   for _ = 2 to n do
-    if !open_count = 0 then
-      (* Every slot used (can only happen for tiny n with fanout 1):
-         attach nothing further. *)
-      ()
-    else begin
-      let pick = Rng.int rng !open_count in
-      let id, slot = !open_nodes.(pick) in
-      (* Swap-remove, re-push if the parent still has slots. *)
-      decr open_count;
-      !open_nodes.(pick) <- !open_nodes.(!open_count);
-      let child = new_node () in
-      Plan.link plan ~parent:id ~slot ~child;
-      (* The trailing [reserve_slots] slots stay free for the caller. *)
-      if slot + 1 < Plan.pi_of plan id - reserve_slots then push id (slot + 1);
-      push child 0
-    end
+    let pick = Rng.int rng !open_count in
+    let r = !open_refs.(pick) in
+    let id = ref_id r and slot = ref_slot r in
+    (* Swap-remove, re-push if the parent still has slots. *)
+    decr open_count;
+    !open_refs.(pick) <- !open_refs.(!open_count);
+    let child = new_node () in
+    Plan.link plan ~parent:id ~slot ~child;
+    (* The trailing [reserve_slots] slots stay free for the caller. *)
+    if slot + 1 < Plan.pi_of plan id - reserve_slots then push id (slot + 1);
+    push child 0
   done;
   root
 
@@ -154,9 +170,9 @@ let zipf_pool plan rng ~clients ~pool ~s =
   let pool_ids = Array.init pool (fun _ -> Plan.obj plan ~pi:0 ~delta:4) in
   let weights = Rng.zipf_table ~n:pool ~s in
   Array.iter
-    (fun (client, slot) ->
+    (fun r ->
       let target = pool_ids.(Rng.zipf_draw rng weights) in
-      Plan.link plan ~parent:client ~slot ~child:target)
+      Plan.link plan ~parent:(ref_id r) ~slot:(ref_slot r) ~child:target)
     clients;
   pool_ids
 

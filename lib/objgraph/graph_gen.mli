@@ -73,12 +73,15 @@ val caterpillar :
     subtree of about [tuft] nodes — a graph of bounded frontier width
     (≈ tuft), matching benchmarks that scale to a few cores only. *)
 
+val slot_ref : id:int -> slot:int -> int
+(** Pointer slot [slot] of object [id], packed into one int. Every slot
+    of an object with π up to {!Hsgc_heap.Header.max_area} fits. *)
+
 val zipf_pool :
-  Plan.t -> Rng.t -> clients:(int * int) array -> pool:int -> s:float -> int array
-(** Create [pool] shared objects and point each client's designated slot
-    (given as an [(id, slot)] pair) at one of them, Zipf-distributed with
-    exponent [s] — a few pool objects become reference hot spots. Returns
-    the pool ids. *)
+  Plan.t -> Rng.t -> clients:int array -> pool:int -> s:float -> int array
+(** Create [pool] shared objects and point each client slot (a
+    {!slot_ref}) at one of them, Zipf-distributed with exponent [s] — a
+    few pool objects become reference hot spots. Returns the pool ids. *)
 
 val garbage : Plan.t -> Rng.t -> n:int -> max_pi:int -> max_delta:int -> unit
 (** [n] unreachable objects (possibly linking to each other), interleaved

@@ -35,7 +35,8 @@ val live_words : t -> int
 val pi_of : t -> int -> int
 val delta_of : t -> int -> int
 val child_of : t -> int -> int -> int
-(** [child_of t id slot] is the linked child id, or [-1] for null. *)
+(** [child_of t id slot] is the linked child id, or [-1] for null.
+    Raises [Invalid_argument] unless [0 <= slot < pi_of t id]. *)
 
 val data_word : int -> int -> int
 (** [data_word id slot] — the deterministic data-word fill value. *)
@@ -47,6 +48,8 @@ val iter_objects : t -> (int -> unit) -> unit
 val materialize : ?heap_factor:float -> t -> Hsgc_heap.Heap.t
 (** Build a fresh heap containing the plan's objects (in id order, so
     fromspace address order equals id order), with each semispace sized
-    [heap_factor] × the plan's total footprint (default 2.0 — the paper's
-    "twice the minimal heap size" rule of thumb) plus slack. Roots are
-    installed in plan order. *)
+    [heap_factor] × the plan's total footprint, garbage included
+    (default 2.0 — the paper's "twice the minimal heap size" rule of
+    thumb) plus slack. Roots are installed in plan order. Raises
+    [Invalid_argument] for a factor below 1.0, NaN or infinite, or one
+    that sizes the heap past the largest array. *)

@@ -72,22 +72,22 @@ let db =
         let indexes = 48 in
         let records_per_index = scaled scale 160 in
         let root = Plan.obj plan ~pi:indexes ~delta:2 in
-        let records = ref [] in
+        (* Slot 2 of every record points into a small shared dictionary. *)
+        let clients = Array.make (indexes * records_per_index) 0 in
         for i = 0 to indexes - 1 do
           let index = Plan.obj plan ~pi:records_per_index ~delta:1 in
           Plan.link plan ~parent:root ~slot:i ~child:index;
           for slot = 0 to records_per_index - 1 do
             let record = Plan.obj plan ~pi:3 ~delta:8 in
             Plan.link plan ~parent:index ~slot ~child:record;
-            records := record :: !records;
+            clients.((i * records_per_index) + slot) <-
+              Graph_gen.slot_ref ~id:record ~slot:2;
             for field = 0 to 1 do
               let str = Plan.obj plan ~pi:0 ~delta:(4 + Rng.int rng 6) in
               Plan.link plan ~parent:record ~slot:field ~child:str
             done
           done
         done;
-        (* Slot 2 of every record points into a small shared dictionary. *)
-        let clients = Array.of_list (List.rev_map (fun r -> (r, 2)) !records) in
         ignore (Graph_gen.zipf_pool plan rng ~clients ~pool:256 ~s:0.8);
         Plan.add_root plan root;
         with_garbage plan rng ~live_objects:(indexes * records_per_index * 3);
@@ -115,7 +115,7 @@ let javac =
         let clients =
           Array.init n (fun i ->
               let id = root + i in
-              (id, Plan.pi_of plan id - 1))
+              Graph_gen.slot_ref ~id ~slot:(Plan.pi_of plan id - 1))
         in
         ignore (Graph_gen.zipf_pool plan rng ~clients ~pool:8 ~s:1.6);
         Plan.add_root plan root;

@@ -43,7 +43,10 @@ let int t bound =
   let raw = Int64.to_int (Int64.shift_right_logical (int64 t) 2) in
   raw mod bound
 
-let float t bound =
+(* Inlined so that [zipf_draw] keeps its draw unboxed even in builds
+   that inline nothing across modules: a float passed to or returned
+   from a call is boxed, four minor words per draw. *)
+let[@inline] float t bound =
   (* 53 uniform bits, scaled. *)
   let raw = Int64.to_int (Int64.shift_right_logical (int64 t) 11) in
   float_of_int raw /. 9007199254740992.0 *. bound

@@ -3,6 +3,7 @@
 module Plan = Hsgc_objgraph.Plan
 module Graph_gen = Hsgc_objgraph.Graph_gen
 module Rng = Hsgc_util.Rng
+module Header = Hsgc_heap.Header
 
 (* Count reachable objects from a given id. *)
 let reachable_count plan root =
@@ -125,14 +126,16 @@ let test_caterpillar () =
 let test_zipf_pool_skew () =
   let p = Plan.create () in
   let rng = Rng.create 5 in
-  let clients =
-    Array.init 2000 (fun _ -> (Plan.obj p ~pi:1 ~delta:0, 0))
+  let clients = Array.init 2000 (fun _ -> Plan.obj p ~pi:1 ~delta:0) in
+  let pool =
+    Graph_gen.zipf_pool p rng
+      ~clients:(Array.map (fun id -> Graph_gen.slot_ref ~id ~slot:0) clients)
+      ~pool:10 ~s:1.5
   in
-  let pool = Graph_gen.zipf_pool p rng ~clients ~pool:10 ~s:1.5 in
   Alcotest.(check int) "pool created" 10 (Array.length pool);
   let indeg = Hashtbl.create 10 in
-  Array.iter (fun (c, s) ->
-      let target = Plan.child_of p c s in
+  Array.iter (fun c ->
+      let target = Plan.child_of p c 0 in
       Alcotest.(check bool) "client linked" true (target >= 0);
       Hashtbl.replace indeg target
         (1 + Option.value ~default:0 (Hashtbl.find_opt indeg target)))
@@ -142,6 +145,23 @@ let test_zipf_pool_skew () =
   in
   let hottest = Array.fold_left max 0 counts in
   Alcotest.(check bool) "top symbol dominates (>25%)" true (hottest > 500)
+
+let test_zipf_pool_wide_client () =
+  (* A client slot is packed with its object id: any slot of an object
+     with the largest π a header holds must survive the packing. *)
+  let p = Plan.create () in
+  let rng = Rng.create 8 in
+  let pi = Header.max_area in
+  let wide = Plan.obj p ~pi ~delta:0 in
+  let narrow = Plan.obj p ~pi:1 ~delta:0 in
+  let clients =
+    [| Graph_gen.slot_ref ~id:wide ~slot:(pi - 1); Graph_gen.slot_ref ~id:narrow ~slot:0 |]
+  in
+  let pool = Graph_gen.zipf_pool p rng ~clients ~pool:1 ~s:1.0 in
+  Alcotest.(check int) "last slot of the widest object" pool.(0)
+    (Plan.child_of p wide (pi - 1));
+  Alcotest.(check int) "slot 0 untouched" (-1) (Plan.child_of p wide 0);
+  Alcotest.(check int) "next object's slot" pool.(0) (Plan.child_of p narrow 0)
 
 let test_garbage_unreachable () =
   let p = Plan.create () in
@@ -175,6 +195,7 @@ let suite =
       test_random_tree_reserved_slots;
     Alcotest.test_case "caterpillar" `Quick test_caterpillar;
     Alcotest.test_case "zipf pool skew" `Quick test_zipf_pool_skew;
+    Alcotest.test_case "zipf pool wide client" `Quick test_zipf_pool_wide_client;
     Alcotest.test_case "garbage unreachable" `Quick test_garbage_unreachable;
     Alcotest.test_case "invalid args" `Quick test_invalid_args;
   ]

@@ -46,7 +46,7 @@ let test_split_diverges () =
 (* A draw that returns an int or a bool allocates nothing: the state is
    read, advanced and mixed unboxed. Graph generation draws per object
    and an enabled fault injector per hook, so a boxed int64 per draw
-   would show in both. *)
+   would show in both. A Zipf draw keeps its uniform float unboxed. *)
 let test_draws_allocation_free () =
   let r = Rng.create 7 in
   let acc = ref 0 in
@@ -59,12 +59,20 @@ let test_draws_allocation_free () =
     if Rng.bool r then incr acc
   done;
   let w2 = Gc.minor_words () in
+  let zipf = Rng.zipf_table ~n:8 ~s:1.6 in
+  for _ = 1 to 1_000_000 do
+    acc := !acc + Rng.zipf_draw r zipf
+  done;
+  let w3 = Gc.minor_words () in
   (* The budget covers the boxed floats [Gc.minor_words] returns. *)
   if w1 -. w0 > 16.0 then
     Alcotest.failf "Rng.int allocated %.0f minor words over 1M draws" (w1 -. w0);
   if w2 -. w1 > 16.0 then
     Alcotest.failf "Rng.bool allocated %.0f minor words over 1M draws"
       (w2 -. w1);
+  if w3 -. w2 > 16.0 then
+    Alcotest.failf "Rng.zipf_draw allocated %.0f minor words over 1M draws"
+      (w3 -. w2);
   Alcotest.(check bool) "draws were consumed" true (!acc > 0)
 
 let test_int_bounds () =

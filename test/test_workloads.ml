@@ -152,6 +152,33 @@ let test_plan_digests () =
         (plan_digest (w.Workloads.build ~scale ~seed:42)))
     golden_plans
 
+(* Setup allocates no block per object. Arrays longer than 256 words
+   go straight to the major heap and are not counted here, so what the
+   budgets catch is per-object tuples, lists, options, closures and
+   boxed floats. A build may spend half a word per object plus the
+   plan's first arrays while they still fit the minor heap; materialize
+   a fixed handful of words whatever the plan's size. *)
+let test_setup_allocation () =
+  let minor_words f =
+    let before = Gc.minor_words () in
+    let r = f () in
+    (Gc.minor_words () -. before, r)
+  in
+  List.iter
+    (fun w ->
+      let name = w.Workloads.name in
+      let build_words, plan = minor_words (fun () -> w.Workloads.build ~scale:0.5 ~seed:42) in
+      let n = Plan.n_objects plan in
+      let budget = (0.5 *. float_of_int n) +. 4096.0 in
+      if build_words > budget then
+        Alcotest.failf "%s: build allocated %.0f minor words for %d objects (budget %.0f)"
+          name build_words n budget;
+      let words, _ = minor_words (fun () -> Plan.materialize plan) in
+      if words > 128.0 then
+        Alcotest.failf "%s: materialize allocated %.0f minor words for %d objects"
+          name words n)
+    Workloads.all
+
 let suite =
   [
     Alcotest.test_case "names unique" `Quick test_names_unique;
@@ -163,4 +190,6 @@ let suite =
     Alcotest.test_case "build_heap defaults" `Quick test_build_heap_defaults;
     Alcotest.test_case "plans bit-identical to recorded digests" `Quick
       test_plan_digests;
+    Alcotest.test_case "setup allocates nothing per object" `Quick
+      test_setup_allocation;
   ]
