@@ -15,7 +15,13 @@
    temporary file in the destination directory, fsync, rename — a crash
    mid-write can leave a stale temp file but never a torn snapshot.
 
-   A long run's snapshot is tens of megabytes (heap image plus tracer
+   Format version 2 sizes the two bulk sections by content: the heap
+   stores each semispace up to its last nonzero word (Hsgc_heap.Heap)
+   and the tracer ring its event columns at 4 bytes a value where they
+   fit (Hsgc_obs.Tracer). Nothing reads version 1: a snapshot from
+   another build is refused by its fingerprint anyway.
+
+   A long run's snapshot is still megabytes (heap prefixes plus tracer
    ring), so each payload byte is stored once and read in place:
    [encode] sizes every section with a measuring pass of its encoder,
    allocates the file image at its exact size and has the encoders
@@ -25,7 +31,7 @@
 module Codec = Hsgc_util.Codec
 
 let magic = "HSGC-CKPT\n"
-let version = 1
+let version = 2
 
 exception Corrupt of string
 
@@ -146,18 +152,26 @@ let encode ~fingerprint sections =
 
 let to_string image = image
 
+(* A failed write, fsync or rename (a full disk, a directory at [path])
+   removes the temp file before re-raising, so failures leave nothing
+   behind. *)
 let write image ~path =
   let dir = Filename.dirname path in
   let tmp = Filename.temp_file ~temp_dir:dir ".ckpt-" ".tmp" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      let n = String.length image in
-      let written = Unix.write_substring fd image 0 n in
-      if written <> n then failwith "Checkpoint.write: short write";
-      Unix.fsync fd);
-  Sys.rename tmp path
+  try
+    let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () ->
+        let n = String.length image in
+        let written = Unix.write_substring fd image 0 n in
+        if written <> n then failwith "Checkpoint.write: short write";
+        Unix.fsync fd);
+    Sys.rename tmp path
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    (try Sys.remove tmp with Sys_error _ -> ());
+    Printexc.raise_with_backtrace e bt
 
 (* --- reading -------------------------------------------------------- *)
 
@@ -170,7 +184,6 @@ type snapshot = {
 }
 
 let fingerprint s = s.s_fingerprint
-let section_names s = List.map (fun (name, _, _) -> name) s.s_sections
 
 let reader s name =
   match List.find_opt (fun (n, _, _) -> n = name) s.s_sections with

@@ -5,7 +5,8 @@
     named sections, each carrying a CRC-32 of its payload. Files are
     written atomically (temp file in the destination directory + fsync
     + rename), so a crash mid-write never leaves a torn snapshot behind
-    — at worst a stale [.ckpt-*.tmp] file.
+    — at worst a stale [.ckpt-*.tmp] file, and a write that fails with
+    an exception removes even that.
 
     Loading verifies the magic, version, structural well-formedness and
     {e every} section CRC eagerly; any deviation — including a single
@@ -19,6 +20,11 @@
 exception Corrupt of string
 
 val version : int
+(** The format version (2): the heap section stores each semispace up
+    to its last nonzero word ([Hsgc_heap.Heap.encode]) and the tracer
+    section its event ring as width-fitted columns
+    ([Hsgc_obs.Tracer.encode]). A snapshot of any other version is
+    refused. *)
 
 val crc32 : string -> int
 (** CRC-32 (IEEE 802.3) of a string. *)
@@ -44,7 +50,9 @@ val to_string : image -> string
 (** The file's bytes (not a copy). *)
 
 val write : image -> path:string -> unit
-(** Atomic write: temp file beside [path], fsync, rename. *)
+(** Atomic write: temp file beside [path], fsync, rename. When any step
+    raises (a full disk, a directory at [path]) the temp file is
+    removed and the exception re-raised. *)
 
 (** {2 Reading} *)
 
@@ -58,7 +66,6 @@ val of_string : string -> snapshot
 (** Same, from bytes already in memory. *)
 
 val fingerprint : snapshot -> string
-val section_names : snapshot -> string list
 
 val reader : snapshot -> string -> Hsgc_util.Codec.R.t
 (** A reader over a named section's payload, in place; raises

@@ -59,22 +59,50 @@ let alloc t ~pi ~delta =
     Array.fill t.mem (obj + 1) (size - 1) 0;
     Some obj
 
-(* Checkpoint codec: the full memory image, both space bump pointers,
-   orientation, and the root set. Restore overwrites an existing heap of
-   identical geometry in place (the memory array is reused). *)
+(* Checkpoint codec: the null word, each semispace's geometry and its
+   words up to its last nonzero one, orientation, and the root set.
+   Between collections most of both spaces is zero — the allocation
+   space above [free] and the idle space above the last collection's
+   survivors — so the image is sized by what the heap holds, not by its
+   capacity. Words above [free] that are not zero (stale copies in the
+   idle space) are kept: restore reproduces [mem] word for word,
+   copying each stored prefix and zero-filling the rest of its space in
+   a heap of identical geometry (the memory array is reused). *)
 module Codec = Hsgc_util.Codec
 
+(* Words from the space's base up to and including its last nonzero
+   word. *)
+let extent t (s : Semispace.t) =
+  let i = ref (s.limit - 1) in
+  while !i >= s.base && Array.unsafe_get t.mem !i = 0 do
+    decr i
+  done;
+  !i + 1 - s.base
+
+let encode_space t s w =
+  Semispace.encode s w;
+  Codec.W.int_range w t.mem ~pos:s.Semispace.base ~len:(extent t s)
+
+let restore_space t s r =
+  Semispace.restore s r;
+  let base = s.Semispace.base and words = Semispace.words s in
+  let n =
+    Codec.R.int_range_into r t.mem ~pos:base ~max:words
+      ~what:"semispace extent"
+  in
+  Array.fill t.mem (base + n) (words - n) 0
+
 let encode t w =
-  Codec.W.int_array w t.mem;
-  Semispace.encode t.space_a w;
-  Semispace.encode t.space_b w;
+  Codec.W.int w t.mem.(null);
+  encode_space t t.space_a w;
+  encode_space t t.space_b w;
   Codec.W.bool w t.a_is_current;
   Codec.W.int_array w t.roots
 
 let restore t r =
-  Codec.R.int_array_into r t.mem ~what:"heap memory";
-  Semispace.restore t.space_a r;
-  Semispace.restore t.space_b r;
+  t.mem.(null) <- Codec.R.int r;
+  restore_space t t.space_a r;
+  restore_space t t.space_b r;
   t.a_is_current <- Codec.R.bool r;
   t.roots <- Codec.R.int_array r
 

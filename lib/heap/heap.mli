@@ -86,13 +86,20 @@ val alloc : t -> pi:int -> delta:int -> int option
 (** {2 Checkpointing} *)
 
 val encode : t -> Hsgc_util.Codec.W.t -> unit
-(** Checkpoint the complete heap state: memory image, both semispaces,
-    orientation, roots. *)
+(** Checkpoint the complete heap state: the null word, then for each
+    semispace its bounds, [free] and its words from [base] up to its
+    last nonzero word (a length-prefixed {!Hsgc_util.Codec.W.int_range};
+    the zero tail is implied), then orientation and roots. The image
+    grows with what the spaces hold — 8 bytes a word of the two
+    extents plus a constant — not with their capacity. *)
 
 val restore : t -> Hsgc_util.Codec.R.t -> unit
-(** Overwrite this heap in place from an encoded image. The heap must
-    have the same geometry (semispace size) as the encoded one; raises
-    {!Hsgc_util.Codec.Error} otherwise. *)
+(** Overwrite this heap in place from an encoded image: each stored
+    prefix is copied back and the rest of its space zero-filled, so
+    [mem] is restored word for word, stale words above [free] included.
+    The heap must have the same geometry (semispace size) as the encoded
+    one; raises {!Hsgc_util.Codec.Error} otherwise, and on an extent
+    past the end of its semispace. *)
 
 (** {2 Roots} *)
 

@@ -355,8 +355,11 @@ let serialize ?(include_skips = false) t =
 let digest ?include_skips t =
   Digest.to_hex (Digest.string (serialize ?include_skips t))
 
-(* Checkpoint codec: the event ring (kept prefix only), every open-span
-   tracking register, the sampling cursor, and the metrics registry.
+(* Checkpoint codec: the event ring (kept prefix only, one width-fitted
+   column per field: a simulated run's cycles, codes, cores and
+   arguments fit 4 bytes, so a kept event costs 20 bytes), every
+   open-span tracking register, the sampling cursor, and the metrics
+   registry.
    Restore targets a tracer created with the same capacity / interval /
    core count — the constructor parameters are validated, not restored.
    The shared [disabled] singleton round-trips as a single flag. *)
@@ -371,9 +374,11 @@ let encode t w =
     Codec.W.int w t.cycle;
     Codec.W.int w t.len;
     Codec.W.int w t.dropped;
-    Codec.W.interleaved w
-      [| t.ev_cycle; t.ev_code; t.ev_core; t.ev_a; t.ev_b |]
-      ~len:t.len;
+    Codec.W.column w t.ev_cycle ~len:t.len;
+    Codec.W.column w t.ev_code ~len:t.len;
+    Codec.W.column w t.ev_core ~len:t.len;
+    Codec.W.column w t.ev_a ~len:t.len;
+    Codec.W.column w t.ev_b ~len:t.len;
     Codec.W.int_array w t.cur_phase;
     Codec.W.int_array w t.phase_start;
     Codec.W.int_array w t.run_kind;
@@ -413,9 +418,11 @@ let restore t r =
       raise (Codec.Error "tracer event count out of range");
     t.len <- len;
     t.dropped <- Codec.R.int r;
-    Codec.R.interleaved_into r
-      [| t.ev_cycle; t.ev_code; t.ev_core; t.ev_a; t.ev_b |]
-      ~len;
+    Codec.R.column_into r t.ev_cycle ~len;
+    Codec.R.column_into r t.ev_code ~len;
+    Codec.R.column_into r t.ev_core ~len;
+    Codec.R.column_into r t.ev_a ~len;
+    Codec.R.column_into r t.ev_b ~len;
     Codec.R.int_array_into r t.cur_phase ~what:"tracer open phases";
     Codec.R.int_array_into r t.phase_start ~what:"tracer phase starts";
     Codec.R.int_array_into r t.run_kind ~what:"tracer run kinds";

@@ -174,6 +174,11 @@ val digest : ?include_skips:bool -> t -> string
 val encode : t -> Hsgc_util.Codec.W.t -> unit
 val restore : t -> Hsgc_util.Codec.R.t -> unit
 (** Checkpoint/reinstate the event ring, open-span registers, sampling
-    cursor and metrics. Restore validates that the tracer was created
-    with the same capacity / core count / sampling interval and the
-    same on/off state as the snapshotted one. *)
+    cursor and metrics. The ring's kept events are stored as five
+    columns (cycle, code, core, a, b), each width-fitted by
+    {!Hsgc_util.Codec.W.column}: 4 bytes a value when all of the
+    column's values fit a signed 32-bit int, which every column of a
+    simulated run does, else 8. Restore validates that the tracer was
+    created with the same capacity / core count / sampling interval and
+    the same on/off state as the snapshotted one, and raises
+    {!Hsgc_util.Codec.Error} on a malformed column. *)

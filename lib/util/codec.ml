@@ -2,17 +2,22 @@
 
    Fixed-width little-endian integers, length-prefixed strings and
    arrays — no varints, no compression. The format favors auditability
-   over size: every field of the machine state maps to a fixed byte
-   range, so a section's byte image is a deterministic function of the
-   machine and byte-level comparisons between snapshots are meaningful.
+   over size: a section's byte image is a deterministic function of the
+   machine, so byte-level comparisons between snapshots are meaningful.
+   Two bulk encodings size themselves by content without giving that
+   up: a length-prefixed range of an array (the heap stores each
+   semispace up to its last nonzero word) and a width-fitted column
+   (4 bytes per value when every value fits a signed 32-bit int, else
+   8), whose width is a function of the values alone.
    Integrity is the container's job (per-section CRCs in
    [Hsgc_checkpoint.Checkpoint]); the reader here only bounds-checks,
    and every malformed read raises [Error].
 
-   Snapshots run to tens of megabytes, so both directions check bounds
+   Snapshots run to megabytes, so both directions check bounds
    once per field — once per array for the bulk codecs — and then move
-   8-byte words with the compiler's unboxed, unchecked load/store
-   primitives: no per-field allocation, no per-element bounds test. *)
+   4- and 8-byte words with the compiler's unboxed, unchecked
+   load/store primitives: no per-field allocation, no boxed [Int32], no
+   per-element bounds test. *)
 
 exception Error of string
 
@@ -20,7 +25,10 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
 external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 external get64u : string -> int -> int64 = "%caml_string_get64u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external get32u : string -> int -> int32 = "%caml_string_get32u"
 external bswap64 : int64 -> int64 = "%bswap_int64"
+external bswap32 : int32 -> int32 = "%bswap_int32"
 external big_endian : unit -> bool = "%big_endian"
 
 (* Unchecked: callers have bounds-checked [pos .. pos + 8). *)
@@ -31,6 +39,27 @@ let put_int b pos v =
 let get_int s pos =
   let x = get64u s pos in
   Int64.to_int (if big_endian () then bswap64 x else x)
+
+(* The 4-byte forms of a width-fitted column: [put_i32] truncates, so
+   callers store only values that [fits_i32]; [get_i32] sign-extends. *)
+let put_i32 b pos v =
+  let x = Int32.of_int v in
+  set32u b pos (if big_endian () then bswap32 x else x)
+
+let get_i32 s pos =
+  let x = get32u s pos in
+  Int32.to_int (if big_endian () then bswap32 x else x)
+
+let fits_i32 v = v >= -0x8000_0000 && v <= 0x7FFF_FFFF
+
+(* A column's width: 4 when each of its first [len] values fits a
+   signed 32-bit int, 8 otherwise. *)
+let column_width a ~len =
+  let i = ref 0 in
+  while !i < len && fits_i32 (Array.unsafe_get a !i) do
+    incr i
+  done;
+  if !i = len then 4 else 8
 
 module W = struct
   (* A measuring writer has no storage and only advances [pos], so
@@ -78,17 +107,20 @@ module W = struct
     end;
     w.pos <- w.pos + 8 + n
 
-  let int_array w a =
-    let n = Array.length a in
-    let need = 8 * (n + 1) in
+  let int_range w a ~pos ~len =
+    if pos < 0 || len < 0 || pos > Array.length a - len then
+      invalid_arg "Codec.W.int_range";
+    let need = 8 * (len + 1) in
     if fits w need then begin
       let b = w.buf and p = w.pos + 8 in
-      put_int b w.pos n;
-      for i = 0 to n - 1 do
-        put_int b (p + (8 * i)) (Array.unsafe_get a i)
+      put_int b w.pos len;
+      for i = 0 to len - 1 do
+        put_int b (p + (8 * i)) (Array.unsafe_get a (pos + i))
       done
     end;
     w.pos <- w.pos + need
+
+  let int_array w a = int_range w a ~pos:0 ~len:(Array.length a)
 
   let bool_array w a =
     let n = Array.length a in
@@ -102,19 +134,22 @@ module W = struct
     end;
     w.pos <- w.pos + need
 
-  let interleaved w cols ~len =
-    let k = Array.length cols in
-    if len < 0 || Array.exists (fun c -> Array.length c < len) cols then
-      invalid_arg "Codec.W.interleaved";
-    let need = 8 * k * len in
+  (* Measuring a column scans it for its width, so both passes agree. *)
+  let column w a ~len =
+    if len < 0 || len > Array.length a then invalid_arg "Codec.W.column";
+    let width = column_width a ~len in
+    let need = 8 + (width * len) in
     if fits w need then begin
-      let b = w.buf and p = ref w.pos in
-      for i = 0 to len - 1 do
-        for j = 0 to k - 1 do
-          put_int b !p (Array.unsafe_get (Array.unsafe_get cols j) i);
-          p := !p + 8
+      let b = w.buf and p = w.pos + 8 in
+      put_int b w.pos width;
+      if width = 4 then
+        for i = 0 to len - 1 do
+          put_i32 b (p + (4 * i)) (Array.unsafe_get a i)
         done
-      done
+      else
+        for i = 0 to len - 1 do
+          put_int b (p + (8 * i)) (Array.unsafe_get a i)
+        done
     end;
     w.pos <- w.pos + need
 end
@@ -204,17 +239,34 @@ module R = struct
       | v -> fail "codec: invalid bool %d at byte %d" v (p + (8 * i) + 8)
     done
 
-  let interleaved_into r cols ~len =
-    let k = Array.length cols in
-    if len < 0 || Array.exists (fun c -> Array.length c < len) cols then
-      invalid_arg "Codec.R.interleaved_into";
-    need r (8 * k * len);
-    let p = ref r.pos in
-    r.pos <- !p + (8 * k * len);
-    for i = 0 to len - 1 do
-      for j = 0 to k - 1 do
-        Array.unsafe_set (Array.unsafe_get cols j) i (get_int r.data !p);
-        p := !p + 8
+  let int_range_into r dst ~pos ~max ~what =
+    if pos < 0 || max < 0 || pos > Array.length dst - max then
+      invalid_arg "Codec.R.int_range_into";
+    let n = int r in
+    if n < 0 || n > max then
+      fail "codec: %s %d at byte %d outside [0, %d]" what n r.pos max;
+    need r (8 * n);
+    let p = r.pos in
+    r.pos <- p + (8 * n);
+    for i = 0 to n - 1 do
+      Array.unsafe_set dst (pos + i) (get_int r.data (p + (8 * i)))
+    done;
+    n
+
+  let column_into r dst ~len =
+    if len < 0 || len > Array.length dst then invalid_arg "Codec.R.column_into";
+    let width = int r in
+    if width <> 4 && width <> 8 then
+      fail "codec: invalid column width %d at byte %d" width r.pos;
+    need r (width * len);
+    let p = r.pos in
+    r.pos <- p + (width * len);
+    if width = 4 then
+      for i = 0 to len - 1 do
+        Array.unsafe_set dst i (get_i32 r.data (p + (4 * i)))
       done
-    done
+    else
+      for i = 0 to len - 1 do
+        Array.unsafe_set dst i (get_int r.data (p + (8 * i)))
+      done
 end

@@ -1,7 +1,9 @@
 (** Flat binary codec for checkpoint payloads.
 
     Fixed-width little-endian integers with length-prefixed strings and
-    arrays. Used by every stateful component to encode its mutable state
+    arrays, plus two bulk encodings sized by content: a length-prefixed
+    range of an array ({!W.int_range}) and a width-fitted column
+    ({!W.column}). Used by every stateful component to encode its mutable state
     into a checkpoint section ({!Hsgc_checkpoint.Checkpoint}) and to
     restore it in place. An encoder is a function over a {!W.t}: the
     container runs it once on a measuring writer to size the payload,
@@ -10,7 +12,7 @@
     without copying — and raises {!Error} on any malformed or truncated
     read; integrity beyond well-formedness (bit flips on disk) is caught
     earlier by the container's per-section CRCs. Neither direction
-    allocates per field. *)
+    allocates per field or per bulk value. *)
 
 exception Error of string
 
@@ -19,8 +21,9 @@ module W : sig
 
   val measure : unit -> t
   (** A writer that stores nothing and only counts bytes: run an encoder
-      through it to learn the exact size of its output. Bulk arrays cost
-      O(1) to measure. *)
+      through it to learn the exact size of its output. Arrays and
+      ranges cost O(1) to measure; a {!column} scans its values once for
+      its width. *)
 
   val into : Bytes.t -> pos:int -> t
   (** A writer filling [buf] from [pos]. A write past the end of [buf]
@@ -38,11 +41,18 @@ module W : sig
   val int_array : t -> int array -> unit
   val bool_array : t -> bool array -> unit
 
-  val interleaved : t -> int array array -> len:int -> unit
-  (** [interleaved w cols ~len] writes the first [len] rows of a table
-      stored as columns, row by row — [cols.(0).(i)], ...,
-      [cols.(k-1).(i)] for each [i] — with no length prefix: the bytes
-      of [k] {!int} writes per row, reserved and checked once. *)
+  val int_range : t -> int array -> pos:int -> len:int -> unit
+  (** [int_range w a ~pos ~len] writes [len], then [a.(pos)] ...
+      [a.(pos + len - 1)]: the bytes of {!int_array} on a slice, checked
+      once. [int_array w a] is [int_range w a ~pos:0 ~len:(Array.length a)].
+      Raises [Invalid_argument] on a slice outside [a]. *)
+
+  val column : t -> int array -> len:int -> unit
+  (** [column w a ~len] writes the first [len] values of [a] width-fitted:
+      a width word, then the values at that width with no length prefix.
+      The width is 4 (bytes, little-endian two's complement) when every
+      one of the values fits a signed 32-bit int, and 8 otherwise, so it
+      depends on the values alone. *)
 end
 
 module R : sig
@@ -52,7 +62,6 @@ module R : sig
   (** A reader over [len] bytes of a string from [pos], without
       copying them. *)
 
-  val remaining : t -> int
   val eof : t -> bool
   val int : t -> int
   val i64 : t -> int64
@@ -73,7 +82,16 @@ module R : sig
 
   val bool_array_into : t -> bool array -> what:string -> unit
 
-  val interleaved_into : t -> int array array -> len:int -> unit
-  (** Inverse of {!W.interleaved}: fills the first [len] rows of the
-      columns. *)
+  val int_range_into :
+    t -> int array -> pos:int -> max:int -> what:string -> int
+  (** [int_range_into r dst ~pos ~max ~what] is the inverse of
+      {!W.int_range}: it reads a range of at most [max] values into
+      [dst] from [pos] and returns its length, leaving the rest of [dst]
+      as it was. Raises {!Error}, naming [what], when the encoded
+      length is negative or above [max], and on a short range. *)
+
+  val column_into : t -> int array -> len:int -> unit
+  (** Inverse of {!W.column}: fills the first [len] values of the
+      destination. Raises {!Error} on a width other than 4 or 8 and on a
+      column shorter than [len] values. *)
 end

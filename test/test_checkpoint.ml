@@ -16,6 +16,8 @@ module Tracer = Hsgc_obs.Tracer
 module Profiler = Hsgc_obs.Profiler
 module Injector = Hsgc_fault.Injector
 module Codec = Hsgc_util.Codec
+module Heap = Hsgc_heap.Heap
+module Semispace = Hsgc_heap.Semispace
 module Checkpoint = Hsgc_checkpoint.Checkpoint
 module Resume = Hsgc_core.Resume
 module Interrupt = Hsgc_core.Chaos.Interrupt
@@ -101,6 +103,11 @@ let test_mutation_every_section_caught () =
   | _ -> Alcotest.fail "truncated snapshot accepted"
   | exception Checkpoint.Corrupt _ -> ()
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 let test_mutation_names_section () =
   with_tmpdir @@ fun dir ->
   let path = write_midrun_checkpoint ~dir in
@@ -114,13 +121,6 @@ let test_mutation_names_section () =
       | _ -> Alcotest.failf "flip in %S undetected" name
       | exception Checkpoint.Corrupt msg ->
         let quoted = Printf.sprintf "%S" name in
-        let contains hay needle =
-          let nh = String.length hay and nn = String.length needle in
-          let rec go i =
-            i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-          in
-          go 0
-        in
         if not (contains msg quoted) then
           Alcotest.failf "corrupt %S reported as %S — does not name the section"
             name msg)
@@ -234,12 +234,17 @@ type op =
   | Str of string
   | Ints of int array
   | Bools of bool array
-  | Rows of int array array  (** columns of one length *)
+  | Range of int array * int * int  (** array, first index, length *)
+  | Column of int array * int  (** values, kept length *)
 
-let rows_len cols = if Array.length cols = 0 then 0 else Array.length cols.(0)
+let fits_i32 v = v >= -0x8000_0000 && v <= 0x7FFF_FFFF
 
-(* What the Buffer-based writer the codec replaced emitted for each op:
-   the reserved writer must reproduce these bytes exactly. *)
+(* A column's width: 4 exactly when each kept value fits 32 bits. *)
+let column_width a len =
+  if Array.for_all fits_i32 (Array.sub a 0 len) then 4 else 8
+
+(* The bytes each op must produce, built with Buffer: the reserved
+   writer must reproduce them exactly. *)
 let reference_bytes ops =
   let b = Buffer.create 64 in
   let int v = Buffer.add_int64_le b (Int64.of_int v) in
@@ -258,10 +263,16 @@ let reference_bytes ops =
       | Bools a ->
         int (Array.length a);
         Array.iter bool a
-      | Rows cols ->
-        for i = 0 to rows_len cols - 1 do
-          Array.iter (fun c -> int c.(i)) cols
-        done)
+      | Range (a, pos, len) ->
+        int len;
+        Array.iter int (Array.sub a pos len)
+      | Column (a, len) ->
+        let width = column_width a len in
+        int width;
+        Array.iter
+          (fun v ->
+            if width = 4 then Buffer.add_int32_le b (Int32.of_int v) else int v)
+          (Array.sub a 0 len))
     ops;
   Buffer.contents b
 
@@ -273,7 +284,11 @@ let write_ops w =
     | Str s -> Codec.W.string w s
     | Ints a -> Codec.W.int_array w a
     | Bools a -> Codec.W.bool_array w a
-    | Rows cols -> Codec.W.interleaved w cols ~len:(rows_len cols))
+    | Range (a, pos, len) -> Codec.W.int_range w a ~pos ~len
+    | Column (a, len) -> Codec.W.column w a ~len)
+
+(* Marks the destination words a range read must leave alone. *)
+let untouched = 0x5EED
 
 let read_op r = function
   | Int _ -> Int (Codec.R.int r)
@@ -285,15 +300,61 @@ let read_op r = function
     let d = Array.make (Array.length a) false in
     Codec.R.bool_array_into r d ~what:"bools";
     Bools d
-  | Rows cols ->
-    let d = Array.map (fun c -> Array.make (Array.length c) 0) cols in
-    Codec.R.interleaved_into r d ~len:(rows_len cols);
-    Rows d
+  | Range (a, pos, _) ->
+    let d = Array.make (Array.length a) untouched in
+    let n =
+      Codec.R.int_range_into r d ~pos ~max:(Array.length a - pos) ~what:"range"
+    in
+    Range (d, pos, n)
+  | Column (a, len) ->
+    let d = Array.make (Array.length a) 0 in
+    Codec.R.column_into r d ~len;
+    Column (d, len)
 
 let same_op a b =
   match (a, b) with
   | Float x, Float y -> Int64.bits_of_float x = Int64.bits_of_float y
+  | Range (a, pos, len), Range (d, pos', n) ->
+    pos = pos' && len = n
+    && Array.sub a pos len = Array.sub d pos n
+    && Array.for_all (( = ) untouched) (Array.sub d 0 pos)
+    && Array.for_all (( = ) untouched)
+         (Array.sub d (pos + n) (Array.length d - pos - n))
+  | Column (a, len), Column (d, n) -> len = n && Array.sub a 0 len = Array.sub d 0 n
   | _ -> a = b
+
+(* Values at and around the edges of a 4-byte column. *)
+let edge_values =
+  [
+    -0x8000_0000; -0x8000_0001; -0x7FFF_FFFF; 0x7FFF_FFFF; 0x7FFF_FFFE;
+    0x8000_0000; min_int; max_int; 0; -1; 1;
+  ]
+
+(* Column values: mostly 32-bit (edges included), so both widths come
+   up often. *)
+let gen_column_value =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, int_range (-0x8000_0000) 0x7FFF_FFFF);
+        (3, oneofl edge_values);
+        (1, int);
+      ])
+
+let gen_column =
+  QCheck.Gen.(
+    let* n = int_range 0 16 in
+    let* narrow = bool in
+    let* values =
+      array_repeat n
+        (if narrow then
+           oneof
+             [ int_range (-0x8000_0000) 0x7FFF_FFFF;
+               oneofl (List.filter fits_i32 edge_values) ]
+         else gen_column_value)
+    in
+    let* len = int_range 0 n in
+    return (values, len))
 
 let gen_ops =
   QCheck.Gen.(
@@ -312,11 +373,12 @@ let gen_ops =
               (fun l -> Bools (Array.of_list l))
               (list_size (int_range 0 10) bool) );
           ( 1,
-            let* k = int_range 0 5 in
-            let* len = int_range 0 8 in
-            map
-              (fun cols -> Rows (Array.of_list (List.map Array.of_list cols)))
-              (list_repeat k (list_repeat len int)) );
+            let* a = array_size (int_range 0 20) int in
+            let n = Array.length a in
+            let* pos = int_range 0 n in
+            let* len = int_range 0 (n - pos) in
+            return (Range (a, pos, len)) );
+          (1, map (fun (a, len) -> Column (a, len)) gen_column);
         ]
     in
     list_size (int_range 0 12) op)
@@ -401,16 +463,17 @@ let observed_machine ?(steps = 3000) () =
   run_steps sim steps;
   (sim, golden_meta ~workload:"javac" ~seed:7 ~obs_capacity:4096 ~prof_on:true)
 
-(* Size and MD5 of each image as written by the Buffer-based encoder
-   that preceded the reserve-once one: the on-disk format is unchanged,
-   so snapshots written before and after it stay interchangeable. *)
+(* Size and MD5 of each image in format version 2 (heap semispaces up
+   to their last nonzero word, width-fitted ring columns). The pins
+   guard the stability of that format: any change to what a section
+   stores, or how, moves them and must be deliberate. *)
 let golden_images =
   [
-    ("plain", plain_machine, 756572, "03daa14f8e00c65bff8b865cabb7b25d");
+    ("plain", plain_machine, 402964, "21854489939396f865f60671320ceafb");
     ( "observed",
       (fun () -> observed_machine ()),
-      954054,
-      "2c7020eb511e7d5dec40c0e9e473f24f" );
+      644054,
+      "806999acf02ed9e065b63febcb2bc4c6" );
   ]
 
 let test_golden_images () =
@@ -426,6 +489,271 @@ let test_golden_images () =
         (name ^ " image digest") digest
         (Digest.to_hex (Digest.string raw)))
     golden_images
+
+(* A failed write must not leave its temp file in the checkpoint
+   directory: here the rename fails because [path] is a directory. *)
+let test_write_failure_leaves_no_temp () =
+  with_tmpdir @@ fun dir ->
+  let path = Filename.concat dir "snap.ckpt" in
+  Sys.mkdir path 0o755;
+  Fun.protect ~finally:(fun () -> Sys.rmdir path) @@ fun () ->
+  let image =
+    Checkpoint.encode ~fingerprint:"f" [ ("s", fun w -> Codec.W.int w 1) ]
+  in
+  (match Checkpoint.write image ~path with
+  | () -> Alcotest.fail "write onto a directory succeeded"
+  | exception Sys_error _ -> ());
+  match
+    List.filter
+      (String.starts_with ~prefix:".ckpt-")
+      (Array.to_list (Sys.readdir dir))
+  with
+  | [] -> ()
+  | left -> Alcotest.failf "temp files left behind: %s" (String.concat ", " left)
+
+(* ------------------------------------------------------------------ *)
+(* Format v2: heap extents, width-fitted ring columns                  *)
+(* ------------------------------------------------------------------ *)
+
+let encode_bytes encoder =
+  let m = Codec.W.measure () in
+  encoder m;
+  let buf = Bytes.create (Codec.W.pos m) in
+  encoder (Codec.W.into buf ~pos:0);
+  Bytes.to_string buf
+
+let reader_of s = Codec.R.of_substring s ~pos:0 ~len:(String.length s)
+
+(* Words of a space up to its last nonzero one. *)
+let reference_extent words =
+  let n = ref (Array.length words) in
+  while !n > 0 && words.(!n - 1) = 0 do
+    decr n
+  done;
+  !n
+
+type heap_case = {
+  words : int;  (** per semispace *)
+  null_word : int;
+  contents_a : int array;
+  contents_b : int array;
+  used_a : int;  (** [free - base] *)
+  used_b : int;
+  a_current : bool;
+  roots : int array;
+}
+
+(* A space's contents: all zero, a prefix with interior zeros, or
+   nonzero up to its last word. [free] is drawn independently, so words
+   above it — stale in the idle space — are common. *)
+let gen_space words =
+  QCheck.Gen.(
+    let value = frequency [ (1, return 0); (3, int) ] in
+    frequency
+      [
+        (1, return (Array.make words 0));
+        ( 3,
+          let* p = int_range 0 words in
+          let* prefix = array_repeat p value in
+          return (Array.append prefix (Array.make (words - p) 0)) );
+        ( 1,
+          let* a = array_repeat (words - 1) value in
+          let* last = map (fun v -> if v = 0 then 1 else v) int in
+          return (Array.append a [| last |]) );
+      ])
+
+let gen_heap_case =
+  QCheck.Gen.(
+    let* words =
+      frequency
+        [
+          (1, return 1);
+          (4, int_range 1 16);
+          (3, int_range 17 512);
+          (1, int_range 513 4096);
+          (1, return 4096);
+        ]
+    in
+    let* null_word = frequency [ (4, return 0); (1, int) ] in
+    let* contents_a = gen_space words in
+    let* contents_b = gen_space words in
+    let* used_a = int_range 0 words in
+    let* used_b = int_range 0 words in
+    let* a_current = bool in
+    let* roots = array_size (int_range 0 8) (int_range 0 (2 * words)) in
+    return
+      { words; null_word; contents_a; contents_b; used_a; used_b; a_current;
+        roots })
+
+let print_heap_case c =
+  Printf.sprintf "words=%d extents=%d/%d used=%d/%d a_current=%b roots=%d null=%d"
+    c.words
+    (reference_extent c.contents_a)
+    (reference_extent c.contents_b)
+    c.used_a c.used_b c.a_current (Array.length c.roots) c.null_word
+
+let build_case_heap c =
+  let h = Heap.create ~semispace_words:c.words in
+  let a = h.Heap.space_a and b = h.Heap.space_b in
+  h.Heap.mem.(0) <- c.null_word;
+  Array.blit c.contents_a 0 h.Heap.mem a.Semispace.base c.words;
+  Array.blit c.contents_b 0 h.Heap.mem b.Semispace.base c.words;
+  a.Semispace.free <- a.Semispace.base + c.used_a;
+  b.Semispace.free <- b.Semispace.base + c.used_b;
+  h.Heap.a_is_current <- c.a_current;
+  Heap.set_roots h (Array.copy c.roots);
+  h
+
+let same_space (x : Semispace.t) (y : Semispace.t) =
+  x.base = y.base && x.limit = y.limit && x.free = y.free
+
+let qcheck_heap_image =
+  QCheck.Test.make
+    ~name:
+      "heap image: random heaps restore word for word, 8 bytes per word of \
+       the two extents"
+    ~count:300
+    (QCheck.make ~print:print_heap_case gen_heap_case)
+    (fun c ->
+      let h = build_case_heap c in
+      let image = encode_bytes (Heap.encode h) in
+      (* The null word, per space its bounds, free and extent, the
+         orientation and the roots' length: 11 words. *)
+      let size =
+        8
+        * (reference_extent c.contents_a
+          + reference_extent c.contents_b
+          + 11 + Array.length c.roots)
+      in
+      (* Onto a zeroed heap, and onto one whose every word is dirty: the
+         zero tails must be written, not assumed. *)
+      let restores_onto fill =
+        let fresh = Heap.create ~semispace_words:c.words in
+        Array.fill fresh.Heap.mem 0 (Array.length fresh.Heap.mem) fill;
+        let r = reader_of image in
+        Heap.restore fresh r;
+        Codec.R.eof r
+        && fresh.Heap.mem = h.Heap.mem
+        && same_space fresh.Heap.space_a h.Heap.space_a
+        && same_space fresh.Heap.space_b h.Heap.space_b
+        && fresh.Heap.a_is_current = h.Heap.a_is_current
+        && fresh.Heap.roots = h.Heap.roots
+      in
+      String.length image = size && restores_onto 0 && restores_onto (-1))
+
+let qcheck_ring_columns =
+  QCheck.Test.make
+    ~name:
+      "ring columns: edge values round-trip, width 4 exactly when every \
+       value fits 32 bits"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (a, len) ->
+         Printf.sprintf "len=%d [%s]" len
+           (String.concat "; " (Array.to_list (Array.map string_of_int a))))
+       gen_column)
+    (fun (a, len) ->
+      let image = encode_bytes (fun w -> Codec.W.column w a ~len) in
+      let width = Int64.to_int (String.get_int64_le image 0) in
+      let d = Array.make (Array.length a) 0 in
+      let r = reader_of image in
+      Codec.R.column_into r d ~len;
+      width = column_width a len
+      && String.length image = 8 + (width * len)
+      && Codec.R.eof r
+      && Array.sub d 0 len = Array.sub a 0 len)
+
+let test_column_edges () =
+  List.iter
+    (fun (values, width) ->
+      let a = Array.of_list values in
+      let len = Array.length a in
+      let image = encode_bytes (fun w -> Codec.W.column w a ~len) in
+      let d = Array.make len 0 in
+      Codec.R.column_into (reader_of image) d ~len;
+      let what = String.concat "; " (List.map string_of_int values) in
+      Alcotest.(check int) ("width of " ^ what) width
+        (Int64.to_int (String.get_int64_le image 0));
+      Alcotest.(check (array int)) ("values of " ^ what) a d)
+    [
+      ([], 4);
+      ([ -0x8000_0000; 0x7FFF_FFFF; 0; -1 ], 4);
+      ([ 0x8000_0000 ], 8);
+      ([ -0x8000_0001 ], 8);
+      ([ 1; min_int ], 8);
+      ([ max_int; 2 ], 8);
+    ]
+
+(* Malformed bulk payloads raise [Codec.Error] at the codec; through a
+   real snapshot the container reports them as [Corrupt], naming the
+   section. *)
+let test_malformed_payloads () =
+  let refused what bytes read =
+    match read (reader_of bytes) with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Codec.Error _ -> ()
+  in
+  let words l = encode_bytes (fun w -> List.iter (Codec.W.int w) l) in
+  let dst = Array.make 8 0 in
+  let range ~pos ~max r =
+    ignore (Codec.R.int_range_into r dst ~pos ~max ~what:"range")
+  in
+  refused "range past its max" (words [ 5; 1; 2; 3; 4; 5 ]) (range ~pos:4 ~max:4);
+  refused "negative range" (words [ -1 ]) (range ~pos:0 ~max:8);
+  refused "short range" (words [ 3; 1; 2 ]) (range ~pos:0 ~max:8);
+  List.iter
+    (fun width ->
+      refused
+        (Printf.sprintf "column width %d" width)
+        (words [ width; 0; 0; 0 ])
+        (fun r -> Codec.R.column_into r dst ~len:2))
+    [ 0; 1; 2; 5; 16; -4 ];
+  refused "short 4-byte column" (words [ 4; 0 ]) (fun r ->
+      Codec.R.column_into r dst ~len:3);
+  refused "short 8-byte column" (words [ 8; 1; 2 ]) (fun r ->
+      Codec.R.column_into r dst ~len:3);
+  (* Space A's extent follows the null word and A's bounds and free. *)
+  let extent_a = 32 in
+  let heap = Bytes.of_string (encode_bytes (Heap.encode (Heap.create ~semispace_words:16))) in
+  Bytes.set_int64_le heap extent_a 17L;
+  refused "heap extent past its semispace" (Bytes.to_string heap)
+    (Heap.restore (Heap.create ~semispace_words:16));
+  let sim, _ = observed_machine ~steps:500 () in
+  let image =
+    Checkpoint.to_string (Coprocessor.Snapshot.save sim ~fingerprint:"x")
+  in
+  (* Overwrite one payload word and re-seal the section's CRC, so only
+     the payload decoder can object. *)
+  let patched section ~at v =
+    let b = Bytes.of_string image in
+    let _, off, len =
+      List.find
+        (fun (n, _, _) -> n = section)
+        (Checkpoint.section_ranges (Checkpoint.of_string image))
+    in
+    let v = v (fun i -> Int64.to_int (Bytes.get_int64_le b (off + i))) in
+    Bytes.set_int64_le b (off + at) (Int64.of_int v);
+    let crc = Checkpoint.crc32_sub (Bytes.unsafe_to_string b) ~pos:off ~len in
+    Bytes.set_int64_le b (off - 16) (Int64.of_int crc);
+    Checkpoint.of_string (Bytes.to_string b)
+  in
+  List.iter
+    (fun (section, what, at, v) ->
+      let fresh, _ = observed_machine ~steps:0 () in
+      match Coprocessor.Snapshot.restore fresh (patched section ~at v) with
+      | () -> Alcotest.failf "%s accepted" what
+      | exception Checkpoint.Corrupt msg ->
+        if not (contains msg (Printf.sprintf "%S" section)) then
+          Alcotest.failf "%s reported as %S — does not name the section" what
+            msg)
+    [
+      (* limit - base + 1 words *)
+      ("heap", "heap extent past its semispace", extent_a,
+        fun word -> word 16 - word 8 + 1);
+      (* The first ring column's width follows the tracer's on flag,
+         shape, cycle, length and dropped count. *)
+      ("obs", "ring column of width 5", 56, fun _ -> 5);
+    ]
 
 (* Both directions move words unboxed through buffers sized up front: a
    save allocates its image plus a few words per section, a restore only
@@ -670,6 +998,14 @@ let suite =
       `Quick test_reserved_sizes_enforced;
     Alcotest.test_case "snapshot images byte-identical to the recorded format"
       `Quick test_golden_images;
+    Alcotest.test_case "write failure leaves no temp file" `Quick
+      test_write_failure_leaves_no_temp;
+    QCheck_alcotest.to_alcotest qcheck_heap_image;
+    QCheck_alcotest.to_alcotest qcheck_ring_columns;
+    Alcotest.test_case "ring columns at the 32-bit edges" `Quick
+      test_column_edges;
+    Alcotest.test_case "malformed heap and ring payloads refused" `Quick
+      test_malformed_payloads;
     Alcotest.test_case "save and restore allocate no per-field boxes" `Quick
       test_codec_allocation;
     Alcotest.test_case "checkpoints land exactly on boundaries" `Quick
