@@ -185,54 +185,7 @@ let no_skip_arg =
            skipping and event-driven core sleeps. The parity contract is \
            that every statistic and artifact is bit-identical either way \
            (only wall time changes); use this flag to check it on any \
-           configuration. Documented alias for $(b,--engine naive).")
-
-(* The three stepping engines (docs/PERFORMANCE.md). [--no-skip]
-   predates [--engine] and is kept as a documented alias; contradictions
-   exit 2. *)
-type engine = Naive | Skip | Compiled
-
-let engine_arg =
-  Arg.(
-    value
-    & opt (some (enum [ ("naive", Naive); ("skip", Skip); ("compiled", Compiled) ]))
-        None
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Stepping engine: $(b,naive) polls every core every cycle (the \
-           parity reference); $(b,skip) (the default) adds event-driven \
-           core sleeps and idle-cycle skipping; $(b,compiled) further \
-           retires already-determined memory transactions in batches in \
-           the plain configuration. All \
-           three produce bit-identical statistics, verify results and \
-           counters — only wall time and the executed/skipped split \
-           differ. $(b,--no-skip) is the documented alias for \
-           $(b,--engine naive). With $(b,--profile) the compiled engine \
-           runs its general paths (same results, no batching). \
-           $(b,--engine compiled) rejects $(b,--sanitize) and \
-           $(b,--scan-unit) (exit code 2).")
-
-let resolve_engine ~engine ~no_skip ~sanitize ~scan_unit =
-  let reject what =
-    Format.eprintf "gcsim run: %s@." what;
-    exit 2
-  in
-  match engine with
-  | None -> if no_skip then Naive else Skip
-  | Some Naive -> Naive
-  | Some Skip ->
-    if no_skip then reject "--engine skip contradicts --no-skip";
-    Skip
-  | Some Compiled ->
-    if no_skip then reject "--engine compiled contradicts --no-skip";
-    if sanitize <> Hsgc_sanitizer.Sanitizer.Off then
-      reject "--engine compiled is incompatible with --sanitize (the \
-              compiled engine resolves the sanitizer hooks away at \
-              instantiation; use --engine skip or naive)";
-    if scan_unit > 0 then
-      reject "--engine compiled is incompatible with --scan-unit \
-              (sub-object scanning uses the general engine)";
-    Compiled
+           configuration.")
 
 let jobs_arg =
   Arg.(
@@ -314,7 +267,7 @@ let require_workload = function
     exit 2
 
 let run_with_checkpoints ~workload ~n_cores ~scale ~seed ~mem ~scan_unit
-    ~verify ~engine ~cycle_budget ~profile ~ckpt_every ~ckpt_dir
+    ~verify ~no_skip ~cycle_budget ~profile ~ckpt_every ~ckpt_dir
     ~resume_from =
   (match (ckpt_every, ckpt_dir) with
   | Some _, None ->
@@ -361,8 +314,7 @@ let run_with_checkpoints ~workload ~n_cores ~scale ~seed ~mem ~scan_unit
       let cfg =
         Coprocessor.config ~mem
           ?scan_unit:(scan_unit_opt scan_unit)
-          ?cycle_budget ~skip:(engine <> Naive)
-          ~compiled:(engine = Compiled) ~n_cores ()
+          ?cycle_budget ~skip:(not no_skip) ~n_cores ()
       in
       let meta =
         {
@@ -428,20 +380,17 @@ let run_with_checkpoints ~workload ~n_cores ~scale ~seed ~mem ~scan_unit
         Format.eprintf "verification FAILED: %a@." Verify.pp_failure f;
         exit_verify_failed)
 
-(* The banked machine is its own run path: every non-default engine or
-   observation mode is either meaningless for it (checkpoints of
-   per-bank machines) or has no banked variant (the compiled engine,
-   sub-object scanning, the profiler) — reject them up front with a
-   usage error rather than silently ignoring them. *)
-let run_banked ~workload ~n_cores ~scale ~seed ~mem ~scan_unit ~verify ~engine
+(* The banked machine is its own run path: every mode that is either
+   meaningless for it (checkpoints of per-bank machines) or has no
+   banked variant (naive stepping, sub-object scanning, the profiler) is
+   rejected up front with a usage error rather than silently ignored. *)
+let run_banked ~workload ~n_cores ~scale ~seed ~mem ~scan_unit ~verify
     ~no_skip ~cycle_budget ~sanitize ~profile ~par_domains ~ckpt_every
     ~ckpt_dir ~resume_from ~bank_quantum =
   let reject msg =
     Format.eprintf "gcsim run: %s@." msg;
     exit 2
   in
-  if engine <> None && engine <> Some Skip then
-    reject "--banked uses the event-driven engine (only --engine skip is valid)";
   if no_skip then reject "--banked is incompatible with --no-skip";
   if profile then
     reject "--banked is incompatible with --profile (no banked profiler)";
@@ -497,12 +446,12 @@ let run_banked ~workload ~n_cores ~scale ~seed ~mem ~scan_unit ~verify ~engine
 
 let run_cmd =
   let run workload n_cores scale seed extra_latency fifo bandwidth header_cache
-      scan_unit verify engine no_skip cycle_budget sanitize profile par_domains
+      scan_unit verify no_skip cycle_budget sanitize profile par_domains
       ckpt_every ckpt_dir resume_from banked bank_quantum =
     let mem = mem_config extra_latency fifo bandwidth header_cache in
     if banked then
       run_banked ~workload ~n_cores ~scale ~seed ~mem ~scan_unit ~verify
-        ~engine ~no_skip ~cycle_budget ~sanitize ~profile ~par_domains
+        ~no_skip ~cycle_budget ~sanitize ~profile ~par_domains
         ~ckpt_every ~ckpt_dir ~resume_from ~bank_quantum
     else begin
     if bank_quantum <> None then begin
@@ -514,7 +463,6 @@ let run_cmd =
         "gcsim run: --par-domains needs --banked (it sets the bank count)@.";
       exit 2
     end;
-    let engine = resolve_engine ~engine ~no_skip ~sanitize ~scan_unit in
     if ckpt_every <> None || ckpt_dir <> None || resume_from <> None then begin
       if sanitize <> Hsgc_sanitizer.Sanitizer.Off then begin
         Format.eprintf
@@ -523,7 +471,7 @@ let run_cmd =
         exit 2
       end;
       run_with_checkpoints ~workload ~n_cores ~scale ~seed ~mem ~scan_unit
-        ~verify ~engine ~cycle_budget ~profile ~ckpt_every ~ckpt_dir
+        ~verify ~no_skip ~cycle_budget ~profile ~ckpt_every ~ckpt_dir
         ~resume_from
     end
     else
@@ -538,11 +486,10 @@ let run_cmd =
       end
       else None
     in
-    let skip = engine <> Naive in
     let cfg =
       Coprocessor.config ~mem
         ?scan_unit:(scan_unit_opt scan_unit)
-        ?cycle_budget ~sanitize ~skip ~compiled:(engine = Compiled) ~n_cores ()
+        ?cycle_budget ~sanitize ~skip:(not no_skip) ~n_cores ()
     in
     match Coprocessor.collect ?prof cfg heap with
     | exception Coprocessor.Stall_diagnosis d ->
@@ -591,9 +538,9 @@ let run_cmd =
             "Attach the stall-attribution profiler and print the per-core \
              cycle-accounting table: every simulated cycle of every core \
              lands in exactly one of busy / the seven stall categories / \
-             idle, so each row sums to the total cycle count. Runs on any \
-             engine; the table and every statistic are bit-identical on \
-             all of them.")
+             idle, so each row sums to the total cycle count. The table \
+             and every statistic are bit-identical with and without \
+             $(b,--no-skip).")
   in
   let par_domains_arg =
     Arg.(
@@ -660,9 +607,8 @@ let run_cmd =
              differential harness; see docs/PARALLEL.md). \
              $(b,--par-domains) selects the bank count (default: auto; \
              must divide the core count, exit code 2 otherwise). \
-             Incompatible with $(b,--engine naive/compiled), \
-             $(b,--no-skip), $(b,--profile), $(b,--scan-unit) and \
-             checkpointing.")
+             Incompatible with $(b,--no-skip), $(b,--profile), \
+             $(b,--scan-unit) and checkpointing.")
   in
   let bank_quantum_arg =
     Arg.(
@@ -680,7 +626,7 @@ let run_cmd =
     Term.(
       const run $ workload_opt_arg $ cores_arg $ scale_arg $ seed_arg
       $ latency_arg $ fifo_arg $ bandwidth_arg $ header_cache_arg
-      $ scan_unit_arg $ verify_arg $ engine_arg $ no_skip_arg $ cycle_budget_arg
+      $ scan_unit_arg $ verify_arg $ no_skip_arg $ cycle_budget_arg
       $ sanitize_arg $ profile_arg $ par_domains_arg $ ckpt_every_arg $ ckpt_dir_arg $ resume_from_arg $ banked_arg
       $ bank_quantum_arg)
 

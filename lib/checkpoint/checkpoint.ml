@@ -15,11 +15,13 @@
    temporary file in the destination directory, fsync, rename — a crash
    mid-write can leave a stale temp file but never a torn snapshot.
 
-   Format version 2 sizes the two bulk sections by content: the heap
-   stores each semispace up to its last nonzero word (Hsgc_heap.Heap)
-   and the tracer ring its event columns at 4 bytes a value where they
-   fit (Hsgc_obs.Tracer). Nothing reads version 1: a snapshot from
-   another build is refused by its fingerprint anyway.
+   Sections are sized by content: the heap stores each semispace up to
+   its last nonzero word (Hsgc_heap.Heap), the tracer ring its event
+   columns at 4 bytes a value where they fit (Hsgc_obs.Tracer), and the
+   header FIFO only its live entries (Hsgc_memsim.Header_fifo). Format
+   version 3 added the last and dropped the retired engine flag from
+   the configuration section. Nothing reads older versions: a snapshot
+   from another build is refused by its fingerprint anyway.
 
    A long run's snapshot is still megabytes (heap prefixes plus tracer
    ring), so each payload byte is stored once and read in place:
@@ -31,7 +33,7 @@
 module Codec = Hsgc_util.Codec
 
 let magic = "HSGC-CKPT\n"
-let version = 2
+let version = 3
 
 exception Corrupt of string
 
@@ -154,7 +156,9 @@ let to_string image = image
 
 (* A failed write, fsync or rename (a full disk, a directory at [path])
    removes the temp file before re-raising, so failures leave nothing
-   behind. *)
+   behind. [Filename.temp_file] creates the file owner-only; a snapshot
+   is made world-readable like any other output file before it is
+   made durable. *)
 let write image ~path =
   let dir = Filename.dirname path in
   let tmp = Filename.temp_file ~temp_dir:dir ".ckpt-" ".tmp" in
@@ -166,6 +170,7 @@ let write image ~path =
         let n = String.length image in
         let written = Unix.write_substring fd image 0 n in
         if written <> n then failwith "Checkpoint.write: short write";
+        Unix.fchmod fd 0o644;
         Unix.fsync fd);
     Sys.rename tmp path
   with e ->

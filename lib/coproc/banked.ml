@@ -416,8 +416,6 @@ let validate_config cfg ~banks =
   (match validate_banks ~n_cores:cfg.C.n_cores ~banks with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Banked.collect: " ^ msg));
-  if cfg.C.compiled then
-    invalid_arg "Banked.collect: the compiled engine has no banked variant";
   if cfg.C.scan_unit <> None then
     invalid_arg "Banked.collect: sub-object scanning has no banked variant"
 
@@ -558,7 +556,7 @@ let differential ?lanes ?quantum ~banks cfg build =
   let dense_heap = build () in
   let banked_heap = build () in
   let pre = Verify.snapshot banked_heap in
-  let c_dense = C.collect { cfg with C.compiled = false } dense_heap in
+  let c_dense = C.collect cfg dense_heap in
   let c_banked, c_bstats = collect ?lanes ?quantum ~banks cfg banked_heap in
   let c_equiv =
     check_equivalence ~pre ~dense:c_dense ~banked:c_banked ~bstats:c_bstats

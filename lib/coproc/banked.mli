@@ -124,8 +124,8 @@ val collect :
     count; it changes wall-clock time only, never a statistic or the
     heap. Raises [Invalid_argument] when [banks] fails
     {!validate_banks} against [config.n_cores],
-    when [quantum < 1], or when the config requests the compiled
-    engine or sub-object scanning (neither has a banked variant).
+    when [quantum < 1], or when the config requests sub-object
+    scanning (it has no banked variant).
     Raises {!Coprocessor.Heap_overflow} as the dense machine would. *)
 
 (** {2 The differential harness} *)

@@ -53,14 +53,6 @@ type config = {
          call sites reduce to one load-and-branch; [Check] records
          findings into [gc_stats]; [Strict] raises [Diag.Violation] on
          the first finding. *)
-  compiled : bool;
-      (* the compiled stepping engine: batched retirement on top of the
-         event-driven skipper. Requires [skip], [sanitize = Off] and
-         [scan_unit = None] (validated by [start]); with a fault plan,
-         tracer or profiler attached the machine silently falls back to
-         the general engine. All statistics stay bit-identical to
-         naive; only the wall clock and the executed/skipped split
-         move. *)
 }
 
 let default_stall_window = 1_000_000
@@ -76,12 +68,11 @@ let default_config =
     cycle_budget = None;
     stall_window = default_stall_window;
     sanitize = San.Off;
-    compiled = false;
   }
 
 let config ?(mem = Mem.default_config) ?scan_unit ?(skip = true) ?faults
     ?cycle_budget ?(stall_window = default_stall_window) ?(sanitize = San.Off)
-    ?(compiled = false) ~n_cores () =
+    ~n_cores () =
   {
     default_config with
     n_cores;
@@ -92,7 +83,6 @@ let config ?(mem = Mem.default_config) ?scan_unit ?(skip = true) ?faults
     cycle_budget;
     stall_window;
     sanitize;
-    compiled;
   }
 
 exception Heap_overflow
@@ -349,11 +339,17 @@ type t = {
      that carries no per-step trace; an attached tracer or profiler is
      credited at the wake ([unpark]). *)
   park_ok : bool;
-  (* The compiled engine is actually used (not just requested): the
-     parking guards hold and no tracer or profiler is attached. A
-     per-[step] trace still falls back dynamically. *)
-  compiled_hot : bool;
-  (* Deferred watchdog progress observation of the compiled exclusive
+  (* A plain run (the parking guards without the core count) on a
+     one-core machine with no tracer or profiler attached: after the
+     root phase its untraced steps run the exclusive interpreter (see
+     "Lone-core stepping"). *)
+  lone_plain : bool;
+  (* The furthest any jump of the clock may reach: the divergence bound
+     [max_cycles + 1] or the cycle budget, whichever is smaller. A quiet
+     span never carries the clock past the cycle at which per-cycle
+     stepping would trip the budget. *)
+  jump_cap : int;
+  (* Deferred watchdog progress observation of the exclusive
      interpreter: the cycle of the latest progressed cycle not yet
      reported to the watchdog, or -1. Always flushed (-1) outside
      [step], so snapshots never see a pending deferral. *)
@@ -1108,38 +1104,12 @@ let start ?(obs = Obs.disabled) ?(prof = Prof.disabled) ?remote cfg heap =
     invalid_arg "Coprocessor.start: tracer sized for fewer cores";
   if prof.Prof.on && Prof.n_cores prof < cfg.n_cores then
     invalid_arg "Coprocessor.start: profiler sized for fewer cores";
-  (match remote with
-  | None -> ()
-  | Some _ ->
-    (* A bank of the banked machine: the compiled engine's specialized
-       body loop knows nothing of home ranges, and sub-object pieces
-       would split one object's slots across arbitration rounds. *)
-    if cfg.compiled then
-      invalid_arg
-        "Coprocessor.start: a banked-machine bank cannot use the compiled \
-         engine";
-    if cfg.scan_unit <> None then
-      invalid_arg
-        "Coprocessor.start: a banked-machine bank does not support \
-         sub-object scanning (scan_unit)");
-  if cfg.compiled then begin
-    (* The compiled engine is a specialization of the event-driven
-       skipper; configurations it cannot specialize are rejected here
-       (fault plans, tracers and profilers merely fall back to the
-       general engine instead — they are run-mode toggles, not machine
-       semantics). *)
-    if not cfg.skip then
-      invalid_arg
-        "Coprocessor.start: the compiled engine requires idle-cycle \
-         skipping (skip = true)";
-    if cfg.sanitize <> San.Off then
-      invalid_arg
-        "Coprocessor.start: the compiled engine cannot attach the sanitizer";
-    if cfg.scan_unit <> None then
-      invalid_arg
-        "Coprocessor.start: the compiled engine does not support \
-         sub-object scanning (scan_unit)"
-  end;
+  (* A bank of the banked machine: sub-object pieces would split one
+     object's slots across arbitration rounds. *)
+  if remote <> None && cfg.scan_unit <> None then
+    invalid_arg
+      "Coprocessor.start: a banked-machine bank does not support \
+       sub-object scanning (scan_unit)";
   let faults =
     match cfg.faults with
     | None -> Injector.disabled
@@ -1164,8 +1134,6 @@ let start ?(obs = Obs.disabled) ?(prof = Prof.disabled) ?remote cfg heap =
     | Some _ ->
       Array.make (max 1 (to_space.Semispace.limit - pieces_base)) 0
   in
-  (* [compiled] already implies skipping, no sanitizer and no scan unit,
-     and a bank never runs it (all validated above). *)
   let parkable =
     cfg.skip && cfg.faults = None && cfg.sanitize = San.Off
     && cfg.scan_unit = None && remote = None
@@ -1173,8 +1141,12 @@ let start ?(obs = Obs.disabled) ?(prof = Prof.disabled) ?remote cfg heap =
   {
     cfg;
     park_ok = parkable && cfg.n_cores > 1;
-    compiled_hot =
-      cfg.compiled && parkable && (not obs.Obs.on) && not prof.Prof.on;
+    lone_plain =
+      parkable && cfg.n_cores = 1 && (not obs.Obs.on) && not prof.Prof.on;
+    jump_cap =
+      (match cfg.cycle_budget with
+      | Some b -> min b (cfg.max_cycles + 1)
+      | None -> cfg.max_cycles + 1);
     wd_defer = -1;
     n_parked = 0;
     n_park_scan = 0;
@@ -1562,29 +1534,6 @@ let diagnose t trip =
    cycle). *)
 let spin_wake t = t.hooks.Hooks.cycle + 1
 
-(* ------------------------------------------------------------------ *)
-(* The compiled stepping engine (ROADMAP item 2).
-
-   A third engine alongside naive ([skip = false]) and the event-driven
-   skipper: the same microprogram and the same per-core tick and step,
-   run under the guards the benchmarks and long parallel runs use — no
-   sanitizer, no fault plan, no tracer or profiler, whole-object
-   scanning (checked once, in [start]). What it adds is batched
-   retirement: with exactly one core due the interpreter runs it alone
-   to the next foreign wake-up ([exclusive_loop]), and the body-copy
-   inner loop ([data_run_macro]) retires whole runs of data words in
-   closed form — a strict generalization of idle-skipping, advancing
-   the clock straight to the next semantic decision point.
-
-   The contract is the skipper's: every reported statistic is
-   bit-identical to naive stepping; only wall time and the
-   executed/skipped split move. Whenever a guard fails — a per-step
-   trace requested, an instrumented or fault-injected run — the machine
-   falls back to the general cycle. Spinner parking and the due/awake
-   lists are not specializations: both engines share them, through the
-   one machine cycle below ([step_cycle]). *)
-(* ------------------------------------------------------------------ *)
-
 (* Buffer retry/completion for one core. Order (hl, hs, bl, bs) is the
    static priority: acceptance order defines the bandwidth and ordering
    counters. [Port.tick] is a no-op unless the buffer is retrying
@@ -1820,7 +1769,8 @@ let unpark_all t =
   end
 
 (* ------------------------------------------------------------------ *)
-(* One machine cycle, shared by the event-driven and compiled engines.
+(* One machine cycle: the event-driven engine's step, and the
+   fallback of lone-core stepping.
 
    Static prioritization: buffers retry, then cores execute, both in
    core-index order — the lowest index wins simultaneous claims, and a
@@ -1974,9 +1924,7 @@ let step_cycle ?trace ?horizon t ~n0 ~park =
       if quiet then begin
         let wake = next_wake_awake t ~now:n0 in
         if wake < max_int then begin
-          let target =
-            imin (Wake_queue.bound ~horizon wake) (t.cfg.max_cycles + 1)
-          in
+          let target = imin (Wake_queue.bound ~horizon wake) t.jump_cap in
           if target > n0 + 1 then begin
             (* The skipped cycles are quiescent, so the counter samples a
                naive stepper would take in them carry today's (frozen)
@@ -1994,9 +1942,7 @@ let step_cycle ?trace ?horizon t ~n0 ~park =
       else if t.n_awake = 0 && t.n_parked = 0 then begin
         let wake = Wake_queue.next_after t.wakeq ~now:n0 in
         if wake < max_int then begin
-          let target =
-            imin (Wake_queue.bound ~horizon wake) (t.cfg.max_cycles + 1)
-          in
+          let target = imin (Wake_queue.bound ~horizon wake) t.jump_cap in
           if target > n0 + 1 then begin
             (* No awake core means no stall latch, no busy bit moving, no
                worklist probe in the skipped span: sleeping cores were
@@ -2012,6 +1958,31 @@ let step_cycle ?trace ?horizon t ~n0 ~park =
         end
       end
   end
+
+(* ------------------------------------------------------------------ *)
+(* Lone-core stepping.
+
+   A one-core machine has nothing to synchronize with: nothing parks,
+   no other core carries a wake, and every cycle's timing is set by the
+   core's own port latencies. So in a plain run on one core (see
+   [lone_plain]) each untraced [step] after the root phase runs the
+   core alone through an exclusive interpreter ([exclusive_loop]), up
+   to the horizon, the cycle budget or the divergence bound
+   ([jump_cap]), and the body-copy inner loop ([data_run_macro])
+   retires whole runs of data words in closed form.
+
+   The contract is the event-driven engine's: every reported statistic
+   is bit-identical to naive stepping. The split is too: the
+   interpreter executes exactly the cycles the shared cycle would
+   execute at one core and skips exactly the spans it would sleep or
+   fast-forward through (test_kernel pins both).
+
+   The root phase stays on the shared cycle because a caller may poll
+   [roots_done] between steps that pass no horizon, as
+   [Concurrent.collect] does for its stop-the-world prefix: a segment
+   run on past the start barrier would swallow the whole collection
+   into that prefix. *)
+(* ------------------------------------------------------------------ *)
 
 (* Closed-form retirement of a data-word copy run — the paper's inner
    loop: consume the loaded word, store it and issue the next load in
@@ -2054,13 +2025,12 @@ let data_run_finish t c ~w ~slot ~words ~gaps ~exec ~next_loads =
 
 (* The run loop proper, as explicit tail recursion over plain ints: a
    [while] with [ref] accumulators would box them (classic ocamlopt
-   only unboxes non-escaping references, and the hot-path allocation
-   gate on the compiled engine is two orders tighter than the general
-   one). [w] is the word cycle being executed, [slot] the slot it
+   only unboxes non-escaping references, and the step loop must not
+   allocate). [w] is the word cycle being executed, [slot] the slot it
    consumes, [words]/[gaps] the data words copied and stall cycles
    replayed so far. Unsafe accesses are in bounds by construction: the
    microprogram has already validated [obj_from]/[obj_to] frames when
-   it entered the copy loop, and the compiled engine never runs with a
+   it entered the copy loop, and lone-core stepping never runs with a
    fault plan. *)
 let rec data_run_go t c ~fromb ~tob ~pi ~slot_limit ~lat_l ~lat_s ~limit w
     slot words gaps =
@@ -2120,12 +2090,10 @@ let data_run_macro t c ~limit =
     ~lat_l:cfgm.Mem.body_load_latency ~lat_s:cfgm.Mem.store_latency ~limit
     t.clock.Kernel.now c.slot 0 0
 
-(* Exclusive-core interpreter: every other core is asleep until at
-   least [limit], and a sleeping core's wake is frozen (nothing the
-   running core does can reschedule it), so the segment needs no
-   whole-machine scans — one core ticks, steps and sleeps, and global
-   jumps reduce to its own wake arithmetic. The per-cycle machinery of
-   the general engine is specialized away:
+(* Exclusive interpreter: the lone core ticks, steps and sleeps with no
+   whole-machine scans, and global jumps reduce to its own wake
+   arithmetic. The per-cycle machinery of the shared cycle is
+   specialized away:
 
    - sleeps credit their replay statistics inline and advance the clock
      directly to [min wake limit] (the whole machine is asleep, so the
@@ -2156,9 +2124,9 @@ let wd_flush t =
 
 (* One exclusive cycle, tail-recursively (top-level recursion with plain
    arguments: a [while] over [ref] state would box the refs and a local
-   flush closure would allocate per segment — the compiled engine's
-   allocation gate forbids both). *)
-let rec exclusive_loop ?horizon t c ~limit ~macro_ok =
+   flush closure would allocate per segment, and the step loop must not
+   allocate). *)
+let rec exclusive_loop t c ~limit ~macro_ok =
   let clock = t.clock in
   let n0 = clock.Kernel.now in
   if n0 >= limit || c.wake > n0 then ()
@@ -2181,7 +2149,7 @@ let rec exclusive_loop ?horizon t c ~limit ~macro_ok =
       (* The run's last executed cycle subsumes any older pending
          progress observation. *)
       t.wd_defer <- c.wake - 1;
-      exclusive_loop ?horizon t c ~limit ~macro_ok
+      exclusive_loop t c ~limit ~macro_ok
     end
     else begin
       t.saw_empty <- false;
@@ -2195,14 +2163,13 @@ let rec exclusive_loop ?horizon t c ~limit ~macro_ok =
       t.empty_cycles <- t.empty_cycles + empty_delta;
       if (match c.state with Halt -> true | _ -> false) then begin
         (* Wake already pinned at max_int by the halt transition; the
-           general engine skips the watchdog when everyone halted, and a
-           lone halt is a progressed cycle (events moved). The pinned
-           wake ends the recursion at the next check. *)
+           shared cycle skips the watchdog when everyone halted. The
+           pinned wake ends the recursion at the next check. *)
         if not (all_halted t) then t.wd_defer <- n0
       end
       else begin
         (* Inline [maybe_sleep]: same replay decision, but the credit
-           skips the profiler/tracer branches (off by engine guard) and
+           skips the profiler/tracer branches (none is attached) and
            the clock jumps in place of the queue round-trip. *)
         let rp = replay_of t c in
         let w =
@@ -2247,18 +2214,12 @@ let rec exclusive_loop ?horizon t c ~limit ~macro_ok =
           | None -> ());
           if not slept then begin
             (* Quiet spin (e.g. a poll-state replay): same global
-               fast-forward as the general engine, but [c] is the only
-               awake core, so the whole-machine scan collapses to its
-               own buffer arithmetic and the bulk credit touches it
-               alone (foreign sleepers wake past [limit] >= target). *)
-            let wake =
-              imin (Wake_queue.next_after t.wakeq ~now:n0)
-                (port_wake c t.mem ~now:n0)
-            in
+               fast-forward as the shared cycle, but [c] is the only
+               core, so the whole-machine scan collapses to its own
+               buffer arithmetic and the bulk credit touches it alone. *)
+            let wake = port_wake c t.mem ~now:n0 in
             if wake < max_int then begin
-              let target =
-                imin (Wake_queue.bound ~horizon wake) (t.cfg.max_cycles + 1)
-              in
+              let target = imin wake limit in
               if target > n0 + 1 then begin
                 let span = Kernel.fast_forward clock ~target in
                 if c.stall_cycle = n0 then
@@ -2274,11 +2235,11 @@ let rec exclusive_loop ?horizon t c ~limit ~macro_ok =
         end
         else t.wd_defer <- n0
       end;
-      exclusive_loop ?horizon t c ~limit ~macro_ok
+      exclusive_loop t c ~limit ~macro_ok
     end
   end
 
-let step_exclusive ?horizon t c ~limit =
+let step_exclusive t c ~limit =
   (* Macro preconditions that are configuration-static: the same-cycle
      store + next-load pair always fits the bandwidth, and the store
      buffer has always drained by the next word cycle. *)
@@ -2287,40 +2248,13 @@ let step_exclusive ?horizon t c ~limit =
     cfgm.Mem.bandwidth >= 2
     && cfgm.Mem.store_latency <= cfgm.Mem.body_load_latency
   in
-  exclusive_loop ?horizon t c ~limit ~macro_ok;
+  exclusive_loop t c ~limit ~macro_ok;
   wd_flush t;
   (* Restore the queue invariant for the shared cycle: a sleeping
      core's wake must be armed (stale earlier entries are filtered by
      [next_after]'s strictly-future check). *)
   if c.wake > t.clock.Kernel.now && c.wake < max_int then
     Wake_queue.arm t.wakeq ~id:c.id ~time:c.wake
-
-let step_compiled ?horizon t ~n0 =
-  if t.n_due = 1 && t.n_parked = 0 then begin
-    (* Exactly one core due and nobody parked: run it alone up to the
-       earliest foreign wake (capped by the resume horizon, the
-       divergence bound and the cycle budget, so batched segments never
-       overshoot a boundary the per-cycle engines observe). Parked cores
-       are excluded because a write inside the segment would have to
-       hand them a same-cycle turn; the shared cycle handles that. *)
-    let cores = t.cores in
-    let only = Array.unsafe_get t.due_ids 0 in
-    let limit = ref (t.cfg.max_cycles + 1) in
-    (match horizon with Some h -> if h < !limit then limit := h | None -> ());
-    (match t.cfg.cycle_budget with
-    | Some b -> if b < !limit then limit := b
-    | None -> ());
-    for i = 0 to Array.length cores - 1 do
-      if i <> only then begin
-        let w = (Array.unsafe_get cores i).wake in
-        if w < !limit then limit := w
-      end
-    done;
-    if !limit > n0 + 1 then
-      step_exclusive ?horizon t (Array.unsafe_get cores only) ~limit:!limit
-    else step_cycle ?horizon t ~n0 ~park:t.park_ok
-  end
-  else step_cycle ?horizon t ~n0 ~park:t.park_ok
 
 let step ?trace ?horizon t =
   let n0 = t.clock.Kernel.now in
@@ -2332,7 +2266,15 @@ let step ?trace ?horizon t =
   match trace with
   | None ->
     collect_due t ~n0;
-    if t.compiled_hot then step_compiled ?horizon t ~n0
+    (* A due lone core runs a segment up to the horizon, the cycle
+       budget or the divergence bound (see "Lone-core stepping"). *)
+    let limit =
+      if t.lone_plain && t.parallel_phase && t.n_due = 1 then
+        Wake_queue.bound ~horizon t.jump_cap
+      else n0
+    in
+    if limit > n0 + 1 then
+      step_exclusive t (Array.unsafe_get t.cores 0) ~limit
     else step_cycle ?horizon t ~n0 ~park:t.park_ok
   | Some _ ->
     (* A per-step trace (possibly attached mid-run) samples every cycle
@@ -2556,8 +2498,7 @@ module Snapshot = struct
     | Some b ->
       Codec.W.bool w true;
       Codec.W.int w b);
-    Codec.W.int w cfg.stall_window;
-    Codec.W.bool w cfg.compiled
+    Codec.W.int w cfg.stall_window
 
   let decode_config r =
     let n_cores = Codec.R.int r in
@@ -2596,7 +2537,6 @@ module Snapshot = struct
     in
     let cycle_budget = if Codec.R.bool r then Some (Codec.R.int r) else None in
     let stall_window = Codec.R.int r in
-    let compiled = Codec.R.bool r in
     {
       n_cores;
       mem =
@@ -2615,7 +2555,6 @@ module Snapshot = struct
       cycle_budget;
       stall_window;
       sanitize = San.Off;
-      compiled;
     }
 
   (* --- core register files ------------------------------------------ *)

@@ -91,21 +91,6 @@ type config = {
           at the first finding. The sanitizer observes the
           stop-the-world collection (it is detached at [finalize];
           concurrent-mode mutator activity is out of scope). *)
-  compiled : bool;
-      (** the compiled stepping engine: the same microprogram and the
-          same per-core tick and step as the skip engine, plus, in the
-          plain-run configuration, batched retirement of transactions
-          whose completion cycle is already determined (an exclusive
-          awake core runs alone to the next foreign wake-up; the
-          body-copy inner loop retires whole data-word runs in closed
-          form) — a strict
-          generalization of idle-cycle skipping, with the same
-          contract: every reported statistic is bit-identical to naive
-          stepping, only wall time and the executed/skipped split
-          move. Requires [skip = true], [sanitize = Off] and
-          [scan_unit = None] ([start] raises [Invalid_argument]
-          otherwise); a fault plan, tracer, profiler or per-step trace
-          falls back to the general engine. Default [false]. *)
 }
 
 val default_config : config
@@ -120,7 +105,6 @@ val config :
   ?cycle_budget:int ->
   ?stall_window:int ->
   ?sanitize:Hsgc_sanitizer.Sanitizer.mode ->
-  ?compiled:bool ->
   n_cores:int ->
   unit ->
   config
@@ -144,8 +128,8 @@ exception Heap_overflow
 
     The record is exposed for the driver (it drains [rm_slots]/
     [rm_children] and resets [rm_n] at barriers); microprogram code
-    only ever appends. Not snapshottable; incompatible with the
-    compiled engine and sub-object scanning (checked by {!start}). *)
+    only ever appends. Not snapshottable; incompatible with sub-object
+    scanning (checked by {!start}). *)
 type remote = {
   rm_bank : int;
   rm_lo : int;
@@ -297,11 +281,17 @@ val step : ?trace:Trace.t -> ?horizon:int -> sim -> unit
 (** Advance the coprocessor by one clock cycle — or, when the cycle turns
     out quiescent and skipping is enabled, by as many cycles as it takes
     to reach the next wake-up (statistics credited in bulk, bit-identical
-    to naive stepping). [horizon] caps any fast-forward at the given
+    to naive stepping). On a one-core machine in a plain run (skipping
+    on; no sanitizer, fault plan, scan unit, bank, tracer or profiler)
+    one call after the root phase may retire many executed cycles, but
+    never past the root phase's end, a halt, [horizon], the cycle budget
+    or [max_cycles + 1]. [horizon] caps any fast-forward at the given
     cycle: a concurrent driver passes the time of its next mutator
-    operation so the coprocessor never jumps past an external event. A
-    [trace] samples every cycle, so it turns spinner parking off (parked
-    cores are first returned to the spinners they stand for). *)
+    operation so the coprocessor never jumps past an external event. No
+    jump passes the cycle budget either, so the watchdog trips at the
+    cycle naive stepping trips it. A [trace] samples every cycle, so it
+    turns spinner parking and lone-core batching off (parked cores are
+    first returned to the spinners they stand for). *)
 
 val halted : sim -> bool
 (** All cores have passed the end barrier. *)

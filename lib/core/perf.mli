@@ -6,14 +6,14 @@
     start-to-finalize), so the numbers measure the kernel's stepping
     loop rather than workload generation or table rendering — the
     quantity the event-driven scheduler optimizes. Each grid point runs
-    four times (naive stepping, event-driven skipping, skipping with the
-    machine sanitizer attached, and the compiled engine) from identical
-    heaps; the suite asserts cycle-count equality between the four, full
-    per-counter parity plus a verified bit-identical post-heap for the
-    compiled run, that the sanitizer stays silent on every default
-    configuration, and that minor allocation stays within the
-    steady-state budgets (whole-collection for skip, loop-only for
-    compiled). *)
+    three times (naive stepping, the default engine, and the default
+    engine with the machine sanitizer attached) from identical heaps;
+    the suite asserts full per-counter parity plus a verified
+    bit-identical post-heap for the default engine (whose 1-core legs
+    run lone-core batching), cycle-count equality for the sanitized
+    run, that the sanitizer stays silent on every default
+    configuration, and that the default run's minor allocation stays
+    within the steady-state budgets (whole-collection and loop-only). *)
 
 type leg = {
   workload : string;
@@ -24,12 +24,10 @@ type leg = {
   naive_wall_s : float;  (** sim-only wall, skip disabled *)
   skip_wall_s : float;  (** sim-only wall, skip enabled *)
   san_wall_s : float;  (** sim-only wall, skip enabled, sanitizer on *)
-  compiled_wall_s : float;  (** sim-only wall, compiled engine *)
   minor_words : float;  (** [Gc.minor_words] delta of the skip run *)
-  compiled_executed : int;  (** the compiled run's executed share *)
-  compiled_loop_words : float;
-      (** [Gc.minor_words] delta of the compiled run's stepping loop
-          alone — [start]/[finalize] setup excluded *)
+  loop_words : float;
+      (** [Gc.minor_words] delta of the skip run's stepping loop alone —
+          [start]/[finalize] setup excluded *)
 }
 
 type aggregate = {
@@ -46,14 +44,9 @@ type aggregate = {
   sanitizer_overhead : float;
       (** fractional throughput cost of attaching the sanitizer:
           sanitizer-on wall over sanitizer-off wall, minus one *)
-  compiled_s : float;
-  compiled_mcycles_per_s : float;
-  compiled_speedup_vs_skip : float;
-      (** skip wall over compiled wall — a same-process ratio over
-          identical simulated cycles, so host-independent and gated *)
-  compiled_words_per_cycle : float;
-      (** minor words per executed cycle inside the compiled stepping
-          loop alone; must stay ~0 *)
+  loop_words_per_cycle : float;
+      (** minor words per executed cycle inside the skip runs' stepping
+          loops alone; must stay ~0 *)
 }
 
 type obs_probe = {
@@ -131,21 +124,15 @@ val words_per_cycle_budget : float
 (** Steady-state allocation budget (minor words per executed cycle);
     {!run} raises {!Perf_regression} beyond it. *)
 
-val compiled_words_per_cycle_budget : float
-(** Allocation budget for the compiled engine's stepping loop alone —
-    near zero, because the loop-only measurement has no setup cost to
-    amortize. {!run} raises {!Perf_regression} beyond it. *)
-
-val compiled_speedup_floor_base : float
-
-val compiled_speedup_floor_latency : float
-(** Hard floors for the compiled/skip throughput ratio, enforced by
-    {!check} on the base and latency-bound aggregates respectively. *)
+val loop_words_per_cycle_budget : float
+(** Allocation budget for the stepping loop alone — near zero, because
+    the loop-only measurement has no setup cost to amortize. {!run}
+    raises {!Perf_regression} beyond it. *)
 
 exception Perf_regression of string
-(** A hard invariant failed while benchmarking: cycle counts diverged
-    between engines, the compiled engine broke statistic parity or
-    post-heap verification, the sanitizer flagged a default
+(** A hard invariant failed while benchmarking: the default engine broke
+    statistic parity with naive stepping or post-heap verification, the
+    sanitizer perturbed the cycle count or flagged a default
     configuration, or a hot loop allocated beyond budget. *)
 
 val run :
@@ -172,12 +159,10 @@ val check : baseline:string -> suite -> (unit, string list) result
 (** Compare a fresh suite against the committed [BENCH_sim.json]
     contents. Gates only host-independent metrics — skipped fractions
     (deterministic statistics), allocation rates, the latency-bound
-    skip-speedup ratio and the compiled/skip speedup ratios (each a
-    pair of walls from the same process), and the banked machine's
-    modeled-cycle ratio and remote-request fraction — each with 20%
-    tolerance plus the hard
-    {!compiled_speedup_floor_base}/{!compiled_speedup_floor_latency}
-    bars; absolute Mcycles/s and the banked wall speedup are
+    skip-speedup ratio (a pair of walls from the same process), and the
+    banked machine's modeled-cycle ratio and remote-request fraction —
+    each with 20% tolerance, plus the hard 1.0x bar on the latency-bound
+    skip speedup; absolute Mcycles/s and the banked wall speedup are
     informational. The banked self-speedup carries a hard 1.30x floor
     that arms only on hosts with at least 4 recommended domains — on a
     single-thread runner a wall gate would test the host, not the

@@ -99,24 +99,32 @@ let clear t =
   t.head <- 0;
   t.len <- 0
 
-(* Checkpoint codec: ring contents plus cursors and counters. *)
+(* Checkpoint codec: the live entries, oldest first, then the counters.
+   Only [len] entries are stored, so a snapshot's FIFO section follows
+   the occupancy, not the capacity; restore lays them out from index 0.
+   Where the ring starts is not state: pushes and pops see only the
+   order and the count. *)
 module Codec = Hsgc_util.Codec
 
 let encode t w =
-  Codec.W.int_array w t.buf;
-  Codec.W.int w t.head;
   Codec.W.int w t.len;
+  for k = 0 to t.len - 1 do
+    let i = t.head + k in
+    Codec.W.int w t.buf.(if i >= t.capacity then i - t.capacity else i)
+  done;
   Codec.W.int w t.overflows;
   Codec.W.int w t.hits;
   Codec.W.int w t.misses;
   Codec.W.int w t.drops
 
 let restore t r =
-  Codec.R.int_array_into r t.buf ~what:"header FIFO ring";
-  t.head <- Codec.R.int r;
-  t.len <- Codec.R.int r;
-  if t.head < 0 || t.head >= t.capacity || t.len < 0 || t.len > t.capacity
-  then raise (Codec.Error "header FIFO cursors out of range");
+  let len =
+    Codec.R.int_range_into r t.buf ~pos:0 ~max:t.capacity
+      ~what:"header FIFO length"
+  in
+  Array.fill t.buf len (t.capacity - len) 0;
+  t.head <- 0;
+  t.len <- len;
   t.overflows <- Codec.R.int r;
   t.hits <- Codec.R.int r;
   t.misses <- Codec.R.int r;

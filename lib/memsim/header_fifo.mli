@@ -65,5 +65,8 @@ val clear : t -> unit
 
 val encode : t -> Hsgc_util.Codec.W.t -> unit
 val restore : t -> Hsgc_util.Codec.R.t -> unit
-(** Checkpoint/reinstate the ring contents, cursors and counters.
-    [restore] raises {!Hsgc_util.Codec.Error} on a capacity mismatch. *)
+(** Checkpoint/reinstate the live entries in FIFO order and the
+    counters. [encode] stores only the [length t] live entries;
+    [restore] lays them out from the ring's start and zeroes the rest,
+    and raises {!Hsgc_util.Codec.Error} when the stored length is
+    negative or exceeds the capacity. *)

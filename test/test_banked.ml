@@ -301,7 +301,6 @@ let test_config_rejection () =
     | _ -> Alcotest.fail "Banked.collect accepted an invalid config"
   in
   reject (Coprocessor.config ~n_cores:8 ()) ~banks:3;
-  reject (Coprocessor.config ~n_cores:8 ~compiled:true ()) ~banks:2;
   reject (Coprocessor.config ~n_cores:8 ~scan_unit:4 ()) ~banks:2;
   (match Banked.collect ~quantum:0 ~banks:2 (Coprocessor.config ~n_cores:8 ()) heap with
   | exception Invalid_argument _ -> ()

@@ -21,6 +21,7 @@ module Semispace = Hsgc_heap.Semispace
 module Checkpoint = Hsgc_checkpoint.Checkpoint
 module Resume = Hsgc_core.Resume
 module Interrupt = Hsgc_core.Chaos.Interrupt
+module Memsys = Hsgc_memsim.Memsys
 
 let tmpdir () = Filename.temp_dir "hsgc-test-ckpt" ""
 
@@ -463,17 +464,18 @@ let observed_machine ?(steps = 3000) () =
   run_steps sim steps;
   (sim, golden_meta ~workload:"javac" ~seed:7 ~obs_capacity:4096 ~prof_on:true)
 
-(* Size and MD5 of each image in format version 2 (heap semispaces up
-   to their last nonzero word, width-fitted ring columns). The pins
-   guard the stability of that format: any change to what a section
-   stores, or how, moves them and must be deliberate. *)
+(* Size and MD5 of each image in format version 3 (heap semispaces up
+   to their last nonzero word, width-fitted ring columns, the header
+   FIFO's live entries). The pins guard the stability of that format:
+   any change to what a section stores, or how, moves them and must be
+   deliberate. *)
 let golden_images =
   [
-    ("plain", plain_machine, 402964, "21854489939396f865f60671320ceafb");
+    ("plain", plain_machine, 141692, "ad6336575afca40b257cd9a6075f5c0f");
     ( "observed",
       (fun () -> observed_machine ()),
-      644054,
-      "806999acf02ed9e065b63febcb2bc4c6" );
+      382566,
+      "a94bbdc1ef3fd68d19de270a86667517" );
   ]
 
 let test_golden_images () =
@@ -487,7 +489,9 @@ let test_golden_images () =
       Alcotest.(check int) (name ^ " image size") size (String.length raw);
       Alcotest.(check string)
         (name ^ " image digest") digest
-        (Digest.to_hex (Digest.string raw)))
+        (Digest.to_hex (Digest.string raw));
+      Alcotest.(check int) (name ^ " file mode") 0o644
+        (Unix.stat path).Unix.st_perm)
     golden_images
 
 (* A failed write must not leave its temp file in the checkpoint
@@ -753,6 +757,8 @@ let test_malformed_payloads () =
       (* The first ring column's width follows the tracer's on flag,
          shape, cycle, length and dropped count. *)
       ("obs", "ring column of width 5", 56, fun _ -> 5);
+      (* The FIFO's live-entry count leads its section. *)
+      ("fifo", "FIFO length past its capacity", 0, fun _ -> 32769);
     ]
 
 (* Both directions move words unboxed through buffers sized up front: a
@@ -883,6 +889,55 @@ let test_resume_equivalence_grid () =
             (Printf.sprintf "%s at %d cores" w.Workloads.name n_cores))
         [ 1; 4; 16 ])
     Workloads.all
+
+(* A plain one-core run steps the exclusive interpreter after its root
+   phase, a segment per step up to the horizon. Saved at a horizon
+   mid-run and resumed onto a fresh machine, it ends as the saved run
+   does — statistics, split and post-heap — and both match naive
+   stepping. *)
+let test_lone_core_resume () =
+  let build () = Workloads.build_heap ~scale:0.05 ~seed:11 Workloads.db in
+  let mem = Memsys.with_extra_latency Memsys.default_config 20 in
+  let cfg = Coprocessor.config ~mem ~n_cores:1 () in
+  let naive =
+    Coprocessor.collect { cfg with Coprocessor.skip = false } (build ())
+  in
+  let finish sim =
+    while not (Coprocessor.halted sim) do
+      Coprocessor.step sim
+    done;
+    Coprocessor.finalize sim
+  in
+  let saved_heap = build () in
+  let saved = Coprocessor.start cfg saved_heap in
+  let horizon = naive.Coprocessor.total_cycles / 2 in
+  while Coprocessor.now saved < horizon do
+    Coprocessor.step ~horizon saved
+  done;
+  Alcotest.(check int) "segments stop at the horizon" horizon
+    (Coprocessor.now saved);
+  Alcotest.(check bool) "saved past the root phase" true
+    (Coprocessor.roots_done saved);
+  let image =
+    Checkpoint.to_string (Coprocessor.Snapshot.save saved ~fingerprint:"t")
+  in
+  let resumed_heap = build () in
+  let resumed = Coprocessor.start cfg resumed_heap in
+  Coprocessor.Snapshot.restore resumed (Checkpoint.of_string image);
+  let saved = finish saved and resumed = finish resumed in
+  Test_kernel.check_stats_equal "lone core" ~ref_name:"saved"
+    ~other_name:"resumed" saved resumed;
+  Alcotest.(check (pair int int)) "executed/skipped split"
+    (saved.Coprocessor.executed_cycles, saved.Coprocessor.skipped_cycles)
+    (resumed.Coprocessor.executed_cycles, resumed.Coprocessor.skipped_cycles);
+  Test_kernel.check_stats_equal "lone core" ~other_name:"resumed" naive
+    resumed;
+  if
+    not
+      (Verify.equal_snapshot
+         (Verify.snapshot saved_heap)
+         (Verify.snapshot resumed_heap))
+  then Alcotest.fail "resumed post-heap differs from the saved run's"
 
 (* Resume must also replay the fault injector's RNG mid-stream and the
    scan-unit sub-object machinery: a delay-faulted, scan-unit-enabled
@@ -1016,5 +1071,7 @@ let suite =
       test_resume_equivalence_grid;
     Alcotest.test_case "resume with faults and scan-unit" `Quick
       test_resume_with_faults_and_scan_unit;
+    Alcotest.test_case "lone-core run resumed mid-run" `Quick
+      test_lone_core_resume;
     QCheck_alcotest.to_alcotest qcheck_resume_equivalence;
   ]

@@ -66,6 +66,40 @@ let qcheck_write_order_reads =
       let accepted = List.map (fun a -> (a, Fifo.push f a)) addrs in
       List.for_all (fun (a, was_pushed) -> Fifo.try_pop f a = was_pushed) accepted)
 
+module Codec = Hsgc_util.Codec
+
+let encoded f =
+  let m = Codec.W.measure () in
+  Fifo.encode f m;
+  let b = Bytes.create (Codec.W.pos m) in
+  Fifo.encode f (Codec.W.into b ~pos:0);
+  Bytes.to_string b
+
+(* A snapshot stores the live entries only, oldest first: a ring whose
+   entries wrap past its end restores onto a fresh FIFO that pops them
+   in the same order and encodes to the same bytes. *)
+let test_codec_wrapped_ring () =
+  let f = Fifo.create ~capacity:5 () in
+  for a = 1 to 3 do
+    ignore (Fifo.push f a);
+    ignore (Fifo.try_pop f a)
+  done;
+  for a = 4 to 7 do
+    ignore (Fifo.push f a)
+  done;
+  let image = encoded f in
+  Alcotest.(check int) "length, 4 entries, 4 counters" (8 * 9)
+    (String.length image);
+  let g = Fifo.create ~capacity:5 () in
+  Fifo.restore g (Codec.R.of_substring image ~pos:0 ~len:(String.length image));
+  Alcotest.(check string) "re-encodes byte-identically" image (encoded g);
+  for a = 4 to 7 do
+    Alcotest.(check bool) (Printf.sprintf "pops %d" a) true (Fifo.try_pop g a)
+  done;
+  Alcotest.(check bool) "room for the whole capacity" true
+    (List.for_all (Fifo.push g) [ 8; 9; 10; 11; 12 ]);
+  Alcotest.(check bool) "then full" false (Fifo.push g 13)
+
 let suite =
   [
     Alcotest.test_case "push/pop order" `Quick test_push_pop_order;
@@ -76,4 +110,6 @@ let suite =
     Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "capacity" `Quick test_capacity;
     QCheck_alcotest.to_alcotest qcheck_write_order_reads;
+    Alcotest.test_case "snapshot of a wrapped ring" `Quick
+      test_codec_wrapped_ring;
   ]

@@ -308,11 +308,12 @@ let test_pool_exception () =
 
 (* Everything in gc_stats except the kernel-observability fields
    (executed/skipped split and wall time) must be bit-identical. *)
-let check_stats_equal ctx (a : Coprocessor.gc_stats)
-    (b : Coprocessor.gc_stats) =
+let check_stats_equal ?(ref_name = "naive") ?(other_name = "skip") ctx
+    (a : Coprocessor.gc_stats) (b : Coprocessor.gc_stats) =
   let chk name x y =
     if x <> y then
-      Alcotest.failf "%s: %s differs (naive %d, skip %d)" ctx name x y
+      Alcotest.failf "%s: %s differs (%s %d, %s %d)" ctx name ref_name x
+        other_name y
   in
   chk "total_cycles" a.Coprocessor.total_cycles b.Coprocessor.total_cycles;
   chk "root_cycles" a.Coprocessor.root_cycles b.Coprocessor.root_cycles;
@@ -344,9 +345,9 @@ let check_stats_equal ctx (a : Coprocessor.gc_stats)
       List.iter
         (fun s ->
           if Counters.get ca s <> Counters.get cb s then
-            Alcotest.failf "%s: core %d %s stalls differ (naive %d, skip %d)"
-              ctx i (Counters.stall_name s) (Counters.get ca s)
-              (Counters.get cb s))
+            Alcotest.failf "%s: core %d %s stalls differ (%s %d, %s %d)" ctx
+              i (Counters.stall_name s) ref_name (Counters.get ca s)
+              other_name (Counters.get cb s))
         Counters.all_stalls;
       if ca.Counters.busy_cycles <> cb.Counters.busy_cycles then
         Alcotest.failf "%s: core %d busy_cycles differ" ctx i;
@@ -567,6 +568,45 @@ let test_split_pinned () =
           s.Coprocessor.skipped_cycles ))
     pinned_splits
 
+(* The cycle budget trips where naive stepping trips it: no jump of the
+   clock passes the budget. At one core the whole machine dump matches
+   naive's; at 4 and 16 cores the trip line does (a sleeping core's
+   port lines may still show a transfer its lazy tick has not flipped
+   yet). Budgets past the collection's end must not trip either. *)
+let test_budget_trips_on_time () =
+  let outcome ~skip ~mem ~budget ~n_cores w =
+    let heap = Workloads.build_heap ~scale:0.05 ~seed:42 w in
+    let cfg = Coprocessor.config ~mem ~skip ~cycle_budget:budget ~n_cores () in
+    match Coprocessor.collect cfg heap with
+    | s -> Printf.sprintf "finished at cycle %d" s.Coprocessor.total_cycles
+    | exception Coprocessor.Stall_diagnosis d ->
+      Format.asprintf "%a" Coprocessor.pp_diagnosis d
+  in
+  let first_line s = List.hd (String.split_on_char '\n' s) in
+  List.iter
+    (fun w ->
+      List.iter
+        (fun (lat, budget, n_cores) ->
+          let mem = Memsys.with_extra_latency Memsys.default_config lat in
+          let run skip = outcome ~skip ~mem ~budget ~n_cores w in
+          let naive = run false and default = run true in
+          let ctx =
+            Printf.sprintf "%s/%d cores/+%d, budget %d" w.Workloads.name
+              n_cores lat budget
+          in
+          if n_cores = 1 then Alcotest.(check string) ctx naive default
+          else
+            Alcotest.(check string) ctx (first_line naive)
+              (first_line default))
+        (List.concat_map
+           (fun lat ->
+             List.concat_map
+               (fun budget ->
+                 List.map (fun n -> (lat, budget, n)) [ 1; 4; 16 ])
+               [ 37; 1_000; 5_003; 12_345 ])
+           [ 0; 20 ]))
+    Workloads.all
+
 let qcheck_skip_equivalent_with_faults =
   QCheck.Test.make
     ~name:
@@ -780,7 +820,9 @@ let test_concurrent_skip_equivalent () =
      so mutator interleavings — and with them every statistic — must be
      identical with skipping on and off. The linear heaps keep cores
      parked on an empty worklist while the main processor allocates and
-     evacuates, the writes that must wake them. *)
+     evacuates, the writes that must wake them. At one core the root
+     phase's steps pass no horizon, so lone-core batching must wait for
+     [roots_done]. *)
   List.iter
     (fun (w, n_cores) ->
       let run skip =
@@ -814,6 +856,8 @@ let test_concurrent_skip_equivalent () =
       Alcotest.(check int) (ctx "mutator waits")
         off.Concurrent.mutator_wait_cycles on.Concurrent.mutator_wait_cycles)
     [
+      (Workloads.db, 1);
+      (Workloads.jlisp, 1);
       (Workloads.jlisp, 4);
       (Workloads.compress, 4);
       (Workloads.search, 8);
@@ -909,6 +953,8 @@ let suite =
       test_skip_equivalent_latency_bound;
     Alcotest.test_case "executed/skipped split pinned" `Quick
       test_split_pinned;
+    Alcotest.test_case "cycle budget trips on naive's cycle" `Quick
+      test_budget_trips_on_time;
     Alcotest.test_case "skipping actually skips" `Quick
       test_skipping_actually_skips;
     Alcotest.test_case "concurrent skip equivalent" `Quick

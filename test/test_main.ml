@@ -28,7 +28,7 @@ let () =
       ("exhaustive", Test_exhaustive.suite);
       ("experiment", Test_experiment.suite);
       ("kernel", Test_kernel.suite);
-      ("compiled", Test_compiled.suite);
+      ("parking", Test_parking.suite);
       ("banked", Test_banked.suite);
       ("checkpoint", Test_checkpoint.suite);
       ("fault", Test_fault.suite);

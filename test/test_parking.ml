@@ -1,17 +1,16 @@
-(* Tests for the compiled stepping engine: the third engine next to
-   naive and event-driven skipping, with instrumentation branches
-   resolved at instantiation and batched retirement of
-   already-determined completions.
+(* Tests for spinner parking: a core that loses a synchronization wait
+   in a parkable run is not stepped again until another core's write
+   can change the retry's outcome, and its skipped retries are credited
+   in bulk at the wake.
 
-   The engine's contract is the same equivalence invariant the skip
-   kernel carries, checked three ways instead of two: every reported
-   simulation statistic — total cycles, per-core stall/work counters,
-   memory-system and FIFO counters, the verified post-heap — must be
-   bit-identical to naive stepping; only wall time and the
-   executed/skipped split may differ. Fault injection and attached
-   instruments force the general engine (the compiled fast path resolves
-   those hooks away), so those configurations double as fallback
-   coverage: requesting [compiled] must never change any statistic. *)
+   Parking carries the event-driven engine's contract and one more:
+   every reported simulation statistic — total cycles, per-core
+   stall/work counters, memory-system and FIFO counters, the verified
+   post-heap — is bit-identical to naive stepping, and the
+   executed/skipped split, every snapshot section, trace event and
+   profile cell equal those of an unparked twin (the same configuration
+   with an inert fault plan, which turns parking off and changes
+   nothing else). *)
 
 module Coprocessor = Hsgc_coproc.Coprocessor
 module Counters = Hsgc_coproc.Counters
@@ -26,305 +25,22 @@ module Injector = Hsgc_fault.Injector
 module Trace = Hsgc_coproc.Trace
 module Codec = Hsgc_util.Codec
 
-(* Everything in gc_stats except the kernel-observability fields
-   (executed/skipped split and wall time) must be bit-identical. *)
-let check_stats_equal ctx ~ref_name ~other_name (a : Coprocessor.gc_stats)
-    (b : Coprocessor.gc_stats) =
-  let chk name x y =
-    if x <> y then
-      Alcotest.failf "%s: %s differs (%s %d, %s %d)" ctx name ref_name x
-        other_name y
-  in
-  chk "total_cycles" a.Coprocessor.total_cycles b.Coprocessor.total_cycles;
-  chk "root_cycles" a.Coprocessor.root_cycles b.Coprocessor.root_cycles;
-  chk "empty_worklist_cycles" a.Coprocessor.empty_worklist_cycles
-    b.Coprocessor.empty_worklist_cycles;
-  chk "live_objects" a.Coprocessor.live_objects b.Coprocessor.live_objects;
-  chk "live_words" a.Coprocessor.live_words b.Coprocessor.live_words;
-  chk "fifo_hits" a.Coprocessor.fifo_hits b.Coprocessor.fifo_hits;
-  chk "fifo_misses" a.Coprocessor.fifo_misses b.Coprocessor.fifo_misses;
-  chk "fifo_overflows" a.Coprocessor.fifo_overflows
-    b.Coprocessor.fifo_overflows;
-  chk "mem_loads" a.Coprocessor.mem_loads b.Coprocessor.mem_loads;
-  chk "mem_stores" a.Coprocessor.mem_stores b.Coprocessor.mem_stores;
-  chk "mem_rejected_bandwidth" a.Coprocessor.mem_rejected_bandwidth
-    b.Coprocessor.mem_rejected_bandwidth;
-  chk "mem_rejected_order" a.Coprocessor.mem_rejected_order
-    b.Coprocessor.mem_rejected_order;
-  chk "header_cache_hits" a.Coprocessor.header_cache_hits
-    b.Coprocessor.header_cache_hits;
-  chk "header_cache_misses" a.Coprocessor.header_cache_misses
-    b.Coprocessor.header_cache_misses;
-  chk "faults_injected" a.Coprocessor.faults_injected
-    b.Coprocessor.faults_injected;
-  chk "corruptions_injected" a.Coprocessor.corruptions_injected
-    b.Coprocessor.corruptions_injected;
-  Array.iteri
-    (fun i ca ->
-      let cb = b.Coprocessor.per_core.(i) in
-      List.iter
-        (fun s ->
-          if Counters.get ca s <> Counters.get cb s then
-            Alcotest.failf "%s: core %d %s stalls differ (%s %d, %s %d)" ctx i
-              (Counters.stall_name s) ref_name (Counters.get ca s) other_name
-              (Counters.get cb s))
-        Counters.all_stalls;
-      if ca.Counters.busy_cycles <> cb.Counters.busy_cycles then
-        Alcotest.failf "%s: core %d busy_cycles differ" ctx i;
-      if ca.Counters.objects_scanned <> cb.Counters.objects_scanned then
-        Alcotest.failf "%s: core %d objects_scanned differ" ctx i;
-      if ca.Counters.objects_evacuated <> cb.Counters.objects_evacuated then
-        Alcotest.failf "%s: core %d objects_evacuated differ" ctx i;
-      if ca.Counters.words_copied <> cb.Counters.words_copied then
-        Alcotest.failf "%s: core %d words_copied differ" ctx i)
-    a.Coprocessor.per_core;
-  if
-    b.Coprocessor.executed_cycles + b.Coprocessor.skipped_cycles
-    <> b.Coprocessor.total_cycles
-  then Alcotest.failf "%s: executed + skipped <> total" ctx
+let check_stats_equal = Test_kernel.check_stats_equal
 
-(* Run the same prebuilt configuration under all three engines and check
-   the full three-way parity: compiled vs naive and skip vs naive (the
-   latter so a three-way test failure names the engine that moved), plus
-   canonical post-heap equality. *)
-let check_three ctx ~mem ?scan_unit ?faults ~n_cores build =
-  let run label cfg =
+(* Run the same prebuilt configuration under naive and default stepping
+   and check full parity, canonical post-heap equality included. *)
+let check_naive_parity ctx ~mem ~n_cores build =
+  let run skip =
     let heap = build () in
-    let stats = Coprocessor.collect cfg heap in
-    ignore label;
+    let stats =
+      Coprocessor.collect (Coprocessor.config ~mem ~skip ~n_cores ()) heap
+    in
     (stats, Verify.snapshot heap)
   in
-  let naive, snap_naive =
-    run "naive"
-      (Coprocessor.config ~mem ?scan_unit ?faults ~skip:false ~n_cores ())
-  in
-  let skip, _ =
-    run "skip" (Coprocessor.config ~mem ?scan_unit ?faults ~skip:true ~n_cores ())
-  in
-  let compiled, snap_compiled =
-    run "compiled"
-      (Coprocessor.config ~mem ?scan_unit ?faults ~compiled:true ~n_cores ())
-  in
-  check_stats_equal ctx ~ref_name:"naive" ~other_name:"skip" naive skip;
-  check_stats_equal ctx ~ref_name:"naive" ~other_name:"compiled" naive
-    compiled;
-  if not (Verify.equal_snapshot snap_naive snap_compiled) then
-    Alcotest.failf "%s: compiled post-heap differs from naive post-heap" ctx
-
-(* ------------------------------------------------------------------ *)
-(* Workload grid: 8 workloads x {1,4,16} cores                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_compiled_equivalent_on_workloads () =
-  List.iter
-    (fun w ->
-      List.iter
-        (fun n_cores ->
-          check_three
-            (Printf.sprintf "%s at %d cores" w.Workloads.name n_cores)
-            ~mem:Memsys.default_config ~n_cores (fun () ->
-              Workloads.build_heap ~scale:0.03 ~seed:7 w))
-        [ 1; 4; 16 ])
-    Workloads.all
-
-let test_compiled_equivalent_latency_bound () =
-  (* +20-cycle latency is where batched retirement does the most work:
-     long quiescent spans, the single-core exclusive interpreter, deep
-     sleep/jump arithmetic. *)
-  let mem = Memsys.with_extra_latency Memsys.default_config 20 in
-  List.iter
-    (fun n_cores ->
-      check_three
-        (Printf.sprintf "latency-bound db at %d cores" n_cores)
-        ~mem ~n_cores (fun () ->
-          Workloads.build_heap ~scale:0.03 ~seed:7 Workloads.db))
-    [ 1; 4; 16 ]
-
-(* ------------------------------------------------------------------ *)
-(* Random graphs and machine configurations                            *)
-(* ------------------------------------------------------------------ *)
-
-let gen_plan_of rng n =
-  let plan = Plan.create () in
-  let ids =
-    Array.init n (fun _ ->
-        Plan.obj plan
-          ~pi:(Hsgc_util.Rng.int rng 4)
-          ~delta:(Hsgc_util.Rng.int rng 5))
-  in
-  Array.iter
-    (fun id ->
-      for slot = 0 to Plan.pi_of plan id - 1 do
-        if Hsgc_util.Rng.int rng 100 < 70 then
-          Plan.link plan ~parent:id ~slot ~child:ids.(Hsgc_util.Rng.int rng n)
-      done)
-    ids;
-  for _ = 1 to 1 + Hsgc_util.Rng.int rng 3 do
-    Plan.add_root plan ids.(Hsgc_util.Rng.int rng n)
-  done;
-  plan
-
-let qcheck_compiled_equivalent =
-  QCheck.Test.make
-    ~name:
-      "compiled engine is bit-identical to naive and skip on random graphs \
-       and configs"
-    ~count:60
-    (QCheck.make
-       ~print:(fun ((n, s), (nc, ca, el, bw, ff)) ->
-         Printf.sprintf
-           "graph(n=%d seed=%d) cores=%d cache=%d lat+%d bw=%d fifo=%d" n s nc
-           ca el bw ff)
-       QCheck.Gen.(
-         let gen_plan =
-           let* n = int_range 1 60 in
-           let* seed = small_nat in
-           return (n, seed)
-         in
-         (* No [scan_unit] dimension: the compiled engine statically
-            rejects sub-object scanning ([start] raises), a validated
-            incompatibility like the sanitizer — covered by the CLI
-            tests, not this grid. *)
-         let gen_config =
-           let* n_cores = int_range 1 16 in
-           let* cache = oneofl [ 0; 8; 1024 ] in
-           let* extra_latency = oneofl [ 0; 3; 20 ] in
-           let* bandwidth = oneofl [ 1; 4; 8 ] in
-           let* fifo = oneofl [ 2; 64; 32768 ] in
-           return (n_cores, cache, extra_latency, bandwidth, fifo)
-         in
-         pair gen_plan gen_config))
-    (fun ((n, seed), (n_cores, cache, extra_latency, bandwidth, fifo)) ->
-      let plan = gen_plan_of (Hsgc_util.Rng.create (seed + 1)) n in
-      let mem =
-        Memsys.with_extra_latency
-          {
-            Memsys.default_config with
-            Memsys.bandwidth;
-            fifo_capacity = fifo;
-            header_cache_entries = cache;
-          }
-          extra_latency
-      in
-      check_three "random config" ~mem ~n_cores (fun () ->
-          Plan.materialize plan);
-      true)
-
-let qcheck_compiled_with_faults =
-  QCheck.Test.make
-    ~name:
-      "requesting the compiled engine under delay-class faults falls back \
-       bit-identically (1..16 cores)"
-    ~count:40
-    (QCheck.make
-       ~print:(fun ((n, s), (nc, intensity)) ->
-         Printf.sprintf "graph(n=%d seed=%d) cores=%d intensity=%.2f" n s nc
-           intensity)
-       QCheck.Gen.(
-         let gen_plan =
-           let* n = int_range 1 50 in
-           let* seed = small_nat in
-           return (n, seed)
-         in
-         let gen_config =
-           let* n_cores = int_range 1 16 in
-           let* intensity = oneofl [ 0.1; 0.4; 0.8 ] in
-           return (n_cores, intensity)
-         in
-         pair gen_plan gen_config))
-    (fun ((n, seed), (n_cores, intensity)) ->
-      (* Fault injection disqualifies the compiled fast path (the
-         injector's per-retry fault stream needs per-cycle stepping), so
-         a [compiled:true] config with faults runs the general engine —
-         and must still match naive stepping on every statistic,
-         including the injected-fault counts drawn from the RNG
-         stream. *)
-      let plan = gen_plan_of (Hsgc_util.Rng.create (seed + 1)) n in
-      let faults =
-        Hsgc_fault.Injector.delay_class ~seed:(seed + 3) ~intensity ()
-      in
-      check_three "delay faults" ~mem:Memsys.default_config ~faults ~n_cores
-        (fun () -> Plan.materialize plan);
-      true)
-
-(* ------------------------------------------------------------------ *)
-(* Checkpoint/resume under the compiled engine                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_compiled_checkpoint_resume () =
-  (* Snapshot a compiled run mid-flight (which must flush the engine's
-     transient scheduling state — parked spinners, deferred watchdog
-     progress — to the canonical representation), resume it onto a fresh
-     machine, and demand the resumed run end bit-identical to a
-     straight-through compiled run and to naive stepping. *)
-  let w = Workloads.db in
-  let scale = 0.05 and seed = 11 in
-  let mem = Memsys.with_extra_latency Memsys.default_config 20 in
-  let cfg = Coprocessor.config ~mem ~compiled:true ~n_cores:8 () in
-  let straight_heap = Workloads.build_heap ~scale ~seed w in
-  let straight = Coprocessor.collect cfg straight_heap in
-  let naive_heap = Workloads.build_heap ~scale ~seed w in
-  let naive =
-    Coprocessor.collect
-      (Coprocessor.config ~mem ~skip:false ~n_cores:8 ())
-      naive_heap
-  in
-  check_stats_equal "straight-through" ~ref_name:"naive"
-    ~other_name:"compiled" naive straight;
-  (* Interrupted leg: save roughly mid-run, at whatever cycle boundary
-     the stepped loop lands on. *)
-  let heap1 = Workloads.build_heap ~scale ~seed w in
-  let sim1 = Coprocessor.start cfg heap1 in
-  let target = straight.Coprocessor.total_cycles / 2 in
-  while (not (Coprocessor.halted sim1)) && Coprocessor.now sim1 < target do
-    Coprocessor.step sim1
-  done;
-  if Coprocessor.halted sim1 then
-    Alcotest.fail "run halted before the checkpoint target";
-  let snap =
-    Checkpoint.of_string
-      (Checkpoint.to_string (Coprocessor.Snapshot.save sim1 ~fingerprint:"t"))
-  in
-  let heap2 = Workloads.build_heap ~scale ~seed w in
-  let sim2 = Coprocessor.start cfg heap2 in
-  Coprocessor.Snapshot.restore sim2 snap;
-  while not (Coprocessor.halted sim2) do
-    Coprocessor.step sim2
-  done;
-  let resumed = Coprocessor.finalize sim2 in
-  check_stats_equal "resumed" ~ref_name:"straight" ~other_name:"resumed"
-    straight resumed;
-  if
-    not
-      (Verify.equal_snapshot
-         (Verify.snapshot straight_heap)
-         (Verify.snapshot heap2))
-  then Alcotest.fail "resumed compiled post-heap differs from straight-through"
-
-(* ------------------------------------------------------------------ *)
-(* Golden-trace guard: tracer attachment forces the general engine     *)
-(* ------------------------------------------------------------------ *)
-
-let test_compiled_trace_digest_matches () =
-  (* An attached tracer disqualifies the compiled fast path (batching
-     would swallow the per-cycle events), so a traced compiled-config
-     run must produce the exact event stream — skip-span events
-     included — of a traced skip-engine run: the same byte-stable
-     digests the golden corpus pins. *)
-  let w = Workloads.cup in
-  let digest compiled =
-    let heap = Workloads.build_heap ~scale:0.05 ~seed:7 w in
-    let obs = Tracer.create ~n_cores:4 () in
-    Tracer.enable obs;
-    let stats =
-      Coprocessor.collect ~obs (Coprocessor.config ~compiled ~n_cores:4 ()) heap
-    in
-    (Tracer.digest obs, stats.Coprocessor.total_cycles)
-  in
-  let d_skip, c_skip = digest false in
-  let d_compiled, c_compiled = digest true in
-  Alcotest.(check int) "cycle counts equal" c_skip c_compiled;
-  Alcotest.(check string) "trace digests equal" d_skip d_compiled
+  let naive, snap_naive = run false and default, snap_default = run true in
+  check_stats_equal ctx ~ref_name:"naive" ~other_name:"default" naive default;
+  if not (Verify.equal_snapshot snap_naive snap_default) then
+    Alcotest.failf "%s: default post-heap differs from naive post-heap" ctx
 
 (* ------------------------------------------------------------------ *)
 (* Spinner parking                                                     *)
@@ -336,10 +52,10 @@ let test_compiled_trace_digest_matches () =
    down to the executed/skipped split and the snapshot bytes. *)
 let twin cfg = { cfg with Coprocessor.faults = Some Injector.default_spec }
 
-(* Three-way parity with naive stepping, plus split parity with the
-   unparked twin. Returns the parked default-engine statistics. *)
+(* Parity with naive stepping, plus split parity with the unparked
+   twin. Returns the parked default-engine statistics. *)
 let check_parking ctx ~mem ~n_cores build =
-  check_three ctx ~mem ~n_cores build;
+  check_naive_parity ctx ~mem ~n_cores build;
   let cfg = Coprocessor.config ~mem ~n_cores () in
   let parked = Coprocessor.collect cfg (build ()) in
   let unparked = Coprocessor.collect (twin cfg) (build ()) in
@@ -702,13 +418,13 @@ let test_park_instrumented_snapshots () =
       ("compress/8", 8, mem_at 0, Workloads.compress);
     ]
 
-(* The compiled engine's parking shares the default engine's
-   implementation, with no core-count ceiling: 64 and 100 cores (the
-   latter past the wake queue's linear-scan regime) run its fast path. *)
-let test_compiled_many_cores () =
+(* Parking has no core-count ceiling: 64 and 100 cores (the latter past
+   the wake queue's linear-scan regime) keep parity with naive
+   stepping. *)
+let test_many_cores () =
   List.iter
     (fun n_cores ->
-      check_three
+      check_naive_parity
         (Printf.sprintf "search at %d cores" n_cores)
         ~mem:Memsys.default_config ~n_cores (fun () ->
           Workloads.build_heap ~scale:0.05 ~seed:42 Workloads.search))
@@ -716,16 +432,6 @@ let test_compiled_many_cores () =
 
 let suite =
   [
-    Alcotest.test_case "compiled equivalent on workload grid" `Slow
-      test_compiled_equivalent_on_workloads;
-    Alcotest.test_case "compiled equivalent latency-bound" `Quick
-      test_compiled_equivalent_latency_bound;
-    QCheck_alcotest.to_alcotest qcheck_compiled_equivalent;
-    QCheck_alcotest.to_alcotest qcheck_compiled_with_faults;
-    Alcotest.test_case "compiled checkpoint/resume bit-identical" `Quick
-      test_compiled_checkpoint_resume;
-    Alcotest.test_case "traced compiled run matches naive digest" `Quick
-      test_compiled_trace_digest_matches;
     Alcotest.test_case "parked scan-lock waiters" `Quick test_park_scan_lock;
     Alcotest.test_case "parked header-lock waiters" `Quick
       test_park_header_lock;
@@ -737,8 +443,8 @@ let suite =
       test_park_trace_mid_run;
     Alcotest.test_case "watchdog dump with cores parked" `Quick
       test_park_watchdog_dump;
-    Alcotest.test_case "compiled engine at 64 and 100 cores" `Quick
-      test_compiled_many_cores;
+    Alcotest.test_case "naive/default parity on many cores" `Quick
+      test_many_cores;
     Alcotest.test_case "instrumented parking matches the unparked twin" `Slow
       test_park_instrumented_parity;
     Alcotest.test_case "instrumented runs keep the pinned split" `Quick

@@ -39,9 +39,9 @@ ban 'Printf\.printf' 'bare stdout formatting from library code'
 
 # The cycle-stepped hot-path modules additionally ban closure literals:
 # under classic ocamlopt (no flambda) a [fun () -> ...] that captures
-# anything heap-allocates at every evaluation, and the compiled engine's
-# contract is a zero-allocation stepping loop (gated by the perf suite's
-# compiled_words_per_cycle budget). Thunks belong in the setup layer,
+# anything heap-allocates at every evaluation, and the stepping loop's
+# contract is zero allocation (gated by the perf suite's
+# loop_words_per_cycle budget). Thunks belong in the setup layer,
 # not in per-cycle code. The sync block and the header FIFO are on that
 # path too: both run every cycle, and the spinner-parking wake checks
 # read the sync block after every core step. So are the instruments:
