@@ -20,8 +20,11 @@
    columns at 4 bytes a value where they fit (Hsgc_obs.Tracer), and the
    header FIFO only its live entries (Hsgc_memsim.Header_fifo). Format
    version 3 added the last and dropped the retired engine flag from
-   the configuration section. Nothing reads older versions: a snapshot
-   from another build is refused by its fingerprint anyway.
+   the configuration section. Version 4 adds delta images: a
+   "heap-delta" and an "obs-delta" section in place of "heap" and
+   "obs" (Hsgc_coproc.Coprocessor.Snapshot); the chain they form is
+   Hsgc_core.Resume's. Nothing reads older versions: a snapshot from
+   another build is refused by its fingerprint anyway.
 
    A long run's snapshot is still megabytes (heap prefixes plus tracer
    ring), so each payload byte is stored once and read in place:
@@ -33,7 +36,7 @@
 module Codec = Hsgc_util.Codec
 
 let magic = "HSGC-CKPT\n"
-let version = 3
+let version = 4
 
 exception Corrupt of string
 
@@ -96,11 +99,27 @@ let crc32_sub s ~pos ~len =
 
 let crc32 s = crc32_sub s ~pos:0 ~len:(String.length s)
 
+(* --- the frame digest ------------------------------------------------ *)
+
+(* CRC-32 of the fingerprint and each section's name, CRC and length, in
+   file order: the file's identity at the cost of a few dozen bytes,
+   since every payload byte is already folded into its section's CRC. *)
+let frame_digest fingerprint frames =
+  let b = Buffer.create 256 in
+  Buffer.add_string b fingerprint;
+  List.iter
+    (fun (name, crc, len) ->
+      Buffer.add_string b name;
+      Buffer.add_int64_le b (Int64.of_int crc);
+      Buffer.add_int64_le b (Int64.of_int len))
+    frames;
+  crc32 (Buffer.contents b)
+
 (* --- writing -------------------------------------------------------- *)
 
-type image = string
+type image = { data : string; i_digest : int }
 
-let encode ~fingerprint sections =
+let measured sections =
   let rec unique = function
     | [] -> ()
     | (name, _) :: rest ->
@@ -110,49 +129,74 @@ let encode ~fingerprint sections =
       unique rest
   in
   unique sections;
-  let sized =
-    List.map
-      (fun (name, encoder) ->
-        let m = Codec.W.measure () in
-        encoder m;
-        (name, encoder, Codec.W.pos m))
-      sections
-  in
-  let framed s = 8 + String.length s in
-  let size =
-    List.fold_left
-      (fun acc (name, _, len) -> acc + framed name + 16 + len)
-      (String.length magic + 8 + framed fingerprint + 8)
-      sized
-  in
+  List.map
+    (fun (name, encoder) ->
+      let m = Codec.W.measure () in
+      encoder m;
+      (name, encoder, Codec.W.pos m))
+    sections
+
+let framed s = 8 + String.length s
+
+let file_size ~fingerprint sized =
+  List.fold_left
+    (fun acc (name, _, len) -> acc + framed name + 16 + len)
+    (String.length magic + 8 + framed fingerprint + 8)
+    sized
+
+let measure ~fingerprint sections =
+  file_size ~fingerprint (measured sections)
+
+let encode ~fingerprint sections =
+  let sized = measured sections in
+  let size = file_size ~fingerprint sized in
   let buf = Bytes.create size in
   Bytes.blit_string magic 0 buf 0 (String.length magic);
   let w = Codec.W.into buf ~pos:(String.length magic) in
   Codec.W.int w version;
   Codec.W.string w fingerprint;
   Codec.W.int w (List.length sized);
-  List.iter
-    (fun (name, encoder, len) ->
-      Codec.W.string w name;
-      let crc_at = Codec.W.pos w in
-      Codec.W.int w 0;
-      Codec.W.int w len;
-      let start = Codec.W.pos w in
-      encoder w;
-      let wrote = Codec.W.pos w - start in
-      if wrote <> len then
-        invalid_arg
-          (Printf.sprintf
-             "Checkpoint.encode: section %S wrote %d bytes, measured %d" name
-             wrote len);
-      (* The CRC only reads the payload just written; [buf] is not
-         mutated while the string view is in use. *)
-      let crc = crc32_sub (Bytes.unsafe_to_string buf) ~pos:start ~len in
-      Codec.W.int (Codec.W.into buf ~pos:crc_at) crc)
-    sized;
-  Bytes.unsafe_to_string buf
+  let frames =
+    List.map
+      (fun (name, encoder, len) ->
+        Codec.W.string w name;
+        let crc_at = Codec.W.pos w in
+        Codec.W.int w 0;
+        Codec.W.int w len;
+        let start = Codec.W.pos w in
+        encoder w;
+        let wrote = Codec.W.pos w - start in
+        if wrote <> len then
+          invalid_arg
+            (Printf.sprintf
+               "Checkpoint.encode: section %S wrote %d bytes, measured %d" name
+               wrote len);
+        (* The CRC only reads the payload just written; [buf] is not
+           mutated while the string view is in use. *)
+        let crc = crc32_sub (Bytes.unsafe_to_string buf) ~pos:start ~len in
+        Codec.W.int (Codec.W.into buf ~pos:crc_at) crc;
+        (name, crc, len))
+      sized
+  in
+  {
+    data = Bytes.unsafe_to_string buf;
+    i_digest = frame_digest fingerprint frames;
+  }
 
-let to_string image = image
+let to_string image = image.data
+let image_digest image = image.i_digest
+
+(* Make the directory entry that [rename] just wrote durable, so a crash
+   cannot undo the rename of a file that a later file (a delta naming
+   it as its parent) depends on. Some filesystems refuse to fsync a
+   directory with EINVAL; there the rename is as durable as they make
+   it. *)
+let fsync_dir dir =
+  let fd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      try Unix.fsync fd with Unix.Unix_error (Unix.EINVAL, _, _) -> ())
 
 (* A failed write, fsync or rename (a full disk, a directory at [path])
    removes the temp file before re-raising, so failures leave nothing
@@ -162,21 +206,22 @@ let to_string image = image
 let write image ~path =
   let dir = Filename.dirname path in
   let tmp = Filename.temp_file ~temp_dir:dir ".ckpt-" ".tmp" in
-  try
-    let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        let n = String.length image in
-        let written = Unix.write_substring fd image 0 n in
-        if written <> n then failwith "Checkpoint.write: short write";
-        Unix.fchmod fd 0o644;
-        Unix.fsync fd);
-    Sys.rename tmp path
-  with e ->
-    let bt = Printexc.get_raw_backtrace () in
-    (try Sys.remove tmp with Sys_error _ -> ());
-    Printexc.raise_with_backtrace e bt
+  (try
+     let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+     Fun.protect
+       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+       (fun () ->
+         let n = String.length image.data in
+         let written = Unix.write_substring fd image.data 0 n in
+         if written <> n then failwith "Checkpoint.write: short write";
+         Unix.fchmod fd 0o644;
+         Unix.fsync fd);
+     Sys.rename tmp path
+   with e ->
+     let bt = Printexc.get_raw_backtrace () in
+     (try Sys.remove tmp with Sys_error _ -> ());
+     Printexc.raise_with_backtrace e bt);
+  fsync_dir dir
 
 (* --- reading -------------------------------------------------------- *)
 
@@ -186,9 +231,13 @@ type snapshot = {
   s_sections : (string * int * int) list;
       (* name, payload offset in [image], length — in file order,
          CRC-verified *)
+  s_digest : int;
 }
 
 let fingerprint s = s.s_fingerprint
+let digest s = s.s_digest
+
+let mem s name = List.exists (fun (n, _, _) -> n = name) s.s_sections
 
 let reader s name =
   match List.find_opt (fun (n, _, _) -> n = name) s.s_sections with
@@ -217,11 +266,19 @@ let of_string data =
           if actual <> crc then
             corrupt "section %S CRC mismatch (stored %08x, computed %08x)"
               name crc actual;
-          (name, pos, len))
+          (name, crc, pos, len))
     in
     if not (Codec.R.eof r) then
       corrupt "trailing garbage after last section";
-    { image = data; s_fingerprint = fp; s_sections = sections }
+    {
+      image = data;
+      s_fingerprint = fp;
+      s_sections =
+        List.map (fun (name, _, pos, len) -> (name, pos, len)) sections;
+      s_digest =
+        frame_digest fp
+          (List.map (fun (name, crc, _, len) -> (name, crc, len)) sections);
+    }
   in
   match parse () with
   | s -> s

@@ -4,9 +4,13 @@
     writer-chosen fingerprint (config/build identity), and a list of
     named sections, each carrying a CRC-32 of its payload. Files are
     written atomically (temp file in the destination directory + fsync
-    + rename), so a crash mid-write never leaves a torn snapshot behind
-    — at worst a stale [.ckpt-*.tmp] file, and a write that fails with
-    an exception removes even that.
+    + rename + fsync of the directory), so a crash mid-write never
+    leaves a torn snapshot behind — at worst a stale [.ckpt-*.tmp]
+    file, and a write that fails with an exception removes even that —
+    and a file whose write returned survives a crash, which a delta
+    image naming it as its parent relies on. What the sections hold,
+    and how delta images chain to their parents, is the writer's
+    ({!Hsgc_coproc.Coprocessor.Snapshot}, {!Hsgc_core.Resume}).
 
     Loading verifies the magic, version, structural well-formedness and
     {e every} section CRC eagerly; any deviation — including a single
@@ -20,11 +24,12 @@
 exception Corrupt of string
 
 val version : int
-(** The format version (2): the heap section stores each semispace up
-    to its last nonzero word ([Hsgc_heap.Heap.encode]) and the tracer
+(** The format version (4): the heap section stores each semispace up
+    to its last nonzero word ([Hsgc_heap.Heap.encode]), the tracer
     section its event ring as width-fitted columns
-    ([Hsgc_obs.Tracer.encode]). A snapshot of any other version is
-    refused. *)
+    ([Hsgc_obs.Tracer.encode]), the FIFO its live entries, and a delta
+    image carries "heap-delta" and "obs-delta" sections in place of
+    "heap" and "obs". A snapshot of any other version is refused. *)
 
 val crc32 : string -> int
 (** CRC-32 (IEEE 802.3) of a string. *)
@@ -46,13 +51,23 @@ val encode :
     the same bytes both times. Raises [Invalid_argument] on a duplicate
     section name or an encoder whose two runs disagree. *)
 
+val measure :
+  fingerprint:string -> (string * (Hsgc_util.Codec.W.t -> unit)) list -> int
+(** The size in bytes of the image {!encode} would build from the same
+    arguments, from one measuring run of each encoder. *)
+
 val to_string : image -> string
 (** The file's bytes (not a copy). *)
 
+val image_digest : image -> int
+(** {!digest} of the snapshot these bytes load as. *)
+
 val write : image -> path:string -> unit
-(** Atomic write: temp file beside [path], fsync, rename. When any step
-    raises (a full disk, a directory at [path]) the temp file is
-    removed and the exception re-raised. *)
+(** Durable atomic write: temp file beside [path], fsync, rename, then
+    fsync of the directory (a filesystem that refuses a directory fsync
+    with [EINVAL] is tolerated). When the write, fsync or rename raises
+    (a full disk, a directory at [path]) the temp file is removed and
+    the exception re-raised. *)
 
 (** {2 Reading} *)
 
@@ -66,6 +81,14 @@ val of_string : string -> snapshot
 (** Same, from bytes already in memory. *)
 
 val fingerprint : snapshot -> string
+
+val digest : snapshot -> int
+(** The file's identity: a CRC-32 of its fingerprint and its section
+    table (each section's name, length and payload CRC), so it changes
+    with any byte of the file. A delta names its parent by it. *)
+
+val mem : snapshot -> string -> bool
+(** Whether the snapshot has a section of this name. *)
 
 val reader : snapshot -> string -> Hsgc_util.Codec.R.t
 (** A reader over a named section's payload, in place; raises

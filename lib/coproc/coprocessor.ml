@@ -331,6 +331,12 @@ type core = {
   mutable probe_cycle : int;
 }
 
+(* What a checkpoint writer keeps per machine between saves
+   (Hsgc_core.Resume's chain of snapshots): the machine only carries it,
+   so two machines never share one. *)
+type chain = ..
+type chain += No_chain
+
 type t = {
   cfg : config;
   (* Parking guards, derived from the configuration once at [start]:
@@ -426,9 +432,13 @@ type t = {
      at heap size in sub-object mode. *)
   pieces : int array;
   pieces_base : int;
+  mutable chain : chain;
 }
 
 type sim = t
+
+let chain t = t.chain
+let set_chain t c = t.chain <- c
 
 let now t = t.clock.Kernel.now
 
@@ -1192,6 +1202,7 @@ let start ?(obs = Obs.disabled) ?(prof = Prof.disabled) ?remote cfg heap =
     cur_next_slot = 0;
     pieces;
     pieces_base;
+    chain = No_chain;
   }
 
 let halted = all_halted
@@ -1498,7 +1509,13 @@ let credit_awake t ~cycle ~span ~empty_delta =
   done;
   t.empty_cycles <- t.empty_cycles + (span * empty_delta)
 
+(* The trip is raised after the clock moved past the last executed
+   cycle, where a naive stepper ticked every core's ports; a core that
+   slept or parked through it was not ticked, so its ports are rendered
+   as that tick would leave them. The machine itself is not touched: a
+   post-mortem snapshot saves it as it stands. *)
 let diagnose t trip =
+  let ticked = now t - 1 in
   {
     trip;
     at_cycle = now t;
@@ -1520,10 +1537,10 @@ let diagnose t trip =
                header_lock = SB.header_lock_of t.sb ~core:c.id;
                ports =
                  [
-                   ("hl", Port.describe c.hl);
-                   ("hs", Port.describe c.hs);
-                   ("bl", Port.describe c.bl);
-                   ("bs", Port.describe c.bs);
+                   ("hl", Port.describe c.hl ~now:ticked);
+                   ("hs", Port.describe c.hs ~now:ticked);
+                   ("bl", Port.describe c.bl ~now:ticked);
+                   ("bs", Port.describe c.bs ~now:ticked);
                  ];
              })
            t.cores);
@@ -2635,9 +2652,61 @@ module Snapshot = struct
     t.cur_next_slot <- Codec.R.int r;
     Codec.R.int_array_into r t.pieces ~what:"piece table"
 
+  (* --- delta parents ------------------------------------------------ *)
+
+  (* The image a delta is taken against, as the writer keeps it: a copy
+     of the heap words that image holds, its ring length and heap
+     layout, and the run table of the last delta found against it
+     ([diff_at]: the cycle it was found at, -1 when none is pending). *)
+  type parent = {
+    words : int array;
+    mutable events : int;
+    mutable layout : int array;
+    mutable diff : H.delta option;
+    mutable diff_at : int;
+  }
+
+  let layout (h : H.t) =
+    let a = h.H.space_a and b = h.H.space_b in
+    [|
+      a.Semispace.base; a.Semispace.limit; b.Semispace.base; b.Semispace.limit;
+      Bool.to_int h.H.a_is_current;
+    |]
+
+  let ring_length t = if t.obs.Obs.on then Obs.length t.obs else 0
+
+  let extends p t =
+    Array.length p.words = Array.length t.heap.H.mem && p.layout = layout t.heap
+
+  (* A plain loop: [Array.blit] into a major-heap array would take the
+     write barrier per word. *)
+  let copy_words src dst =
+    for i = 0 to Array.length src - 1 do
+      Array.unsafe_set dst i (Array.unsafe_get src i)
+    done
+
+  let parent ?last t =
+    let mem = t.heap.H.mem in
+    let p =
+      match last with
+      | Some p when Array.length p.words = Array.length mem ->
+        (match p.diff with
+        | Some d when p.diff_at = now t -> H.apply_delta t.heap d ~base:p.words
+        | _ -> copy_words mem p.words);
+        p
+      | _ ->
+        let words = Array.make (Array.length mem) 0 in
+        copy_words mem words;
+        { words; events = 0; layout = [||]; diff = None; diff_at = -1 }
+    in
+    p.events <- ring_length t;
+    p.layout <- layout t.heap;
+    p.diff_at <- -1;
+    p
+
   (* --- the snapshot ------------------------------------------------- *)
 
-  let save ?(extra = []) t ~fingerprint =
+  let check_saveable t =
     if t.cfg.sanitize <> San.Off then
       invalid_arg
         "Coprocessor.Snapshot.save: sanitizer state is not checkpointable";
@@ -2646,39 +2715,81 @@ module Snapshot = struct
          driver, not the config the restore path reconstructs from. *)
       invalid_arg
         "Coprocessor.Snapshot.save: banked-machine banks are not \
-         snapshottable";
+         snapshottable"
+
+  (* The sections of a full image or, against [parent], of a delta:
+     "heap-delta" and "obs-delta" in place of "heap" and "obs". The
+     delta's compare pass runs here, once, and its run table stays with
+     the parent for both encoder passes and for [parent ~last]. *)
+  let sections ?parent t =
+    let heap, obs =
+      match parent with
+      | None ->
+        ( ("heap", H.encode t.heap),
+          ( "obs",
+            fun w ->
+              Obs.encode t.obs w;
+              Prof.encode t.prof w ) )
+      | Some p ->
+        if not (extends p t) then
+          invalid_arg
+            "Coprocessor.Snapshot.save: the parent has another heap layout";
+        let d = H.delta ?reuse:p.diff t.heap ~base:p.words in
+        p.diff <- Some d;
+        p.diff_at <- now t;
+        ( ("heap-delta", H.encode_delta t.heap d),
+          ( "obs-delta",
+            fun w ->
+              Obs.encode_delta t.obs ~since:p.events w;
+              Prof.encode t.prof w ) )
+    in
+    [
+      ("config", encode_config t.cfg);
+      heap;
+      ("memsys", Mem.encode t.mem);
+      ("fifo", Fifo.encode t.fifo);
+      ( "ports",
+        fun w ->
+          Array.iter
+            (fun c ->
+              Port.encode c.hl w;
+              Port.encode c.hs w;
+              Port.encode c.bl w;
+              Port.encode c.bs w)
+            t.cores );
+      ("sync", SB.encode t.sb);
+      ("cores", fun w -> Array.iter (fun c -> encode_core c w) t.cores);
+      ( "counters",
+        fun w -> Array.iter (fun c -> Counters.encode c.counters w) t.cores );
+      ("kernel", encode_sched t);
+      ("rng", Injector.encode t.faults);
+      obs;
+    ]
+
+  let save ?(extra = []) ?parent t ~fingerprint =
+    check_saveable t;
     (* Parked spinners are a scheduling artifact: flush them to the
        spinners they stand for, so the image is the one an unparked
        run writes at this cycle. *)
     unpark_all t;
-    Ckpt.encode ~fingerprint
-      ([
-         ("config", encode_config t.cfg);
-         ("heap", H.encode t.heap);
-         ("memsys", Mem.encode t.mem);
-         ("fifo", Fifo.encode t.fifo);
-         ( "ports",
-           fun w ->
-             Array.iter
-               (fun c ->
-                 Port.encode c.hl w;
-                 Port.encode c.hs w;
-                 Port.encode c.bl w;
-                 Port.encode c.bs w)
-               t.cores );
-         ("sync", SB.encode t.sb);
-         ("cores", fun w -> Array.iter (fun c -> encode_core c w) t.cores);
-         ( "counters",
-           fun w -> Array.iter (fun c -> Counters.encode c.counters w) t.cores
-         );
-         ("kernel", encode_sched t);
-         ("rng", Injector.encode t.faults);
-         ( "obs",
-           fun w ->
-             Obs.encode t.obs w;
-             Prof.encode t.prof w );
-       ]
-      @ extra)
+    Ckpt.encode ~fingerprint (sections ?parent t @ extra)
+
+  let full_size ?(extra = []) t ~fingerprint =
+    check_saveable t;
+    unpark_all t;
+    Ckpt.measure ~fingerprint (sections t @ extra)
+
+  (* A lower bound settles most calls without measuring a full image:
+     the heap payload sized by the delta's compare pass, plus 4 bytes
+     per kept event in each of the ring's five columns. *)
+  let exceeds_full ?extra ~parent t ~fingerprint bytes =
+    let lower =
+      match parent.diff with
+      | Some d when parent.diff_at = now t ->
+        H.full_bytes t.heap d + (20 * ring_length t)
+      | _ -> 0
+    in
+    bytes > lower && bytes > full_size ?extra t ~fingerprint
 
   let config snap =
     let r = Ckpt.reader snap "config" in
@@ -2706,7 +2817,10 @@ module Snapshot = struct
         let enc = decode_config r in
         if enc <> { t.cfg with sanitize = San.Off } then
           raise (Codec.Error "snapshot taken under a different configuration"));
-    with_sec "heap" (H.restore t.heap);
+    (* A delta applies onto a machine holding its parent. *)
+    let delta = Ckpt.mem snap "heap-delta" in
+    if delta then with_sec "heap-delta" (H.restore_delta t.heap)
+    else with_sec "heap" (H.restore t.heap);
     with_sec "memsys" (Mem.restore t.mem);
     with_sec "fifo" (Fifo.restore t.fifo);
     with_sec "ports" (fun r ->
@@ -2723,9 +2837,14 @@ module Snapshot = struct
         Array.iter (fun c -> Counters.restore c.counters r) t.cores);
     with_sec "kernel" (restore_sched t);
     with_sec "rng" (Injector.restore t.faults);
-    with_sec "obs" (fun r ->
-        Obs.restore t.obs r;
-        Prof.restore t.prof r);
+    if delta then
+      with_sec "obs-delta" (fun r ->
+          Obs.restore_delta t.obs r;
+          Prof.restore t.prof r)
+    else
+      with_sec "obs" (fun r ->
+          Obs.restore t.obs r;
+          Prof.restore t.prof r);
     (* A snapshot never holds a parked core. *)
     Array.iter (fun c -> c.park <- park_none) t.cores;
     t.n_parked <- 0;

@@ -366,15 +366,56 @@ val mutator_alloc : sim -> pi:int -> delta:int -> [ `Done of int * int | `Wait ]
     started with [?remote]. *)
 
 module Snapshot : sig
+  type parent
+  (** The image a delta save is taken against, as its writer keeps it:
+      a copy of the heap words that image holds, its tracer ring length
+      and its heap layout (semispace bounds and orientation). *)
+
+  val parent : ?last:parent -> sim -> parent
+  (** The machine as it stands, as the parent of a later delta save —
+      taken once the image saved from it is durable. With [last] (the
+      parent that save was a delta of, consumed: updated in place and
+      returned) the word copy is brought up to date by the runs that
+      save found when the clock has not moved since, otherwise copied
+      whole; without it the heap is copied into a new array. *)
+
+  val extends : parent -> sim -> bool
+  (** A delta against the parent is possible: the heap still has the
+      parent's size, semispace bounds and orientation. *)
+
   val save :
     ?extra:(string * (Hsgc_util.Codec.W.t -> unit)) list ->
+    ?parent:parent ->
     sim ->
     fingerprint:string ->
     Hsgc_checkpoint.Checkpoint.image
   (** Serialize the machine into a checkpoint image: one section per
       subsystem, then the caller's [extra] sections (driver metadata),
       each given by its encoder. Write it with
-      {!Hsgc_checkpoint.Checkpoint.write}. *)
+      {!Hsgc_checkpoint.Checkpoint.write}. Without [parent] the image is
+      full. With it the image is a delta: a "heap-delta" section
+      ({!Hsgc_heap.Heap.encode_delta}: the words that differ from the
+      parent's, found in one compare pass) and an "obs-delta" section
+      (the tracer events appended since the parent, then the tracer's
+      registers and the profiler whole) in place of "heap" and "obs",
+      and every other section whole, so a delta has as many sections as
+      a full image. Raises [Invalid_argument] when the parent does not
+      {!extends} the machine. The image says nothing of its parent:
+      naming it is the writer's job ({!Hsgc_core.Resume}). *)
+
+  val exceeds_full :
+    ?extra:(string * (Hsgc_util.Codec.W.t -> unit)) list ->
+    parent:parent ->
+    sim ->
+    fingerprint:string ->
+    int ->
+    bool
+  (** [exceeds_full ~parent sim ~fingerprint n]: [n] bytes are more
+      than a full image {!save} (with [extra]) would write now. Right
+      after a delta {!save} against [parent] (the clock unmoved since),
+      a lower bound from that save's compare pass and the ring's length
+      settles it; above the bound the full image is measured, not
+      built. *)
 
   val config : Hsgc_checkpoint.Checkpoint.snapshot -> config
   (** The configuration the snapshotted machine was started under
@@ -382,9 +423,27 @@ module Snapshot : sig
       {!Hsgc_checkpoint.Checkpoint.Corrupt} on a malformed section. *)
 
   val restore : sim -> Hsgc_checkpoint.Checkpoint.snapshot -> unit
-  (** Overwrite a freshly started machine's state in place from a
+  (** Overwrite a freshly started machine's state in place from a full
       snapshot. The machine must have been {!start}ed with the
       snapshot's {!config} and the same heap geometry (use {!config}
       and rebuild the workload heap deterministically); any mismatch or
-      malformed section raises {!Hsgc_checkpoint.Checkpoint.Corrupt}. *)
+      malformed section raises {!Hsgc_checkpoint.Checkpoint.Corrupt}.
+      A delta snapshot is applied the same way onto a machine holding
+      its parent's state (restored from the parent's own chain): its
+      heap runs and ring events on top, every other section whole. The
+      tracer refuses a delta whose parent held another ring length;
+      that the rest of the parent matches is the caller's to check. *)
 end
+
+(** {2 Checkpoint chains}
+
+    A checkpoint writer's per-machine state (the chain of
+    {!Hsgc_core.Resume}) rides on the machine, so machines on different
+    domains never share it. The slot's contents are the writer's type:
+    it extends {!chain}. A started machine holds [No_chain]. *)
+
+type chain = ..
+type chain += No_chain
+
+val chain : sim -> chain
+val set_chain : sim -> chain -> unit

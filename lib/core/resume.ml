@@ -68,7 +68,12 @@ type meta = {
   prof_on : bool;
 }
 
-let encode_meta m w =
+(* A delta's link to its parent: the parent's file name (in the same
+   directory) and its Checkpoint.digest. It sits after the run metadata
+   in the CRC-covered "meta" section; a full image has none. *)
+type link = { parent_file : string; parent_digest : int }
+
+let encode_meta m link w =
   Codec.W.string w m.workload;
   Codec.W.float w m.scale;
   Codec.W.int w m.seed;
@@ -76,7 +81,13 @@ let encode_meta m w =
   Codec.W.bool w m.obs_on;
   Codec.W.int w m.obs_capacity;
   Codec.W.int w m.obs_interval;
-  Codec.W.bool w m.prof_on
+  Codec.W.bool w m.prof_on;
+  match link with
+  | None -> Codec.W.bool w false
+  | Some l ->
+    Codec.W.bool w true;
+    Codec.W.string w l.parent_file;
+    Codec.W.int w l.parent_digest
 
 let decode_meta r =
   try
@@ -88,28 +99,104 @@ let decode_meta r =
     let obs_capacity = Codec.R.int r in
     let obs_interval = Codec.R.int r in
     let prof_on = Codec.R.bool r in
+    let link =
+      if Codec.R.bool r then
+        let parent_file = Codec.R.string r in
+        let parent_digest = Codec.R.int r in
+        Some { parent_file; parent_digest }
+      else None
+    in
     if not (Codec.R.eof r) then
       raise (Checkpoint.Corrupt "section \"meta\": trailing bytes");
-    {
-      workload;
-      scale;
-      seed;
-      partitions;
-      obs_on;
-      obs_capacity;
-      obs_interval;
-      prof_on;
-    }
+    ( {
+        workload;
+        scale;
+        seed;
+        partitions;
+        obs_on;
+        obs_capacity;
+        obs_interval;
+        prof_on;
+      },
+      link )
   with Codec.Error m ->
     raise (Checkpoint.Corrupt (Printf.sprintf "section \"meta\": %s" m))
 
-(* --- snapshot files ----------------------------------------------- *)
+(* --- checkpoint chains ---------------------------------------------- *)
+
+(* A machine's chain: its last durable image, which its next save may be
+   a delta of, and the bytes of the deltas written since the chain's
+   full image. It rides on the machine (Coprocessor.chain), never in a
+   global, and advances only after Checkpoint.write returns, so a delta
+   always names a parent that is on disk. *)
+type chain = {
+  last_path : string;
+  last_digest : int;
+  base : Coprocessor.Snapshot.parent;
+  delta_bytes : int;
+}
+
+type Coprocessor.chain += Chain of chain
+
+(* The chain rule: a save is a delta of the machine's last durable image
+   unless it is the machine's first, goes to another directory, goes
+   onto that image's own path (the rename would replace the parent),
+   finds the heap's layout changed, or would bring the chain's delta
+   bytes past a full image of the machine now. The post-mortem snapshot
+   is always full and outside the chain ([write_full]). *)
+let full_image ~fp sim meta =
+  Coprocessor.Snapshot.save sim ~fingerprint:fp
+    ~extra:[ ("meta", encode_meta meta None) ]
 
 let save ?fingerprint:fp sim meta ~path =
   let fp = match fp with Some f -> f | None -> fingerprint () in
-  Checkpoint.write ~path
-    (Coprocessor.Snapshot.save sim ~fingerprint:fp
-       ~extra:[ ("meta", encode_meta meta) ])
+  let full () = full_image ~fp sim meta in
+  let chain =
+    match Coprocessor.chain sim with Chain c -> Some c | _ -> None
+  in
+  let image, delta_bytes =
+    match chain with
+    | Some c
+      when Filename.dirname c.last_path = Filename.dirname path
+           && c.last_path <> path
+           && Coprocessor.Snapshot.extends c.base sim ->
+      let link =
+        {
+          parent_file = Filename.basename c.last_path;
+          parent_digest = c.last_digest;
+        }
+      in
+      let delta =
+        Coprocessor.Snapshot.save ~parent:c.base sim ~fingerprint:fp
+          ~extra:[ ("meta", encode_meta meta (Some link)) ]
+      in
+      let bytes =
+        c.delta_bytes + String.length (Checkpoint.to_string delta)
+      in
+      if
+        Coprocessor.Snapshot.exceeds_full ~parent:c.base sim ~fingerprint:fp
+          ~extra:[ ("meta", encode_meta meta None) ]
+          bytes
+      then (full (), 0)
+      else (delta, bytes)
+    | _ -> (full (), 0)
+  in
+  Checkpoint.write image ~path;
+  let base =
+    Coprocessor.Snapshot.parent ?last:(Option.map (fun c -> c.base) chain) sim
+  in
+  Coprocessor.set_chain sim
+    (Chain
+       {
+         last_path = path;
+         last_digest = Checkpoint.image_digest image;
+         base;
+         delta_bytes;
+       })
+
+(* A full image that leaves the machine's chain as it was. *)
+let write_full sim meta ~path =
+  Checkpoint.write ~path (full_image ~fp:(fingerprint ()) sim meta)
 
 let checkpoint_name cycle = Printf.sprintf "ckpt-%012d.ckpt" cycle
 
@@ -143,26 +230,74 @@ type resumed = {
   prof : Profiler.t option;
 }
 
+(* Refusals while loading a chain name the file they concern. *)
+let in_file path f =
+  try f ()
+  with Checkpoint.Corrupt msg ->
+    raise (Checkpoint.Corrupt (Printf.sprintf "%s: %s" path msg))
+
+(* Load [path] and, through the parent links, every file it depends on;
+   the result runs from the chain's full image to [path]. Each file's
+   own CRCs are checked before its parent is looked up, and each parent
+   must carry the digest its child recorded, so a chain never mixes runs
+   or files rewritten since. *)
+let load_chain ~fp path =
+  let load path =
+    in_file path (fun () ->
+        let snap = Checkpoint.load path in
+        let sfp = Checkpoint.fingerprint snap in
+        if sfp <> fp then
+          raise
+            (Checkpoint.Corrupt
+               (Printf.sprintf
+                  "snapshot was written by a different build (fingerprint %s, \
+                   this binary is %s)"
+                  sfp fp));
+        let meta, link = decode_meta (Checkpoint.reader snap "meta") in
+        (snap, meta, link))
+  in
+  let corrupt path fmt =
+    Printf.ksprintf
+      (fun m -> raise (Checkpoint.Corrupt (Printf.sprintf "%s: %s" path m)))
+      fmt
+  in
+  (* [expect]: the child that named this file and the digest it
+     recorded. *)
+  let rec walk path expect seen later =
+    let snap, meta, link = load path in
+    (match expect with
+    | Some (child, digest) when Checkpoint.digest snap <> digest ->
+      corrupt child
+        "parent %s is not the snapshot this one was written against \
+         (digest %08x, recorded %08x)"
+        path (Checkpoint.digest snap) digest
+    | _ -> ());
+    let later = (path, snap, meta) :: later in
+    match link with
+    | None -> later
+    | Some l ->
+      let parent = Filename.concat (Filename.dirname path) l.parent_file in
+      if List.mem parent seen then
+        corrupt path "parent %s closes a loop in the chain" parent;
+      if not (Sys.file_exists parent) then
+        corrupt path "parent %s is missing" parent;
+      walk parent (Some (path, l.parent_digest)) (parent :: seen) later
+  in
+  walk path None [ path ] []
+
 let resume ?fingerprint:fp ~path () =
   let fp = match fp with Some f -> f | None -> fingerprint () in
-  let snap = Checkpoint.load path in
-  let sfp = Checkpoint.fingerprint snap in
-  if sfp <> fp then
-    raise
-      (Checkpoint.Corrupt
-         (Printf.sprintf
-            "snapshot was written by a different build (fingerprint %s, this \
-             binary is %s)"
-            sfp fp));
-  let meta = decode_meta (Checkpoint.reader snap "meta") in
-  let cfg = Coprocessor.Snapshot.config snap in
+  let chain = load_chain ~fp path in
+  let _, snap, meta = List.nth chain (List.length chain - 1) in
+  let cfg = in_file path (fun () -> Coprocessor.Snapshot.config snap) in
   let w =
     match Workloads.find meta.workload with
     | Some w -> w
     | None ->
       raise
         (Checkpoint.Corrupt
-           (Printf.sprintf "snapshot is for unknown workload %S" meta.workload))
+           (Printf.sprintf "%s: snapshot is for unknown workload %S" path
+              meta.workload))
   in
   (* Same (workload, scale, seed) => bit-identical pre-collection heap,
      so the verification baseline survives the crash. The restore then
@@ -189,7 +324,11 @@ let resume ?fingerprint:fp ~path () =
     else None
   in
   let sim = Coprocessor.start ?obs ?prof cfg heap in
-  Coprocessor.Snapshot.restore sim snap;
+  (* The full image, then each delta on top of its parent. *)
+  List.iter
+    (fun (p, snap, _) ->
+      in_file p (fun () -> Coprocessor.Snapshot.restore sim snap))
+    chain;
   { sim; meta; cfg; heap; pre; obs; prof }
 
 (* --- the checkpointing driver ------------------------------------- *)
@@ -249,5 +388,9 @@ let drive ?every ?dir ?stop_at ?(should_stop = fun () -> false)
   with Coprocessor.Stall_diagnosis _ as e ->
     (* The watchdog tripped at a cycle boundary: preserve the machine
        for offline inspection next to the structured diagnosis. *)
-    ignore (try save_to postmortem_name with _ -> None);
+    (match dir with
+    | Some d -> (
+      try write_full sim meta ~path:(Filename.concat d postmortem_name)
+      with _ -> ())
+    | None -> ());
     raise e

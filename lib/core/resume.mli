@@ -42,7 +42,22 @@ val save :
   ?fingerprint:string -> Hsgc_coproc.Coprocessor.sim -> meta -> path:string ->
   unit
 (** Snapshot the machine ({!Hsgc_coproc.Coprocessor.Snapshot.save}), add
-    the [meta] section, write atomically. Only valid between steps. *)
+    the [meta] section, write durably ({!Hsgc_checkpoint.Checkpoint.write}).
+    Only valid between steps.
+
+    Saves of one machine form a {e chain}: the machine's first save is
+    a full image, and each later one is a delta of the last image it
+    wrote — the heap words and tracer events that changed since, every
+    other section whole — naming that parent (file name and
+    {!Hsgc_checkpoint.Checkpoint.digest}) in the CRC-covered [meta]
+    section. A full image is written instead when the save goes to
+    another directory than the parent, onto the parent's own path, or
+    finds the heap's layout changed ({!Hsgc_coproc.Coprocessor.Snapshot.extends}),
+    and when the deltas written since the chain's full image would
+    then hold more bytes than a full image of the machine now. The
+    chain rides on the machine and advances only once the write has
+    returned: a failed save leaves the next one a delta of the last
+    durable image. *)
 
 type resumed = {
   sim : Hsgc_coproc.Coprocessor.sim;
@@ -57,11 +72,17 @@ type resumed = {
 }
 
 val resume : ?fingerprint:string -> path:string -> unit -> resumed
-(** Load and fully verify a snapshot, refuse one written by a different
-    binary (or pass [fingerprint] to override the key), rebuild the
-    workload heap deterministically, restore the machine mid-collection.
-    Raises {!Hsgc_checkpoint.Checkpoint.Corrupt} on any integrity,
-    format, or compatibility violation. *)
+(** Load and fully verify a snapshot and, through its parent links, the
+    chain it belongs to; refuse any file written by a different binary
+    (or pass [fingerprint] to override the key); rebuild the workload
+    heap deterministically; restore the chain's full image, then apply
+    each delta in order. Each file's own CRCs are checked before its
+    parent is looked up. Raises {!Hsgc_checkpoint.Checkpoint.Corrupt}
+    on any integrity, format, or compatibility violation — a damaged
+    file, a missing parent, a parent that is not the file its child was
+    written against (another run's, or rewritten since), a link across
+    builds — with a message that starts with the file concerned and
+    names the section where there is one. *)
 
 val checkpoint_path : dir:string -> cycle:int -> string
 (** [dir/ckpt-<cycle>.ckpt] (cycle zero-padded so lexicographic order is
@@ -99,4 +120,5 @@ val drive :
     Both end the run with a final checkpoint and [Stopped].
     [partitions] is ignored; it stays because bench/e2e/pipelines.ml
     passes [~partitions:1]. If the watchdog trips, a post-mortem
-    snapshot is written to [dir] before [Stall_diagnosis] propagates. *)
+    snapshot (a full image, outside the machine's chain) is written to
+    [dir] before [Stall_diagnosis] propagates. *)

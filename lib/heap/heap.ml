@@ -106,6 +106,133 @@ let restore t r =
   t.a_is_current <- Codec.R.bool r;
   t.roots <- Codec.R.int_array r
 
+(* Delta codec: the words that differ from an earlier copy of [mem],
+   against which the delta is applied on restore. Runs are found in one
+   compare pass before encoding, so both encoder passes (measure, fill)
+   only walk the run table. Two runs at most two equal words apart are
+   merged: carrying the gap costs no more than a run's own start and
+   length words. The same pass notes each semispace's extent, which
+   sizes a full image without a second scan. The registers and roots
+   are small and stored whole. *)
+type delta = {
+  mutable runs : int array;  (* start, length pairs *)
+  mutable n_runs : int;
+  mutable extent_a : int;
+  mutable extent_b : int;
+}
+
+let max_gap = 2
+
+let push_run d start len =
+  let k = 2 * d.n_runs in
+  if k + 2 > Array.length d.runs then begin
+    let grown = Array.make (max 64 (2 * Array.length d.runs)) 0 in
+    for i = 0 to k - 1 do
+      Array.unsafe_set grown i (Array.unsafe_get d.runs i)
+    done;
+    d.runs <- grown
+  end;
+  d.runs.(k) <- start;
+  d.runs.(k + 1) <- len;
+  d.n_runs <- d.n_runs + 1
+
+(* Compare [lo, hi) and extend the open run [start, stop) (start < 0:
+   none), returning it and the last nonzero address seen (lo - 1 if
+   none). A recursive loop over plain arguments keeps the state in
+   registers. *)
+let rec scan d mem base i hi start stop last =
+  if i >= hi then (start, stop, last)
+  else
+    let v = Array.unsafe_get mem i in
+    let last = if v <> 0 then i else last in
+    if v = Array.unsafe_get base i then scan d mem base (i + 1) hi start stop last
+    else if start < 0 then scan d mem base (i + 1) hi i (i + 1) last
+    else if i - stop > max_gap then begin
+      push_run d start (stop - start);
+      scan d mem base (i + 1) hi i (i + 1) last
+    end
+    else scan d mem base (i + 1) hi start (i + 1) last
+
+let delta ?reuse t ~base =
+  let mem = t.mem in
+  if Array.length base <> Array.length mem then
+    invalid_arg "Heap.delta: base size";
+  let d =
+    match reuse with
+    | Some d -> d
+    | None -> { runs = [||]; n_runs = 0; extent_a = 0; extent_b = 0 }
+  in
+  d.n_runs <- 0;
+  (* All of [mem] in address order, a segment per space and per stretch
+     around them; a run may span segments. *)
+  let seg lo hi (start, stop, _) = scan d mem base lo hi start stop (lo - 1) in
+  let lo, hi =
+    if t.space_a.base < t.space_b.base then (t.space_a, t.space_b)
+    else (t.space_b, t.space_a)
+  in
+  let r = seg 0 lo.base (-1, 0, 0) in
+  let (_, _, last_lo) as r = seg lo.base lo.limit r in
+  let r = seg lo.limit hi.base r in
+  let (_, _, last_hi) as r = seg hi.base hi.limit r in
+  let start, stop, _ = seg hi.limit (Array.length mem) r in
+  if start >= 0 then push_run d start (stop - start);
+  let ext_lo = last_lo + 1 - lo.base and ext_hi = last_hi + 1 - hi.base in
+  if lo == t.space_a then begin
+    d.extent_a <- ext_lo;
+    d.extent_b <- ext_hi
+  end
+  else begin
+    d.extent_a <- ext_hi;
+    d.extent_b <- ext_lo
+  end;
+  d
+
+(* What [encode] writes: the null word, per space 3 register words, a
+   length word and its extent, orientation, the roots' length and
+   roots. *)
+let full_bytes t d =
+  8 * (1 + 4 + d.extent_a + 4 + d.extent_b + 1 + 1 + Array.length t.roots)
+
+let apply_delta t d ~base =
+  for k = 0 to d.n_runs - 1 do
+    let start = d.runs.(2 * k) and len = d.runs.((2 * k) + 1) in
+    for i = start to start + len - 1 do
+      Array.unsafe_set base i (Array.unsafe_get t.mem i)
+    done
+  done
+
+let encode_delta t d w =
+  Codec.W.int w t.mem.(null);
+  Semispace.encode t.space_a w;
+  Semispace.encode t.space_b w;
+  Codec.W.bool w t.a_is_current;
+  Codec.W.int_array w t.roots;
+  Codec.W.int w d.n_runs;
+  for k = 0 to d.n_runs - 1 do
+    let start = d.runs.(2 * k) in
+    Codec.W.int w start;
+    Codec.W.int_range w t.mem ~pos:start ~len:d.runs.((2 * k) + 1)
+  done
+
+let restore_delta t r =
+  t.mem.(null) <- Codec.R.int r;
+  Semispace.restore t.space_a r;
+  Semispace.restore t.space_b r;
+  t.a_is_current <- Codec.R.bool r;
+  t.roots <- Codec.R.int_array r;
+  let n = Array.length t.mem in
+  let runs = Codec.R.int r in
+  if runs < 0 || runs > n then
+    raise (Codec.Error (Printf.sprintf "heap delta run count %d" runs));
+  for _ = 1 to runs do
+    let start = Codec.R.int r in
+    if start < 0 || start > n then
+      raise (Codec.Error (Printf.sprintf "heap delta run at %d" start));
+    ignore
+      (Codec.R.int_range_into r t.mem ~pos:start ~max:(n - start)
+         ~what:"heap delta run")
+  done
+
 let set_roots t roots = t.roots <- roots
 let add_root t obj = t.roots <- Array.append t.roots [| obj |]
 let root_count t = Array.length t.roots

@@ -101,6 +101,43 @@ val restore : t -> Hsgc_util.Codec.R.t -> unit
     one; raises {!Hsgc_util.Codec.Error} otherwise, and on an extent
     past the end of its semispace. *)
 
+(** {3 Deltas}
+
+    A delta image holds the words of [mem] that differ from an earlier
+    copy of it (the {e base}: the memory as a parent image holds it),
+    plus the registers and roots whole. Applied on top of the base's
+    restored state, it reproduces [mem] word for word. *)
+
+type delta
+(** The differing words, as runs of consecutive addresses. *)
+
+val delta : ?reuse:delta -> t -> base:int array -> delta
+(** One compare pass of [mem] against [base] (same length; raises
+    [Invalid_argument] otherwise). Runs at most two equal words apart
+    are merged. The pass also notes each semispace's extent (see
+    {!full_bytes}). [reuse]'s run table is refilled instead of
+    allocating a new one. *)
+
+val full_bytes : t -> delta -> int
+(** The size of {!encode}'s output, from the extents the pass found:
+    valid while [mem] is unchanged since {!delta}. *)
+
+val apply_delta : t -> delta -> base:int array -> unit
+(** Copy the runs' words from [mem] into [base]: with [mem] unchanged
+    since {!delta}, [base] then equals [mem]. *)
+
+val encode_delta : t -> delta -> Hsgc_util.Codec.W.t -> unit
+(** The null word, both semispaces' bounds and [free], orientation,
+    roots, then the run count and each run as its start address and a
+    length-prefixed {!Hsgc_util.Codec.W.int_range}: 8 bytes a word
+    carried plus 16 a run. *)
+
+val restore_delta : t -> Hsgc_util.Codec.R.t -> unit
+(** Apply a delta in place onto a heap holding its base: registers and
+    roots overwritten, each run's words copied back. Raises
+    {!Hsgc_util.Codec.Error} on a geometry mismatch and on a run outside
+    [mem]. *)
+
 (** {2 Roots} *)
 
 val set_roots : t -> int array -> unit

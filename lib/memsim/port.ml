@@ -194,10 +194,17 @@ let next_wake t mem ~now =
 
 let busy_addr t = if t.st = st_idle || t.st = st_ready then None else Some t.addr
 
-let describe t =
-  if t.st = st_idle then "idle"
-  else if t.st = st_ready then "ready"
-  else if t.st = st_waiting then Printf.sprintf "waiting addr=%d" t.addr
+(* A transfer done by [now] reads as completed, as [tick] at [now]
+   would leave it. *)
+let describe t ~now =
+  let st =
+    if t.st = st_in_flight && t.done_at <= now then
+      if is_load t.kind then st_ready else st_idle
+    else t.st
+  in
+  if st = st_idle then "idle"
+  else if st = st_ready then "ready"
+  else if st = st_waiting then Printf.sprintf "waiting addr=%d" t.addr
   else Printf.sprintf "in-flight addr=%d done@%d" t.addr t.done_at
 
 (* Checkpoint codec: the four status fields are the port's entire

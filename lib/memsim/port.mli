@@ -107,9 +107,13 @@ val consume : t -> unit
 val busy_addr : t -> int option
 (** Address of the in-progress transfer, if any (for tracing). *)
 
-val describe : t -> string
+val describe : t -> now:int -> string
 (** One-line human-readable status ("idle", "waiting addr=…",
-    "in-flight addr=… done@…", "ready") for stall-diagnosis dumps. *)
+    "in-flight addr=… done@…", "ready") for stall-diagnosis dumps, as
+    {!tick} at [now] would leave it: a transfer done by [now] reads as
+    completed ("ready" for a load, "idle" for a store). Changes
+    nothing. A core that slept or parked through [now] was not ticked
+    there, so its dump reads as a naive stepper's. *)
 
 (** {2 Idle-cycle skipping support}
 

@@ -365,36 +365,62 @@ let digest ?include_skips t =
    The shared [disabled] singleton round-trips as a single flag. *)
 module Codec = Hsgc_util.Codec
 
-let encode t w =
+(* A delta carries the events appended since its parent, whose ring
+   held [since]: the ring is append-only (keep-oldest), so the parent's
+   events are a prefix of this one's. Everything else is stored whole. *)
+let encode_shape t w =
   Codec.W.bool w t.on;
   Codec.W.int w t.capacity;
   Codec.W.int w t.n_cores;
-  Codec.W.int w t.interval;
+  Codec.W.int w t.interval
+
+let encode_events t w ~from =
+  let len = t.len - from in
+  Codec.W.column w ~pos:from t.ev_cycle ~len;
+  Codec.W.column w ~pos:from t.ev_code ~len;
+  Codec.W.column w ~pos:from t.ev_core ~len;
+  Codec.W.column w ~pos:from t.ev_a ~len;
+  Codec.W.column w ~pos:from t.ev_b ~len
+
+let encode_registers t w =
+  Codec.W.int_array w t.cur_phase;
+  Codec.W.int_array w t.phase_start;
+  Codec.W.int_array w t.run_kind;
+  Codec.W.int_array w t.run_start;
+  Codec.W.int_array w t.run_len;
+  Codec.W.int w t.ovf_start;
+  Codec.W.int w t.ovf_count;
+  Codec.W.int w t.next_sample;
+  Codec.W.int w t.scan_acquired;
+  Codec.W.int w t.free_acquired;
+  Codec.W.int_array w t.header_acquired;
+  Codec.W.int_array w t.object_start;
+  Metrics.encode t.metrics w
+
+let encode t w =
+  encode_shape t w;
   if t.on then begin
     Codec.W.int w t.cycle;
     Codec.W.int w t.len;
     Codec.W.int w t.dropped;
-    Codec.W.column w t.ev_cycle ~len:t.len;
-    Codec.W.column w t.ev_code ~len:t.len;
-    Codec.W.column w t.ev_core ~len:t.len;
-    Codec.W.column w t.ev_a ~len:t.len;
-    Codec.W.column w t.ev_b ~len:t.len;
-    Codec.W.int_array w t.cur_phase;
-    Codec.W.int_array w t.phase_start;
-    Codec.W.int_array w t.run_kind;
-    Codec.W.int_array w t.run_start;
-    Codec.W.int_array w t.run_len;
-    Codec.W.int w t.ovf_start;
-    Codec.W.int w t.ovf_count;
-    Codec.W.int w t.next_sample;
-    Codec.W.int w t.scan_acquired;
-    Codec.W.int w t.free_acquired;
-    Codec.W.int_array w t.header_acquired;
-    Codec.W.int_array w t.object_start;
-    Metrics.encode t.metrics w
+    encode_events t w ~from:0;
+    encode_registers t w
   end
 
-let restore t r =
+let encode_delta t ~since w =
+  if since < 0 || since > t.len then invalid_arg "Tracer.encode_delta";
+  encode_shape t w;
+  if t.on then begin
+    Codec.W.int w t.cycle;
+    Codec.W.int w t.len;
+    Codec.W.int w t.dropped;
+    Codec.W.int w since;
+    encode_events t w ~from:since;
+    encode_registers t w
+  end
+
+(* Validates the shape against this tracer; returns the on flag. *)
+let restore_shape t r =
   let on = Codec.R.bool r in
   let capacity = Codec.R.int r in
   let n_cores = Codec.R.int r in
@@ -403,7 +429,7 @@ let restore t r =
     raise (Codec.Error "snapshot has tracing on, machine does not");
   if (not on) && t.on then
     raise (Codec.Error "snapshot has tracing off, machine does not");
-  if on then begin
+  if on then
     if capacity <> t.capacity || n_cores <> t.n_cores || interval <> t.interval
     then
       raise
@@ -412,28 +438,58 @@ let restore t r =
               "tracer shape (capacity %d, cores %d, interval %d) does not \
                match machine (%d, %d, %d)"
               capacity n_cores interval t.capacity t.n_cores t.interval));
-    t.cycle <- Codec.R.int r;
-    let len = Codec.R.int r in
-    if len < 0 || len > t.capacity then
-      raise (Codec.Error "tracer event count out of range");
-    t.len <- len;
-    t.dropped <- Codec.R.int r;
-    Codec.R.column_into r t.ev_cycle ~len;
-    Codec.R.column_into r t.ev_code ~len;
-    Codec.R.column_into r t.ev_core ~len;
-    Codec.R.column_into r t.ev_a ~len;
-    Codec.R.column_into r t.ev_b ~len;
-    Codec.R.int_array_into r t.cur_phase ~what:"tracer open phases";
-    Codec.R.int_array_into r t.phase_start ~what:"tracer phase starts";
-    Codec.R.int_array_into r t.run_kind ~what:"tracer run kinds";
-    Codec.R.int_array_into r t.run_start ~what:"tracer run starts";
-    Codec.R.int_array_into r t.run_len ~what:"tracer run lengths";
-    t.ovf_start <- Codec.R.int r;
-    t.ovf_count <- Codec.R.int r;
-    t.next_sample <- Codec.R.int r;
-    t.scan_acquired <- Codec.R.int r;
-    t.free_acquired <- Codec.R.int r;
-    Codec.R.int_array_into r t.header_acquired ~what:"tracer lock stamps";
-    Codec.R.int_array_into r t.object_start ~what:"tracer object starts";
-    Metrics.restore t.metrics r
+  on
+
+(* The cycle stamp, ring length and drop count; returns the length. *)
+let restore_counts t r =
+  t.cycle <- Codec.R.int r;
+  let len = Codec.R.int r in
+  if len < 0 || len > t.capacity then
+    raise (Codec.Error "tracer event count out of range");
+  t.dropped <- Codec.R.int r;
+  len
+
+let restore_events t r ~from ~len =
+  let n = len - from in
+  Codec.R.column_into r ~pos:from t.ev_cycle ~len:n;
+  Codec.R.column_into r ~pos:from t.ev_code ~len:n;
+  Codec.R.column_into r ~pos:from t.ev_core ~len:n;
+  Codec.R.column_into r ~pos:from t.ev_a ~len:n;
+  Codec.R.column_into r ~pos:from t.ev_b ~len:n;
+  t.len <- len
+
+let restore_registers t r =
+  Codec.R.int_array_into r t.cur_phase ~what:"tracer open phases";
+  Codec.R.int_array_into r t.phase_start ~what:"tracer phase starts";
+  Codec.R.int_array_into r t.run_kind ~what:"tracer run kinds";
+  Codec.R.int_array_into r t.run_start ~what:"tracer run starts";
+  Codec.R.int_array_into r t.run_len ~what:"tracer run lengths";
+  t.ovf_start <- Codec.R.int r;
+  t.ovf_count <- Codec.R.int r;
+  t.next_sample <- Codec.R.int r;
+  t.scan_acquired <- Codec.R.int r;
+  t.free_acquired <- Codec.R.int r;
+  Codec.R.int_array_into r t.header_acquired ~what:"tracer lock stamps";
+  Codec.R.int_array_into r t.object_start ~what:"tracer object starts";
+  Metrics.restore t.metrics r
+
+let restore t r =
+  if restore_shape t r then begin
+    let len = restore_counts t r in
+    restore_events t r ~from:0 ~len;
+    restore_registers t r
+  end
+
+let restore_delta t r =
+  if restore_shape t r then begin
+    let len = restore_counts t r in
+    let since = Codec.R.int r in
+    if since <> t.len || since > len then
+      raise
+        (Codec.Error
+           (Printf.sprintf
+              "tracer delta appends events %d..%d to a ring holding %d" since
+              len t.len));
+    restore_events t r ~from:since ~len;
+    restore_registers t r
   end

@@ -182,3 +182,12 @@ val restore : t -> Hsgc_util.Codec.R.t -> unit
     created with the same capacity / core count / sampling interval and
     the same on/off state as the snapshotted one, and raises
     {!Hsgc_util.Codec.Error} on a malformed column. *)
+
+val encode_delta : t -> since:int -> Hsgc_util.Codec.W.t -> unit
+val restore_delta : t -> Hsgc_util.Codec.R.t -> unit
+(** The delta form of {!encode}/{!restore}: only the events appended
+    after the first [since] (the ring length of the image this one is a
+    delta of; raises [Invalid_argument] outside [[0, length]]), then
+    every register and the metrics whole. The ring is append-only, so
+    restore appends those events to a tracer holding exactly [since];
+    it raises {!Hsgc_util.Codec.Error} on any other length. *)

@@ -41,7 +41,8 @@ let get_int s pos =
   Int64.to_int (if big_endian () then bswap64 x else x)
 
 (* The 4-byte forms of a width-fitted column: [put_i32] truncates, so
-   callers store only values that [fits_i32]; [get_i32] sign-extends. *)
+   callers store only values that fit (see [column_width]); [get_i32]
+   sign-extends. *)
 let put_i32 b pos v =
   let x = Int32.of_int v in
   set32u b pos (if big_endian () then bswap32 x else x)
@@ -50,16 +51,18 @@ let get_i32 s pos =
   let x = get32u s pos in
   Int32.to_int (if big_endian () then bswap32 x else x)
 
-let fits_i32 v = v >= -0x8000_0000 && v <= 0x7FFF_FFFF
-
-(* A column's width: 4 when each of its first [len] values fits a
-   signed 32-bit int, 8 otherwise. *)
-let column_width a ~len =
-  let i = ref 0 in
-  while !i < len && fits_i32 (Array.unsafe_get a !i) do
-    incr i
+(* A column's width: 4 when each of its [len] values from [pos] fits a
+   signed 32-bit int, 8 otherwise. A value fits exactly when its bits
+   from 31 up are copies of its sign, i.e. [v asr 31] is 0 or -1, the
+   same as [v asr 62]; the loop folds the differences with [lor] and
+   no branch. *)
+let column_width a ~pos ~len =
+  let acc = ref 0 in
+  for i = pos to pos + len - 1 do
+    let v = Array.unsafe_get a i in
+    acc := !acc lor ((v asr 31) lxor (v asr 62))
   done;
-  if !i = len then 4 else 8
+  if !acc = 0 then 4 else 8
 
 module W = struct
   (* A measuring writer has no storage and only advances [pos], so
@@ -135,20 +138,21 @@ module W = struct
     w.pos <- w.pos + need
 
   (* Measuring a column scans it for its width, so both passes agree. *)
-  let column w a ~len =
-    if len < 0 || len > Array.length a then invalid_arg "Codec.W.column";
-    let width = column_width a ~len in
+  let column w ?(pos = 0) a ~len =
+    if pos < 0 || len < 0 || pos > Array.length a - len then
+      invalid_arg "Codec.W.column";
+    let width = column_width a ~pos ~len in
     let need = 8 + (width * len) in
     if fits w need then begin
       let b = w.buf and p = w.pos + 8 in
       put_int b w.pos width;
       if width = 4 then
         for i = 0 to len - 1 do
-          put_i32 b (p + (4 * i)) (Array.unsafe_get a i)
+          put_i32 b (p + (4 * i)) (Array.unsafe_get a (pos + i))
         done
       else
         for i = 0 to len - 1 do
-          put_int b (p + (8 * i)) (Array.unsafe_get a i)
+          put_int b (p + (8 * i)) (Array.unsafe_get a (pos + i))
         done
     end;
     w.pos <- w.pos + need
@@ -253,8 +257,9 @@ module R = struct
     done;
     n
 
-  let column_into r dst ~len =
-    if len < 0 || len > Array.length dst then invalid_arg "Codec.R.column_into";
+  let column_into r ?(pos = 0) dst ~len =
+    if pos < 0 || len < 0 || pos > Array.length dst - len then
+      invalid_arg "Codec.R.column_into";
     let width = int r in
     if width <> 4 && width <> 8 then
       fail "codec: invalid column width %d at byte %d" width r.pos;
@@ -263,10 +268,10 @@ module R = struct
     r.pos <- p + (width * len);
     if width = 4 then
       for i = 0 to len - 1 do
-        Array.unsafe_set dst i (get_i32 r.data (p + (4 * i)))
+        Array.unsafe_set dst (pos + i) (get_i32 r.data (p + (4 * i)))
       done
     else
       for i = 0 to len - 1 do
-        Array.unsafe_set dst i (get_int r.data (p + (8 * i)))
+        Array.unsafe_set dst (pos + i) (get_int r.data (p + (8 * i)))
       done
 end

@@ -47,12 +47,13 @@ module W : sig
       once. [int_array w a] is [int_range w a ~pos:0 ~len:(Array.length a)].
       Raises [Invalid_argument] on a slice outside [a]. *)
 
-  val column : t -> int array -> len:int -> unit
-  (** [column w a ~len] writes the first [len] values of [a] width-fitted:
-      a width word, then the values at that width with no length prefix.
-      The width is 4 (bytes, little-endian two's complement) when every
-      one of the values fits a signed 32-bit int, and 8 otherwise, so it
-      depends on the values alone. *)
+  val column : t -> ?pos:int -> int array -> len:int -> unit
+  (** [column w ~pos a ~len] writes the [len] values of [a] from [pos]
+      (default 0) width-fitted: a width word, then the values at that
+      width with no length prefix. The width is 4 (bytes, little-endian
+      two's complement) when every one of the values fits a signed
+      32-bit int, and 8 otherwise, so it depends on the values alone.
+      Raises [Invalid_argument] on a slice outside [a]. *)
 end
 
 module R : sig
@@ -90,8 +91,8 @@ module R : sig
       as it was. Raises {!Error}, naming [what], when the encoded
       length is negative or above [max], and on a short range. *)
 
-  val column_into : t -> int array -> len:int -> unit
-  (** Inverse of {!W.column}: fills the first [len] values of the
-      destination. Raises {!Error} on a width other than 4 or 8 and on a
-      column shorter than [len] values. *)
+  val column_into : t -> ?pos:int -> int array -> len:int -> unit
+  (** Inverse of {!W.column}: fills [len] values of the destination from
+      [pos] (default 0). Raises {!Error} on a width other than 4 or 8
+      and on a column shorter than [len] values. *)
 end

@@ -464,27 +464,42 @@ let observed_machine ?(steps = 3000) () =
   run_steps sim steps;
   (sim, golden_meta ~workload:"javac" ~seed:7 ~obs_capacity:4096 ~prof_on:true)
 
-(* Size and MD5 of each image in format version 3 (heap semispaces up
+(* Size and MD5 of each image in format version 4 (heap semispaces up
    to their last nonzero word, width-fitted ring columns, the header
-   FIFO's live entries). The pins guard the stability of that format:
-   any change to what a section stores, or how, moves them and must be
-   deliberate. *)
+   FIFO's live entries, the parent link in "meta"), and of a delta
+   image: the observed machine saved, stepped 500 more steps and saved
+   again. The pins guard the stability of that format: any change to
+   what a section stores, or how, moves them and must be deliberate. *)
+let golden_save ~dir name (sim, meta) =
+  let path = Filename.concat dir (name ^ ".ckpt") in
+  Resume.save ~fingerprint:"golden" sim meta ~path;
+  path
+
 let golden_images =
   [
-    ("plain", plain_machine, 141692, "ad6336575afca40b257cd9a6075f5c0f");
+    ( "plain",
+      (fun dir -> golden_save ~dir "plain" (plain_machine ())),
+      141700,
+      "12109073e40392ebe6fed83f1885049d" );
     ( "observed",
-      (fun () -> observed_machine ()),
-      382566,
-      "a94bbdc1ef3fd68d19de270a86667517" );
+      (fun dir -> golden_save ~dir "observed" (observed_machine ())),
+      382574,
+      "8d825502aeffcd1805c1aadad11ff8e6" );
+    ( "observed delta",
+      (fun dir ->
+        let sim, meta = observed_machine () in
+        ignore (golden_save ~dir "observed" (sim, meta));
+        run_steps sim 500;
+        golden_save ~dir "observed-delta" (sim, meta)),
+      192487,
+      "4dcb662456783419d37d425609e01f65" );
   ]
 
 let test_golden_images () =
-  with_tmpdir @@ fun dir ->
   List.iter
-    (fun (name, machine, size, digest) ->
-      let sim, meta = machine () in
-      let path = Filename.concat dir (name ^ ".ckpt") in
-      Resume.save ~fingerprint:"golden" sim meta ~path;
+    (fun (name, write, size, digest) ->
+      with_tmpdir @@ fun dir ->
+      let path = write dir in
       let raw = In_channel.with_open_bin path In_channel.input_all in
       Alcotest.(check int) (name ^ " image size") size (String.length raw);
       Alcotest.(check string)
@@ -645,6 +660,51 @@ let qcheck_heap_image =
       in
       String.length image = size && restores_onto 0 && restores_onto (-1))
 
+(* A heap delta against any earlier copy of the heap's words: random
+   heaps, then random changed words — scattered, in runs, across the
+   space boundaries and the null word. *)
+let qcheck_heap_delta =
+  QCheck.Test.make
+    ~name:
+      "heap delta: restored onto its base word for word, folded into the \
+       base, and sizing the full image exactly"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (c, _) -> print_heap_case c)
+       QCheck.Gen.(
+         let* c = gen_heap_case in
+         let n = 1 + (2 * c.words) in
+         let change =
+           let* at = int_range 0 (n - 1) in
+           let* len = frequency [ (3, return 1); (1, int_range 1 8) ] in
+           let* v = frequency [ (1, return 0); (3, int) ] in
+           return (at, len, v)
+         in
+         let* changes = list_size (int_range 0 12) change in
+         return (c, changes)))
+    (fun (c, changes) ->
+      let h = build_case_heap c in
+      let base = Array.copy h.Heap.mem in
+      let n = Array.length base in
+      List.iter
+        (fun (at, len, v) ->
+          for i = at to min (n - 1) (at + len - 1) do
+            h.Heap.mem.(i) <- v + i
+          done)
+        changes;
+      let d = Heap.delta h ~base in
+      let image = encode_bytes (Heap.encode_delta h d) in
+      let onto = build_case_heap c in
+      Array.blit base 0 onto.Heap.mem 0 n;
+      let r = reader_of image in
+      Heap.restore_delta onto r;
+      let folded = Array.copy base in
+      Heap.apply_delta h d ~base:folded;
+      Codec.R.eof r
+      && onto.Heap.mem = h.Heap.mem
+      && folded = h.Heap.mem
+      && Heap.full_bytes h d = String.length (encode_bytes (Heap.encode h)))
+
 let qcheck_ring_columns =
   QCheck.Test.make
     ~name:
@@ -764,7 +824,10 @@ let test_malformed_payloads () =
 (* Both directions move words unboxed through buffers sized up front: a
    save allocates its image plus a few words per section, a restore only
    its readers — never a box per field. Both stay near 500 minor words
-   at any machine size (measured at scales 0.05 and 0.5). *)
+   at any machine size (measured at scales 0.05 and 0.5). A delta's
+   restore onto its parent costs the same; a delta save about 1 100,
+   the first doublings of its run table (past 256 words the table goes
+   to the major heap). *)
 let test_codec_allocation () =
   let minor_words f =
     let before = Gc.minor_words () in
@@ -780,13 +843,30 @@ let test_codec_allocation () =
   let (), restored =
     minor_words (fun () -> Coprocessor.Snapshot.restore fresh snap)
   in
+  (* A delta of the same machine 500 steps on, and its restore onto the
+     machine just restored from the full image: a chain's next link. *)
+  let parent = Coprocessor.Snapshot.parent sim in
+  run_steps sim 500;
+  let delta, delta_saved =
+    minor_words (fun () ->
+        Coprocessor.Snapshot.save ~parent sim ~fingerprint:"x")
+  in
+  let delta_snap = Checkpoint.of_string (Checkpoint.to_string delta) in
+  let (), delta_restored =
+    minor_words (fun () -> Coprocessor.Snapshot.restore fresh delta_snap)
+  in
   let fields = String.length (Checkpoint.to_string image) / 8 in
   List.iter
     (fun (what, words) ->
       if words > 4096. then
         Alcotest.failf "%s of a %d-field snapshot allocated %.0f minor words"
           what fields words)
-    [ ("save", saved); ("restore", restored) ]
+    [
+      ("save", saved);
+      ("restore", restored);
+      ("delta save", delta_saved);
+      ("chain restore", delta_restored);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Driver: boundary placement, latest, zero-cost off path              *)
@@ -1035,6 +1115,345 @@ let qcheck_resume_equivalence =
       r.Interrupt.equivalent
       && r.Interrupt.corrupt_caught = r.Interrupt.corrupt_flips)
 
+(* ------------------------------------------------------------------ *)
+(* Checkpoint chains: full image, then deltas                          *)
+(* ------------------------------------------------------------------ *)
+
+let is_delta path = Checkpoint.mem (Checkpoint.load path) "heap-delta"
+
+let full_image sim =
+  Checkpoint.to_string (Coprocessor.Snapshot.save sim ~fingerprint:"x")
+
+(* The machine restored from the chain ending at [path], re-encoded as a
+   full image, must be byte for byte a full image of the live machine. *)
+let check_chain_equals_live ?fingerprint ctx ~path live =
+  let r = Resume.resume ?fingerprint ~path () in
+  if full_image r.Resume.sim <> full_image live then
+    Alcotest.failf "%s: chain ending at %s restores another machine" ctx
+      (Filename.basename path)
+
+(* Every save of [Resume.drive], over every workload at 1, 4 and 16
+   cores, parked and as the unparked twin, with a tracer whose ring
+   overflows and a profiler, and with neither. [should_stop] is polled
+   right after each boundary save, before the next step. *)
+let test_chain_equals_full_image () =
+  let twin cfg = { cfg with Coprocessor.faults = Some Injector.default_spec } in
+  List.iter
+    (fun w ->
+      List.iter
+        (fun (n_cores, twinned, observed) ->
+          let scale = 0.05 and seed = 42 in
+          let base = Coprocessor.config ~n_cores () in
+          let cfg = if twinned then twin base else base in
+          let total =
+            (Coprocessor.collect cfg (Workloads.build_heap ~scale ~seed w))
+              .Coprocessor.total_cycles
+          in
+          let every = max 1 (total / 4) in
+          let interval = 64 in
+          (* A ring that fills half way through the run. *)
+          let capacity =
+            if not observed then 0
+            else begin
+              let o = Tracer.create ~capacity:(1 lsl 17) ~interval ~n_cores () in
+              Tracer.enable o;
+              ignore
+                (Coprocessor.collect ~obs:o cfg
+                   (Workloads.build_heap ~scale ~seed w));
+              max 1 ((Tracer.length o + Tracer.dropped o) / 2)
+            end
+          in
+          let obs, prof =
+            if not observed then (None, None)
+            else begin
+              let o = Tracer.create ~capacity ~interval ~n_cores () in
+              Tracer.enable o;
+              let p = Profiler.create ~n_cores () in
+              Profiler.enable p;
+              (Some o, Some p)
+            end
+          in
+          let ctx =
+            Printf.sprintf "%s/%d cores/%s/%s" w.Workloads.name n_cores
+              (if twinned then "unparked" else "parked")
+              (if observed then "observed" else "plain")
+          in
+          let meta =
+            {
+              Resume.workload = w.Workloads.name;
+              scale;
+              seed;
+              partitions = 1;
+              obs_on = observed;
+              obs_capacity = capacity;
+              obs_interval = (if observed then interval else 0);
+              prof_on = observed;
+            }
+          in
+          with_tmpdir @@ fun dir ->
+          let sim =
+            Coprocessor.start ?obs ?prof cfg (Workloads.build_heap ~scale ~seed w)
+          in
+          let checked = ref 0 and deltas = ref 0 and last = ref 0 in
+          let should_stop () =
+            let now = Coprocessor.now sim in
+            if now mod every = 0 && now > !last then begin
+              last := now;
+              let path = Resume.checkpoint_path ~dir ~cycle:now in
+              if is_delta path then incr deltas;
+              check_chain_equals_live ctx ~path sim;
+              incr checked
+            end;
+            false
+          in
+          (match Resume.drive ~every ~dir ~should_stop ~meta sim with
+          | Resume.Finished _ -> ()
+          | Resume.Stopped _ -> Alcotest.failf "%s: run stopped" ctx);
+          if !checked < 3 then
+            Alcotest.failf "%s: %d saves checked, expected at least 3" ctx
+              !checked;
+          if !deltas < 2 then
+            Alcotest.failf "%s: %d of %d saves were deltas" ctx !deltas !checked;
+          match obs with
+          | Some o when Tracer.dropped o = 0 ->
+            Alcotest.failf "%s: the ring never overflowed" ctx
+          | _ -> ())
+        (List.concat_map
+           (fun n ->
+             List.concat_map
+               (fun twinned ->
+                 List.map (fun observed -> (n, twinned, observed)) [ false; true ])
+               [ false; true ])
+           [ 1; 4; 16 ]))
+    Workloads.all
+
+let chain_meta ~seed =
+  {
+    Resume.workload = "db";
+    scale = 0.05;
+    seed;
+    partitions = 1;
+    obs_on = true;
+    obs_capacity = 4096;
+    obs_interval = 64;
+    prof_on = false;
+  }
+
+let chain_machine ~seed =
+  let heap = Workloads.build_heap ~scale:0.05 ~seed Workloads.db in
+  let obs = Tracer.create ~capacity:4096 ~interval:64 ~n_cores:8 () in
+  Tracer.enable obs;
+  Coprocessor.start ~obs (Coprocessor.config ~n_cores:8 ()) heap
+
+(* Three saves 400 steps apart into [dir]: a full image and two deltas. *)
+let write_chain ?(seed = 42) dir =
+  let sim = chain_machine ~seed in
+  let meta = chain_meta ~seed in
+  let paths =
+    List.map
+      (fun name ->
+        run_steps sim 400;
+        let path = Filename.concat dir name in
+        Resume.save ~fingerprint:"chain" sim meta ~path;
+        path)
+      [ "a.ckpt"; "b.ckpt"; "c.ckpt" ]
+  in
+  (sim, paths)
+
+let refused ~path ~fingerprint needles =
+  match Resume.resume ~fingerprint ~path () with
+  | _ -> Alcotest.failf "resume from %s accepted" path
+  | exception Checkpoint.Corrupt msg ->
+    List.iter
+      (fun n ->
+        if not (contains msg n) then
+          Alcotest.failf "refusal %S does not name %S" msg n)
+      needles
+
+let test_chain_refusals () =
+  with_tmpdir @@ fun dir ->
+  let sim, paths = write_chain dir in
+  let last = List.nth paths 2 in
+  Alcotest.(check (list bool))
+    "a full image, then two deltas" [ false; true; true ]
+    (List.map is_delta paths);
+  check_chain_equals_live ~fingerprint:"chain" "3-link chain" ~path:last sim;
+  (* A flipped byte in each file, at the middle of each section. *)
+  List.iter
+    (fun path ->
+      let raw = In_channel.with_open_bin path In_channel.input_all in
+      List.iter
+        (fun (name, off, len) ->
+          let b = Bytes.of_string raw in
+          let i = off + (len / 2) in
+          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x10));
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_bytes oc b);
+          refused ~path:last ~fingerprint:"chain"
+            [ path; Printf.sprintf "%S" name ])
+        (Checkpoint.payload_ranges path);
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc raw))
+    paths;
+  (* A missing parent. *)
+  let full = List.hd paths in
+  let raw = In_channel.with_open_bin full In_channel.input_all in
+  Sys.remove full;
+  refused ~path:last ~fingerprint:"chain" [ full; "missing" ];
+  Out_channel.with_open_bin full (fun oc -> Out_channel.output_string oc raw);
+  (* A parent of the same name from another run. *)
+  let middle = List.nth paths 1 in
+  let raw = In_channel.with_open_bin middle In_channel.input_all in
+  with_tmpdir (fun other ->
+      let _, other_paths = write_chain ~seed:43 other in
+      Sys.rename (List.nth other_paths 1) middle);
+  refused ~path:last ~fingerprint:"chain" [ middle; "not the snapshot" ];
+  Out_channel.with_open_bin middle (fun oc -> Out_channel.output_string oc raw);
+  ignore (Resume.resume ~fingerprint:"chain" ~path:last ())
+
+(* A delta whose parent was written by another build is refused, naming
+   the parent. *)
+let test_chain_across_fingerprints () =
+  with_tmpdir @@ fun dir ->
+  let sim = chain_machine ~seed:42 and meta = chain_meta ~seed:42 in
+  let save fingerprint name =
+    run_steps sim 400;
+    let path = Filename.concat dir name in
+    Resume.save ~fingerprint sim meta ~path;
+    path
+  in
+  let a = save "build-a" "a.ckpt" in
+  let b = save "build-b" "b.ckpt" in
+  Alcotest.(check bool) "second save is a delta" true (is_delta b);
+  refused ~path:b ~fingerprint:"build-b" [ a; "different build" ]
+
+(* A save that fails leaves no temp file and does not advance the chain:
+   the next save is a delta of the last durable image. *)
+let test_failed_delta_write () =
+  with_tmpdir @@ fun dir ->
+  let sim = chain_machine ~seed:42 and meta = chain_meta ~seed:42 in
+  run_steps sim 400;
+  let a = Filename.concat dir "a.ckpt" in
+  Resume.save sim meta ~path:a;
+  run_steps sim 400;
+  let blocked = Filename.concat dir "b.ckpt" in
+  Sys.mkdir blocked 0o755;
+  (match Resume.save sim meta ~path:blocked with
+  | () -> Alcotest.fail "save onto a directory succeeded"
+  | exception Sys_error _ -> ());
+  Sys.rmdir blocked;
+  (match
+     List.filter
+       (String.starts_with ~prefix:".ckpt-")
+       (Array.to_list (Sys.readdir dir))
+   with
+  | [] -> ()
+  | left -> Alcotest.failf "temp files left behind: %s" (String.concat ", " left));
+  run_steps sim 100;
+  let c = Filename.concat dir "c.ckpt" in
+  Resume.save sim meta ~path:c;
+  Alcotest.(check bool) "the next save is a delta" true (is_delta c);
+  check_chain_equals_live "after a failed save" ~path:c sim;
+  Sys.remove a;
+  refused ~path:c ~fingerprint:(Resume.fingerprint ()) [ a; "missing" ]
+
+(* A stop on a checkpoint boundary saves onto the path of the periodic
+   save just written: the chain rule makes it a full image, so the chain
+   stays resumable (the interrupt campaign's kill at cycle 4862 with
+   [every] 2431 is this case). *)
+let test_stop_on_boundary () =
+  with_tmpdir @@ fun dir ->
+  let sim = chain_machine ~seed:42 and meta = chain_meta ~seed:42 in
+  let every = 700 in
+  match Resume.drive ~every ~dir ~stop_at:(3 * every) ~meta sim with
+  | Resume.Finished _ -> Alcotest.fail "run finished before its stop"
+  | Resume.Stopped { checkpoint = None; _ } -> Alcotest.fail "no stop save"
+  | Resume.Stopped { checkpoint = Some path; at_cycle } ->
+    Alcotest.(check int) "stopped on the boundary" (3 * every) at_cycle;
+    Alcotest.(check string)
+      "onto the periodic save's path"
+      (Resume.checkpoint_path ~dir ~cycle:(3 * every))
+      path;
+    Alcotest.(check bool) "the stop save is a full image" false (is_delta path);
+    Alcotest.(check bool)
+      "the periodic save before it was a delta" true
+      (is_delta (Resume.checkpoint_path ~dir ~cycle:(2 * every)));
+    check_chain_equals_live "stop on a boundary" ~path sim
+
+(* The chain rule, case by case. *)
+let test_chain_rule () =
+  with_tmpdir @@ fun dir ->
+  with_tmpdir @@ fun other ->
+  let sim = chain_machine ~seed:42 and meta = chain_meta ~seed:42 in
+  let save ?(steps = 200) dir name =
+    run_steps sim steps;
+    let path = Filename.concat dir name in
+    Resume.save sim meta ~path;
+    is_delta path
+  in
+  Alcotest.(check bool) "first save: full" false (save dir "1.ckpt");
+  Alcotest.(check bool) "next save: delta" true (save dir "2.ckpt");
+  Alcotest.(check bool) "another directory: full" false (save other "3.ckpt");
+  Alcotest.(check bool) "back again: full" false (save dir "4.ckpt");
+  Alcotest.(check bool) "onto the parent's path: full" false
+    (save ~steps:0 dir "4.ckpt");
+  Alcotest.(check bool) "then a delta" true (save dir "5.ckpt");
+  (* Saves a few cycles apart carry little heap but every small section:
+     their bytes pass a full image's after a handful, and the chain
+     restarts with a full image. *)
+  let full_seen = ref false and bytes = ref 0 in
+  for i = 6 to 60 do
+    let before = String.length (full_image sim) in
+    if save ~steps:3 dir (Printf.sprintf "%d.ckpt" i) then begin
+      let path = Filename.concat dir (Printf.sprintf "%d.ckpt" i) in
+      bytes := !bytes + (Unix.stat path).Unix.st_size;
+      if !bytes > before + 1024 then
+        Alcotest.failf "deltas hold %d bytes, a full image %d" !bytes before
+    end
+    else begin
+      full_seen := true;
+      bytes := 0
+    end
+  done;
+  Alcotest.(check bool) "delta bytes past a full image restart the chain"
+    true !full_seen;
+  (* After [finalize] the heap has flipped: full again. *)
+  while not (Coprocessor.halted sim) do
+    Coprocessor.step sim
+  done;
+  ignore (Coprocessor.finalize sim);
+  Alcotest.(check bool) "flipped heap: full" false (save ~steps:0 dir "z.ckpt")
+
+(* A watchdog trip writes a full post-mortem image and leaves the chain
+   where it was. *)
+let test_postmortem_full () =
+  with_tmpdir @@ fun dir ->
+  let heap = Workloads.build_heap ~scale:0.05 ~seed:42 Workloads.db in
+  let cfg = Coprocessor.config ~cycle_budget:2500 ~n_cores:8 () in
+  let sim = Coprocessor.start cfg heap in
+  let meta =
+    {
+      (chain_meta ~seed:42) with
+      Resume.obs_on = false;
+      obs_capacity = 0;
+      obs_interval = 0;
+    }
+  in
+  (match Resume.drive ~every:1000 ~dir ~meta sim with
+  | _ -> Alcotest.fail "the budget did not trip"
+  | exception Coprocessor.Stall_diagnosis _ -> ());
+  let pm = Filename.concat dir Resume.postmortem_name in
+  Alcotest.(check bool) "post-mortem is full" false (is_delta pm);
+  Alcotest.(check bool) "the second periodic save is a delta" true
+    (is_delta (Resume.checkpoint_path ~dir ~cycle:2000));
+  (* The next save deltas against the last periodic save, not the
+     post-mortem. *)
+  let next = Filename.concat dir "next.ckpt" in
+  Resume.save sim meta ~path:next;
+  Sys.remove pm;
+  Alcotest.(check bool) "the next save is a delta" true (is_delta next);
+  check_chain_equals_live "after the post-mortem" ~path:next sim
+
 let suite =
   [
     Alcotest.test_case "mutation: every section flip caught" `Quick
@@ -1056,6 +1475,7 @@ let suite =
     Alcotest.test_case "write failure leaves no temp file" `Quick
       test_write_failure_leaves_no_temp;
     QCheck_alcotest.to_alcotest qcheck_heap_image;
+    QCheck_alcotest.to_alcotest qcheck_heap_delta;
     QCheck_alcotest.to_alcotest qcheck_ring_columns;
     Alcotest.test_case "ring columns at the 32-bit edges" `Quick
       test_column_edges;
@@ -1074,4 +1494,17 @@ let suite =
     Alcotest.test_case "lone-core run resumed mid-run" `Quick
       test_lone_core_resume;
     QCheck_alcotest.to_alcotest qcheck_resume_equivalence;
+    Alcotest.test_case "chain restores equal full images at every save"
+      `Quick test_chain_equals_full_image;
+    Alcotest.test_case "chain refusals: flipped byte, missing or foreign parent"
+      `Quick test_chain_refusals;
+    Alcotest.test_case "chain refusal: link across a fingerprint change"
+      `Quick test_chain_across_fingerprints;
+    Alcotest.test_case "failed delta write: no temp file, chain kept" `Quick
+      test_failed_delta_write;
+    Alcotest.test_case "stop on a checkpoint boundary leaves a resumable chain"
+      `Quick test_stop_on_boundary;
+    Alcotest.test_case "chain rule: when a save is full" `Quick test_chain_rule;
+    Alcotest.test_case "post-mortem snapshot is full, outside the chain"
+      `Quick test_postmortem_full;
   ]
