@@ -2659,7 +2659,7 @@ module Snapshot = struct
      layout, and the run table of the last delta found against it
      ([diff_at]: the cycle it was found at, -1 when none is pending). *)
   type parent = {
-    words : int array;
+    words : H.words;
     mutable events : int;
     mutable layout : int array;
     mutable diff : H.delta option;
@@ -2676,26 +2676,28 @@ module Snapshot = struct
   let ring_length t = if t.obs.Obs.on then Obs.length t.obs else 0
 
   let extends p t =
-    Array.length p.words = Array.length t.heap.H.mem && p.layout = layout t.heap
+    Bigarray.Array1.dim p.words = Array.length t.heap.H.mem
+    && p.layout = layout t.heap
 
-  (* A plain loop: [Array.blit] into a major-heap array would take the
-     write barrier per word. *)
-  let copy_words src dst =
+  let copy_words src (dst : H.words) =
     for i = 0 to Array.length src - 1 do
-      Array.unsafe_set dst i (Array.unsafe_get src i)
+      Bigarray.Array1.unsafe_set dst i (Array.unsafe_get src i)
     done
 
   let parent ?last t =
     let mem = t.heap.H.mem in
     let p =
       match last with
-      | Some p when Array.length p.words = Array.length mem ->
+      | Some p when Bigarray.Array1.dim p.words = Array.length mem ->
         (match p.diff with
         | Some d when p.diff_at = now t -> H.apply_delta t.heap d ~base:p.words
         | _ -> copy_words mem p.words);
         p
       | _ ->
-        let words = Array.make (Array.length mem) 0 in
+        let words =
+          Bigarray.Array1.create Bigarray.int Bigarray.c_layout
+            (Array.length mem)
+        in
         copy_words mem words;
         { words; events = 0; layout = [||]; diff = None; diff_at = -1 }
     in

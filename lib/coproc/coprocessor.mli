@@ -377,7 +377,7 @@ module Snapshot : sig
       parent that save was a delta of, consumed: updated in place and
       returned) the word copy is brought up to date by the runs that
       save found when the clock has not moved since, otherwise copied
-      whole; without it the heap is copied into a new array. *)
+      whole; without it the heap is copied afresh. *)
 
   val extends : parent -> sim -> bool
   (** A delta against the parent is possible: the heap still has the

@@ -136,16 +136,22 @@ let push_run d start len =
   d.runs.(k + 1) <- len;
   d.n_runs <- d.n_runs + 1
 
+(* The base lives outside the OCaml heap: an [int array] copy of [mem]
+   would be scanned by every marking cycle and would grow the major
+   heap's headroom by its size. *)
+type words = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 (* Compare [lo, hi) and extend the open run [start, stop) (start < 0:
    none), returning it and the last nonzero address seen (lo - 1 if
    none). A recursive loop over plain arguments keeps the state in
    registers. *)
-let rec scan d mem base i hi start stop last =
+let rec scan d mem (base : words) i hi start stop last =
   if i >= hi then (start, stop, last)
   else
     let v = Array.unsafe_get mem i in
     let last = if v <> 0 then i else last in
-    if v = Array.unsafe_get base i then scan d mem base (i + 1) hi start stop last
+    if v = Bigarray.Array1.unsafe_get base i then
+      scan d mem base (i + 1) hi start stop last
     else if start < 0 then scan d mem base (i + 1) hi i (i + 1) last
     else if i - stop > max_gap then begin
       push_run d start (stop - start);
@@ -155,7 +161,7 @@ let rec scan d mem base i hi start stop last =
 
 let delta ?reuse t ~base =
   let mem = t.mem in
-  if Array.length base <> Array.length mem then
+  if Bigarray.Array1.dim base <> Array.length mem then
     invalid_arg "Heap.delta: base size";
   let d =
     match reuse with
@@ -193,11 +199,11 @@ let delta ?reuse t ~base =
 let full_bytes t d =
   8 * (1 + 4 + d.extent_a + 4 + d.extent_b + 1 + 1 + Array.length t.roots)
 
-let apply_delta t d ~base =
+let apply_delta t d ~(base : words) =
   for k = 0 to d.n_runs - 1 do
     let start = d.runs.(2 * k) and len = d.runs.((2 * k) + 1) in
     for i = start to start + len - 1 do
-      Array.unsafe_set base i (Array.unsafe_get t.mem i)
+      Bigarray.Array1.unsafe_set base i (Array.unsafe_get t.mem i)
     done
   done
 

@@ -111,7 +111,11 @@ val restore : t -> Hsgc_util.Codec.R.t -> unit
 type delta
 (** The differing words, as runs of consecutive addresses. *)
 
-val delta : ?reuse:delta -> t -> base:int array -> delta
+type words = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** A copy of [mem] kept outside the OCaml heap: the major GC neither
+    scans its 8-byte words nor sizes the heap by them. *)
+
+val delta : ?reuse:delta -> t -> base:words -> delta
 (** One compare pass of [mem] against [base] (same length; raises
     [Invalid_argument] otherwise). Runs at most two equal words apart
     are merged. The pass also notes each semispace's extent (see
@@ -122,7 +126,7 @@ val full_bytes : t -> delta -> int
 (** The size of {!encode}'s output, from the extents the pass found:
     valid while [mem] is unchanged since {!delta}. *)
 
-val apply_delta : t -> delta -> base:int array -> unit
+val apply_delta : t -> delta -> base:words -> unit
 (** Copy the runs' words from [mem] into [base]: with [mem] unchanged
     since {!delta}, [base] then equals [mem]. *)
 

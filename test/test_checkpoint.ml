@@ -686,23 +686,26 @@ let qcheck_heap_delta =
       let h = build_case_heap c in
       let base = Array.copy h.Heap.mem in
       let n = Array.length base in
+      let words a =
+        Bigarray.Array1.of_array Bigarray.int Bigarray.c_layout a
+      in
       List.iter
         (fun (at, len, v) ->
           for i = at to min (n - 1) (at + len - 1) do
             h.Heap.mem.(i) <- v + i
           done)
         changes;
-      let d = Heap.delta h ~base in
+      let d = Heap.delta h ~base:(words base) in
       let image = encode_bytes (Heap.encode_delta h d) in
       let onto = build_case_heap c in
       Array.blit base 0 onto.Heap.mem 0 n;
       let r = reader_of image in
       Heap.restore_delta onto r;
-      let folded = Array.copy base in
+      let folded = words base in
       Heap.apply_delta h d ~base:folded;
       Codec.R.eof r
       && onto.Heap.mem = h.Heap.mem
-      && folded = h.Heap.mem
+      && folded = words h.Heap.mem
       && Heap.full_bytes h d = String.length (encode_bytes (Heap.encode h)))
 
 let qcheck_ring_columns =
