@@ -68,7 +68,7 @@ let cut_home_ranges heap ~banks =
       bounds.(!next) <- !a;
       incr next
     done;
-    a := !a + Hdr.size heap.H.mem.(!a)
+    a := !a + Hdr.size heap.H.mem.{!a}
   done;
   (* Chunks past the last object collapse to the empty range. *)
   while !next < banks do
@@ -197,7 +197,7 @@ let arbitrate d =
       (fun (slot, child) ->
         match route d ~child with
         | Some naddr ->
-          d.heap.H.mem.(slot) <- naddr;
+          d.heap.H.mem.{slot} <- naddr;
           d.arb_cycles <- d.arb_cycles + 1;
           d.fixups_applied <- d.fixups_applied + 1;
           incr resolved
@@ -273,7 +273,8 @@ let stitch d ~live =
   let moved = ref false in
   for b = 0 to n - 1 do
     if new_lo.(b) < old_lo.(b) && live.(b) > 0 then begin
-      Array.blit heap.H.mem old_lo.(b) heap.H.mem new_lo.(b) live.(b);
+      H.blit heap.H.mem ~src_pos:old_lo.(b) heap.H.mem ~dst_pos:new_lo.(b)
+        ~len:live.(b);
       cycles := !cycles + live.(b);
       moved := true
     end
@@ -291,13 +292,13 @@ let stitch d ~live =
   in
   let a = ref tos_base in
   while !a < !cum do
-    let h0 = heap.H.mem.(!a) in
+    let h0 = heap.H.mem.{!a} in
     let pi = Hdr.pi h0 in
     for i = 0 to pi - 1 do
       let slot = !a + Hdr.header_words + i in
-      let p = heap.H.mem.(slot) in
+      let p = heap.H.mem.{slot} in
       if p <> H.null then begin
-        heap.H.mem.(slot) <- translate p;
+        heap.H.mem.{slot} <- translate p;
         incr cycles
       end
     done;

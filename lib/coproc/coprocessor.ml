@@ -516,7 +516,7 @@ let store_and_advance t core v =
      is never re-read during a stop-the-world cycle), so the collection
      still terminates — only the verifier can notice, which is exactly
      the detection-coverage question the harness measures. *)
-  t.heap.H.mem.(core.obj_to + Hdr.header_words + core.slot) <-
+  t.heap.H.mem.{core.obj_to + Hdr.header_words + core.slot} <-
     Injector.corrupt_body t.faults v;
   issue_exn core.bs t.mem ~now:(now t) ~addr:(core.obj_to + Hdr.header_words + core.slot);
   core.counters.words_copied <- core.counters.words_copied + 1;
@@ -548,7 +548,7 @@ let rec begin_object t core ~frame =
       ~hi:(frame + Hdr.header_words);
     t.hooks.Hooks.word_read ~core:core.id ~base:frame ~addr:frame
   end;
-  let h0 = t.heap.H.mem.(frame) in
+  let h0 = t.heap.H.mem.{frame} in
   if Hdr.state h0 = Black then begin
     (* A frame allocated black by the main processor during a concurrent
        cycle: nothing to scan, step over it. *)
@@ -569,7 +569,7 @@ and begin_gray_object t core ~frame ~h0 =
   core.obj_to <- frame;
   if t.hooks.Hooks.on then
     t.hooks.Hooks.word_read ~core:core.id ~base:frame ~addr:(frame + 1);
-  core.obj_from <- t.heap.H.mem.(frame + 1);
+  core.obj_from <- t.heap.H.mem.{frame + 1};
   core.slot <- 0;
   (match split_over with
   | None ->
@@ -685,7 +685,7 @@ let[@inline never] step_root_header_wait t core =
     let r = t.heap.H.roots.(core.root_idx) in
     if t.hooks.Hooks.on then
       t.hooks.Hooks.word_read ~core:core.id ~base:r ~addr:r;
-    let w0 = t.heap.H.mem.(r) in
+    let w0 = t.heap.H.mem.{r} in
     match Hdr.state w0 with
     | White | Black ->
       (* Black here is a survivor of the previous cycle: only Gray means
@@ -700,7 +700,7 @@ let[@inline never] step_root_header_wait t core =
          forwarding pointer installed in its header. *)
       if t.hooks.Hooks.on then
         t.hooks.Hooks.word_read ~core:core.id ~base:r ~addr:(r + 1);
-      t.heap.H.roots.(core.root_idx) <- t.heap.H.mem.(r + 1);
+      t.heap.H.roots.(core.root_idx) <- t.heap.H.mem.{r + 1};
       SB.unlock_header t.sb ~core:core.id;
       core.root_idx <- core.root_idx + 1;
       core.state <- Root_next
@@ -786,7 +786,7 @@ let step_body_wait t core =
     if t.hooks.Hooks.on then
       t.hooks.Hooks.word_read ~core:core.id ~base:core.obj_from
         ~addr:(core.obj_from + Hdr.header_words + core.slot);
-    let v = t.heap.H.mem.(core.obj_from + Hdr.header_words + core.slot) in
+    let v = t.heap.H.mem.{core.obj_from + Hdr.header_words + core.slot} in
     if
       core.slot < Hdr.pi core.h0
       && v <> H.null
@@ -829,7 +829,7 @@ let step_child_header_wait t core =
     Port.consume core.hl;
     if t.hooks.Hooks.on then
       t.hooks.Hooks.word_read ~core:core.id ~base:core.child ~addr:core.child;
-    let w0 = t.heap.H.mem.(core.child) in
+    let w0 = t.heap.H.mem.{core.child} in
     match Hdr.state w0 with
     | White | Black ->
       (* Not yet evacuated in this cycle (Black = survivor of the
@@ -842,7 +842,7 @@ let step_child_header_wait t core =
       if t.hooks.Hooks.on then
         t.hooks.Hooks.word_read ~core:core.id ~base:core.child
           ~addr:(core.child + 1);
-      core.value <- t.heap.H.mem.(core.child + 1);
+      core.value <- t.heap.H.mem.{core.child + 1};
       SB.unlock_header t.sb ~core:core.id;
       core.state <- Store_slot
   end
@@ -1127,7 +1127,7 @@ let start ?(obs = Obs.disabled) ?(prof = Prof.disabled) ?remote cfg heap =
   in
   let hooks = Hooks.create () in
   let san =
-    San.create ~mode:cfg.sanitize ~mem_words:(Array.length heap.H.mem)
+    San.create ~mode:cfg.sanitize ~mem_words:(H.length heap.H.mem)
       ~n_cores:cfg.n_cores ~header_words:Hdr.header_words hooks
   in
   let mem =
@@ -1299,7 +1299,7 @@ let replay_of t c =
          pointer slot transitions to Lock_child, while a data word — or
          a bank-crossing pointer, stored stale like one — either stores
          immediately (bs idle) or stalls on the store buffer. *)
-      let v = t.heap.H.mem.(c.obj_from + Hdr.header_words + c.slot) in
+      let v = t.heap.H.mem.{c.obj_from + Hdr.header_words + c.slot} in
       if
         c.slot < Hdr.pi c.h0
         && v <> H.null
@@ -2052,7 +2052,7 @@ let data_run_finish t c ~w ~slot ~words ~gaps ~exec ~next_loads =
 let rec data_run_go t c ~fromb ~tob ~pi ~slot_limit ~lat_l ~lat_s ~limit w
     slot words gaps =
   let heap = t.heap.H.mem in
-  let v = Array.unsafe_get heap (fromb + slot) in
+  let v = Bigarray.Array1.unsafe_get heap (fromb + slot) in
   if slot < pi && v <> H.null then begin
     (* Pointer slot: this word cycle consumes it and turns to the
        child ([step_body_wait]'s first arm). Every copied word issued
@@ -2064,7 +2064,7 @@ let rec data_run_go t c ~fromb ~tob ~pi ~slot_limit ~lat_l ~lat_s ~limit w
       ~next_loads:words
   end
   else begin
-    Array.unsafe_set heap (tob + slot) v;
+    Bigarray.Array1.unsafe_set heap (tob + slot) v;
     let slot = slot + 1 and words = words + 1 in
     if slot >= slot_limit then begin
       (* Work item complete: the last word's store is in flight, and
@@ -2676,30 +2676,27 @@ module Snapshot = struct
   let ring_length t = if t.obs.Obs.on then Obs.length t.obs else 0
 
   let extends p t =
-    Bigarray.Array1.dim p.words = Array.length t.heap.H.mem
-    && p.layout = layout t.heap
+    H.length p.words = H.length t.heap.H.mem && p.layout = layout t.heap
 
-  let copy_words src (dst : H.words) =
-    for i = 0 to Array.length src - 1 do
-      Bigarray.Array1.unsafe_set dst i (Array.unsafe_get src i)
-    done
-
+  (* The copy is heap memory too ([H.copy_mem]); a refresh is one blit
+     or the delta's runs. *)
   let parent ?last t =
     let mem = t.heap.H.mem in
     let p =
       match last with
-      | Some p when Bigarray.Array1.dim p.words = Array.length mem ->
+      | Some p when H.length p.words = H.length mem ->
         (match p.diff with
         | Some d when p.diff_at = now t -> H.apply_delta t.heap d ~base:p.words
-        | _ -> copy_words mem p.words);
+        | _ -> Bigarray.Array1.blit mem p.words);
         p
       | _ ->
-        let words =
-          Bigarray.Array1.create Bigarray.int Bigarray.c_layout
-            (Array.length mem)
-        in
-        copy_words mem words;
-        { words; events = 0; layout = [||]; diff = None; diff_at = -1 }
+        {
+          words = H.copy_mem t.heap;
+          events = 0;
+          layout = [||];
+          diff = None;
+          diff_at = -1;
+        }
     in
     p.events <- ring_length t;
     p.layout <- layout t.heap;

@@ -11,10 +11,40 @@
     buffers, the header FIFO) is modeled separately by [Hsgc_memsim]; the
     collector cores read and write contents here at the moment an access
     is initiated, which is consistent with what the hardware guarantees
-    through its locking protocol and comparator array. *)
+    through its locking protocol and comparator array.
+
+    {b Memory.} The words are an anonymous private mapping from the OS,
+    as a Bigarray of OCaml ints ({!words}). Its pages are the kernel's
+    zero page until written, so {!create} costs O(1) at any size and a
+    heap is resident only in the pages its run writes (materializing,
+    collecting, restoring). The mapping is outside the OCaml heap: the
+    major GC does not mark its words, and it is unmapped when the array
+    is collected, which takes a completed major cycle. Its size counts
+    toward the major GC's pace as an external resource, so that making
+    heaps speeds up the cycles that unmap dead ones (docs/PERFORMANCE.md
+    §10 measures the bound and its limits). Access it at the type
+    {!words} only:
+    a polymorphic Bigarray access is a C call that boxes. A sub-array
+    ([Bigarray.Array1.sub]) shares the mapping without keeping it alive,
+    so none may outlive the call that cut it; outside this module use
+    {!blit}. *)
+
+type words = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** Heap memory: 8-byte words outside the OCaml heap. *)
+
+val zeros : int -> words
+(** [zeros n]: [n] words of fresh OS zero pages, resident only once
+    written. Raises [Invalid_argument] on a negative [n]. *)
+
+val length : words -> int
+(** The number of words. *)
+
+val blit : words -> src_pos:int -> words -> dst_pos:int -> len:int -> unit
+(** Copy [len] words, as [memmove]: the ranges may overlap. Raises
+    [Invalid_argument] on a range outside either array. *)
 
 type t = {
-  mem : int array;
+  mem : words;
   mutable space_a : Semispace.t;
   mutable space_b : Semispace.t;
   mutable a_is_current : bool;
@@ -26,8 +56,9 @@ val null : int
 (** The null pointer (address 0, never a valid object address). *)
 
 val create : semispace_words:int -> t
-(** A heap with two semispaces of [semispace_words] words each. Every
-    word starts at 0, so a fresh heap's pointer slots are all null. *)
+(** A heap with two semispaces of [semispace_words] words each, on
+    fresh zero pages: every word starts at 0, so a fresh heap's pointer
+    slots are all null, and none of its memory is resident yet. *)
 
 val from_space : t -> Semispace.t
 (** The current allocation space — fromspace during a collection. *)
@@ -88,18 +119,23 @@ val alloc : t -> pi:int -> delta:int -> int option
 val encode : t -> Hsgc_util.Codec.W.t -> unit
 (** Checkpoint the complete heap state: the null word, then for each
     semispace its bounds, [free] and its words from [base] up to its
-    last nonzero word (a length-prefixed {!Hsgc_util.Codec.W.int_range};
+    last nonzero word (a length-prefixed {!Hsgc_util.Codec.W.word_range};
     the zero tail is implied), then orientation and roots. The image
     grows with what the spaces hold — 8 bytes a word of the two
-    extents plus a constant — not with their capacity. *)
+    extents plus a constant — not with their capacity. [encode t] finds
+    the extents once; the encoder it returns may run any number of
+    times while [mem] is unchanged. *)
 
 val restore : t -> Hsgc_util.Codec.R.t -> unit
 (** Overwrite this heap in place from an encoded image: each stored
-    prefix is copied back and the rest of its space zero-filled, so
-    [mem] is restored word for word, stale words above [free] included.
-    The heap must have the same geometry (semispace size) as the encoded
-    one; raises {!Hsgc_util.Codec.Error} otherwise, and on an extent
-    past the end of its semispace. *)
+    prefix is copied back and the rest of its space zeroed, so [mem] is
+    restored word for word, stale words above [free] included. The
+    zeroing hands the space's whole pages back to the OS instead of
+    writing them: restoring a small image onto a fresh large heap makes
+    resident about the image's size. The heap must have the same
+    geometry (semispace size) as the encoded one; raises
+    {!Hsgc_util.Codec.Error} otherwise, and on an extent past the end
+    of its semispace. *)
 
 (** {3 Deltas}
 
@@ -111,9 +147,9 @@ val restore : t -> Hsgc_util.Codec.R.t -> unit
 type delta
 (** The differing words, as runs of consecutive addresses. *)
 
-type words = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** A copy of [mem] kept outside the OCaml heap: the major GC neither
-    scans its 8-byte words nor sizes the heap by them. *)
+val copy_mem : t -> words
+(** A copy of [mem] on fresh zero pages: the words above each
+    semispace's extent are not copied, being zero in both. *)
 
 val delta : ?reuse:delta -> t -> base:words -> delta
 (** One compare pass of [mem] against [base] (same length; raises
@@ -133,7 +169,7 @@ val apply_delta : t -> delta -> base:words -> unit
 val encode_delta : t -> delta -> Hsgc_util.Codec.W.t -> unit
 (** The null word, both semispaces' bounds and [free], orientation,
     roots, then the run count and each run as its start address and a
-    length-prefixed {!Hsgc_util.Codec.W.int_range}: 8 bytes a word
+    length-prefixed {!Hsgc_util.Codec.W.word_range}: 8 bytes a word
     carried plus 16 a run. *)
 
 val restore_delta : t -> Hsgc_util.Codec.R.t -> unit

@@ -54,8 +54,11 @@ let find ids addr =
 let add ids addr =
   let id = ids.count in
   if id = Array.length ids.addrs then begin
+    (* A loop, not [Array.blit]: see [Plan]'s growth. *)
     let bigger = Array.make (2 * id) Heap.null in
-    Array.blit ids.addrs 0 bigger 0 id;
+    for i = 0 to id - 1 do
+      bigger.(i) <- ids.addrs.(i)
+    done;
     ids.addrs <- bigger
   end;
   ids.addrs.(id) <- addr;
@@ -83,6 +86,17 @@ let id_of ids addr =
 
 let no_desc = { pi = 0; delta = 0; children = [||]; data = [||] }
 
+(* [len] words from [pos] as an array, range-checked once rather than
+   per word. *)
+let words_at (mem : Heap.words) ~pos ~len =
+  if pos < 0 || pos > Heap.length mem - len then
+    invalid_arg "index out of bounds";
+  let a = Array.make len 0 in
+  for i = 0 to len - 1 do
+    Array.unsafe_set a i (Bigarray.Array1.unsafe_get mem (pos + i))
+  done;
+  a
+
 let snapshot heap =
   let mem = heap.Heap.mem in
   let ids = ids_create heap in
@@ -97,17 +111,18 @@ let snapshot heap =
   let k = ref 0 in
   while !k < ids.count do
     let obj = ids.addrs.(!k) in
-    let w0 = mem.(obj) in
+    let w0 = mem.{obj} in
     let pi = Header.pi w0 and delta = Header.delta w0 in
     let children = Array.make pi (-1) in
     for i = 0 to pi - 1 do
-      children.(i) <- id_of ids mem.(obj + Header.header_words + i)
+      children.(i) <- id_of ids mem.{obj + Header.header_words + i}
     done;
     (* No copy for an empty data area: a stray pointer to the last word
        of memory reads a zero header, and its (empty) data area would
        start past the end of the array. *)
     let data =
-      if delta = 0 then [||] else Array.sub mem (obj + Header.header_words + pi) delta
+      if delta = 0 then [||]
+      else words_at mem ~pos:(obj + Header.header_words + pi) ~len:delta
     in
     if !k = Array.length !objects then begin
       let bigger = Array.make (Array.length ids.addrs) no_desc in
@@ -194,7 +209,7 @@ let check_space heap =
     let addr = ref base in
     while !addr < free do
       let obj = !addr in
-      let w0 = mem.(obj) in
+      let w0 = mem.{obj} in
       if w0 land 3 = 3 then raise (Fail (Undecodable_header { obj; word = w0 }));
       (match Header.state w0 with
       | Black -> ()
@@ -232,9 +247,9 @@ let check_space heap =
     let addr = ref base in
     while !addr < free do
       let obj = !addr in
-      let w0 = mem.(obj) in
+      let w0 = mem.{obj} in
       for slot = 0 to Header.pi w0 - 1 do
-        check ~obj ~slot mem.(obj + Header.header_words + slot)
+        check ~obj ~slot mem.{obj + Header.header_words + slot}
       done;
       addr := obj + Header.size w0
     done;
@@ -295,7 +310,7 @@ let first_difference ~pre heap =
       let id = !k in
       let obj = ids.addrs.(id) in
       let d = pre.objects.(id) in
-      let w0 = mem.(obj) in
+      let w0 = mem.{obj} in
       let pi = Header.pi w0 and delta = Header.delta w0 in
       if pi <> d.pi || Array.length d.children <> pi then
         raise (Differ (Printf.sprintf "object #%d: pi %d -> %d" id d.pi pi));
@@ -304,7 +319,7 @@ let first_difference ~pre heap =
           (Differ (Printf.sprintf "object #%d: delta %d -> %d" id d.delta delta));
       let slots = obj + Header.header_words in
       for i = 0 to pi - 1 do
-        let target = mem.(slots + i) in
+        let target = mem.{slots + i} in
         let c = post_id target in
         if c <> d.children.(i) then
           raise
@@ -315,7 +330,7 @@ let first_difference ~pre heap =
       done;
       let data = slots + pi in
       for j = 0 to delta - 1 do
-        let v = mem.(data + j) in
+        let v = mem.{data + j} in
         if v <> d.data.(j) then
           raise
             (Differ

@@ -185,8 +185,11 @@ let[@inline never] record_header_store t ~addr ~commit =
     if t.ps_n = Array.length t.ps_addr then begin
       let cap = 2 * t.ps_n in
       let addrs = Array.make cap 0 and commits = Array.make cap 0 in
-      Array.blit t.ps_addr 0 addrs 0 t.ps_n;
-      Array.blit t.ps_commit 0 commits 0 t.ps_n;
+      (* A loop, not [Array.blit]: see [Plan]'s growth. *)
+      for i = 0 to t.ps_n - 1 do
+        addrs.(i) <- t.ps_addr.(i);
+        commits.(i) <- t.ps_commit.(i)
+      done;
       t.ps_addr <- addrs;
       t.ps_commit <- commits
     end;

@@ -142,8 +142,8 @@ let materialize ?(heap_factor = 2.0) t =
   let heap = Heap.create ~semispace_words:(int_of_float scaled + 64) in
   (* One bump for the whole plan: object [id] lands at
      [base + offsets.(id)], where one [Heap.alloc] per object in id
-     order would have put it. [Heap.create] zeroed memory, so header
-     word 1 and null slots are already in place. *)
+     order would have put it. [Heap.create]'s memory is zero pages, so
+     header word 1 and null slots are already in place, unwritten. *)
   let base =
     match Semispace.bump (Heap.from_space heap) words with
     | Some base -> base
@@ -156,13 +156,13 @@ let materialize ?(heap_factor = 2.0) t =
     let pi = t.first.(id + 1) - first in
     let ptrs = obj + Header.header_words in
     let data = ptrs + pi in
-    mem.(obj) <- Header.encode ~state:White ~pi ~delta:(next - data);
+    mem.{obj} <- Header.encode ~state:White ~pi ~delta:(next - data);
     for slot = 0 to pi - 1 do
       let child = t.slots.(first + slot) in
-      if child >= 0 then mem.(ptrs + slot) <- base + t.offsets.(child)
+      if child >= 0 then mem.{ptrs + slot} <- base + t.offsets.(child)
     done;
     for a = data to next - 1 do
-      mem.(a) <- data_word id (a - data)
+      mem.{a} <- data_word id (a - data)
     done
   done;
   Heap.set_roots heap

@@ -88,7 +88,7 @@ let collect ~domains heap =
     if state >= 0 then state
     else if state = unclaimed && Atomic.compare_and_set fwd.(slot) unclaimed claiming
     then begin
-      let size = Header.size mem.(addr) in
+      let size = Header.size mem.{addr} in
       let naddr = Atomic.fetch_and_add free size in
       if naddr + size > limit then failwith "Parallel_copy.collect: heap overflow";
       claims.(dom) <- claims.(dom) + 1;
@@ -114,18 +114,18 @@ let collect ~domains heap =
   (* Scan one gray object: copy the body, translating pointer-area words
      (claiming unevacuated children), then blacken the copy. *)
   let scan dom src dst =
-    let w0 = mem.(src) in
+    let w0 = mem.{src} in
     let pi = Header.pi w0 and delta = Header.delta w0 in
     for i = 0 to pi - 1 do
-      let child = mem.(src + Header.header_words + i) in
+      let child = mem.{src + Header.header_words + i} in
       let v = if child = Heap.null then Heap.null else claim dom child in
-      mem.(dst + Header.header_words + i) <- v
+      mem.{dst + Header.header_words + i} <- v
     done;
     for i = pi to pi + delta - 1 do
-      mem.(dst + Header.header_words + i) <- mem.(src + Header.header_words + i)
+      mem.{dst + Header.header_words + i} <- mem.{src + Header.header_words + i}
     done;
-    mem.(dst) <- Header.encode ~state:Black ~pi ~delta;
-    mem.(dst + 1) <- 0;
+    mem.{dst} <- Header.encode ~state:Black ~pi ~delta;
+    mem.{dst + 1} <- 0;
     scanned.(dom) <- scanned.(dom) + 1
   in
   (* Roots are claimed sequentially before the workers start (core 1 does

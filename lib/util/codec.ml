@@ -125,6 +125,22 @@ module W = struct
 
   let int_array w a = int_range w a ~pos:0 ~len:(Array.length a)
 
+  (* [int_range]'s bytes from a Bigarray of ints: the heap's memory. *)
+  let word_range w
+      (a : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t) ~pos
+      ~len =
+    if pos < 0 || len < 0 || pos > Bigarray.Array1.dim a - len then
+      invalid_arg "Codec.W.word_range";
+    let need = 8 * (len + 1) in
+    if fits w need then begin
+      let b = w.buf and p = w.pos + 8 in
+      put_int b w.pos len;
+      for i = 0 to len - 1 do
+        put_int b (p + (8 * i)) (Bigarray.Array1.unsafe_get a (pos + i))
+      done
+    end;
+    w.pos <- w.pos + need
+
   let bool_array w a =
     let n = Array.length a in
     let need = 8 * (n + 1) in
@@ -254,6 +270,22 @@ module R = struct
     r.pos <- p + (8 * n);
     for i = 0 to n - 1 do
       Array.unsafe_set dst (pos + i) (get_int r.data (p + (8 * i)))
+    done;
+    n
+
+  let word_range_into r
+      (dst : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t)
+      ~pos ~max ~what =
+    if pos < 0 || max < 0 || pos > Bigarray.Array1.dim dst - max then
+      invalid_arg "Codec.R.word_range_into";
+    let n = int r in
+    if n < 0 || n > max then
+      fail "codec: %s %d at byte %d outside [0, %d]" what n r.pos max;
+    need r (8 * n);
+    let p = r.pos in
+    r.pos <- p + (8 * n);
+    for i = 0 to n - 1 do
+      Bigarray.Array1.unsafe_set dst (pos + i) (get_int r.data (p + (8 * i)))
     done;
     n
 

@@ -47,6 +47,15 @@ module W : sig
       once. [int_array w a] is [int_range w a ~pos:0 ~len:(Array.length a)].
       Raises [Invalid_argument] on a slice outside [a]. *)
 
+  val word_range :
+    t ->
+    (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t ->
+    pos:int ->
+    len:int ->
+    unit
+  (** {!int_range} over a Bigarray of ints (the heap's memory): the same
+      bytes for the same values. *)
+
   val column : t -> ?pos:int -> int array -> len:int -> unit
   (** [column w ~pos a ~len] writes the [len] values of [a] from [pos]
       (default 0) width-fitted: a width word, then the values at that
@@ -90,6 +99,16 @@ module R : sig
       [dst] from [pos] and returns its length, leaving the rest of [dst]
       as it was. Raises {!Error}, naming [what], when the encoded
       length is negative or above [max], and on a short range. *)
+
+  val word_range_into :
+    t ->
+    (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t ->
+    pos:int ->
+    max:int ->
+    what:string ->
+    int
+  (** {!int_range_into} into a Bigarray of ints: the inverse of
+      {!W.word_range}. *)
 
   val column_into : t -> ?pos:int -> int array -> len:int -> unit
   (** Inverse of {!W.column}: fills [len] values of the destination from

@@ -614,9 +614,12 @@ let print_heap_case c =
 let build_case_heap c =
   let h = Heap.create ~semispace_words:c.words in
   let a = h.Heap.space_a and b = h.Heap.space_b in
-  h.Heap.mem.(0) <- c.null_word;
-  Array.blit c.contents_a 0 h.Heap.mem a.Semispace.base c.words;
-  Array.blit c.contents_b 0 h.Heap.mem b.Semispace.base c.words;
+  let put contents (s : Semispace.t) =
+    Array.iteri (fun i v -> h.Heap.mem.{s.base + i} <- v) contents
+  in
+  h.Heap.mem.{0} <- c.null_word;
+  put c.contents_a a;
+  put c.contents_b b;
   a.Semispace.free <- a.Semispace.base + c.used_a;
   b.Semispace.free <- b.Semispace.base + c.used_b;
   h.Heap.a_is_current <- c.a_current;
@@ -648,7 +651,7 @@ let qcheck_heap_image =
          zero tails must be written, not assumed. *)
       let restores_onto fill =
         let fresh = Heap.create ~semispace_words:c.words in
-        Array.fill fresh.Heap.mem 0 (Array.length fresh.Heap.mem) fill;
+        Bigarray.Array1.fill fresh.Heap.mem fill;
         let r = reader_of image in
         Heap.restore fresh r;
         Codec.R.eof r
@@ -658,7 +661,10 @@ let qcheck_heap_image =
         && fresh.Heap.a_is_current = h.Heap.a_is_current
         && fresh.Heap.roots = h.Heap.roots
       in
-      String.length image = size && restores_onto 0 && restores_onto (-1))
+      String.length image = size
+      && restores_onto 0
+      && restores_onto (-1)
+      && Heap.copy_mem h = h.Heap.mem)
 
 (* A heap delta against any earlier copy of the heap's words: random
    heaps, then random changed words — scattered, in runs, across the
@@ -684,28 +690,30 @@ let qcheck_heap_delta =
          return (c, changes)))
     (fun (c, changes) ->
       let h = build_case_heap c in
-      let base = Array.copy h.Heap.mem in
-      let n = Array.length base in
-      let words a =
-        Bigarray.Array1.of_array Bigarray.int Bigarray.c_layout a
+      let n = Heap.length h.Heap.mem in
+      let copy m =
+        let w = Heap.zeros n in
+        Bigarray.Array1.blit m w;
+        w
       in
+      let base = copy h.Heap.mem in
       List.iter
         (fun (at, len, v) ->
           for i = at to min (n - 1) (at + len - 1) do
-            h.Heap.mem.(i) <- v + i
+            h.Heap.mem.{i} <- v + i
           done)
         changes;
-      let d = Heap.delta h ~base:(words base) in
+      let d = Heap.delta h ~base:(copy base) in
       let image = encode_bytes (Heap.encode_delta h d) in
       let onto = build_case_heap c in
-      Array.blit base 0 onto.Heap.mem 0 n;
+      Bigarray.Array1.blit base onto.Heap.mem;
       let r = reader_of image in
       Heap.restore_delta onto r;
-      let folded = words base in
+      let folded = copy base in
       Heap.apply_delta h d ~base:folded;
       Codec.R.eof r
       && onto.Heap.mem = h.Heap.mem
-      && folded = words h.Heap.mem
+      && folded = h.Heap.mem
       && Heap.full_bytes h d = String.length (encode_bytes (Heap.encode h)))
 
 let qcheck_ring_columns =

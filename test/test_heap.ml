@@ -153,6 +153,132 @@ let qcheck_accessor_roundtrip =
         done;
         !ok && Heap.obj_pi heap a = pi && Heap.obj_delta heap a = delta)
 
+(* Heap memory is OS zero pages outside the OCaml heap. *)
+
+(* Words a call adds to the OCaml heap, minor and major together. *)
+let ocaml_words f =
+  (* [Gc.quick_stat] counts the minor heap as of its last collection. *)
+  let total () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.minor_words +. s.major_words -. s.promoted_words
+  in
+  let before = total () in
+  let r = f () in
+  (total () -. before, r)
+
+(* A heap costs its record and the array's handle, whatever its size;
+   and materializing a plan adds only its roots, the words of the heap
+   itself being outside. *)
+let test_heap_words_outside_ocaml_heap () =
+  let words, h = ocaml_words (fun () -> Heap.create ~semispace_words:(1 lsl 22)) in
+  ignore (Sys.opaque_identity h);
+  if words > 256.0 then
+    Alcotest.failf "Heap.create at 2^22 words added %.0f words to the OCaml heap"
+      words;
+  let w = Hsgc_objgraph.Workloads.cup in
+  let plan = w.Hsgc_objgraph.Workloads.build ~scale:1.0 ~seed:42 in
+  let roots = Array.length (Hsgc_objgraph.Plan.roots plan) in
+  let words, h = ocaml_words (fun () -> Hsgc_objgraph.Plan.materialize plan) in
+  ignore (Sys.opaque_identity h);
+  if words > 256.0 +. float_of_int roots then
+    Alcotest.failf
+      "materializing cup at scale 1 (%d roots) added %.0f words to the OCaml \
+       heap"
+      roots words
+
+(* Resident set size in kB, or [None] where /proc is absent. *)
+let vm_rss_kb () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+    let rec find () =
+      match input_line ic with
+      | exception End_of_file -> None
+      | line ->
+        if String.starts_with ~prefix:"VmRSS:" line then
+          Scanf.sscanf line "VmRSS: %d kB" (fun kb -> Some kb)
+        else find ()
+    in
+    let kb = find () in
+    close_in ic;
+    kb
+
+(* With transparent huge pages always on, a touched page may be 2 MB. *)
+let thp_always () =
+  match open_in "/sys/kernel/mm/transparent_hugepage/enabled" with
+  | exception Sys_error _ -> false
+  | ic ->
+    let line = try input_line ic with End_of_file -> "" in
+    close_in ic;
+    List.mem "[always]" (String.split_on_char ' ' line)
+
+let rss_or_skip () = match vm_rss_kb () with Some kb -> kb | None -> Alcotest.skip ()
+
+(* Dead heaps are unmapped as fast as a loop makes new ones: the GC is
+   paced by their size. 64 heaps of 8 MB, each written once per page
+   and dropped, may hold at most 16 heaps' worth at any time. The loop
+   runs in a fresh process (release_loop.ml): how soon a major cycle
+   completes depends on the live OCaml heap and on work the collector
+   has done ahead, which other tests in this process leave behind. *)
+let test_release_keeps_pace () =
+  let exe = Filename.concat (Filename.dirname Sys.executable_name) "release_loop.exe" in
+  if not (Sys.file_exists exe) then Alcotest.failf "%s is not built (dune build)" exe;
+  let ic = Unix.open_process_args_in exe [| exe |] in
+  let line = try input_line ic with End_of_file -> "" in
+  (match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.failf "%s failed" exe);
+  if line = "skip" then Alcotest.skip ();
+  let heap_kb, grown = Scanf.sscanf line "%d %d" (fun h g -> (h, g)) in
+  let heap_kb =
+    if thp_always () then ((heap_kb + 2047) / 2048 * 2048) + 2048 else heap_kb
+  in
+  if grown > 16 * heap_kb then
+    Alcotest.failf "64 dropped heaps of %d kB: resident set grew by %d kB (bound %d)"
+      heap_kb grown (16 * heap_kb)
+
+(* Restoring a small image onto a fresh large heap writes the image's
+   words only: the pages above its extents stay untouched. *)
+let test_restore_onto_fresh_heap () =
+  let module Codec = Hsgc_util.Codec in
+  let semispace_words = 1 lsl 22 in
+  let h = Heap.create ~semispace_words in
+  let objs =
+    Array.init 2048 (fun i -> alloc_exn h ~pi:(i mod 3) ~delta:(4 + (i mod 5)))
+  in
+  Array.iteri
+    (fun i a ->
+      for j = 0 to Heap.obj_pi h a - 1 do
+        Heap.set_pointer h a j objs.((i + j + 1) mod Array.length objs)
+      done;
+      for j = 0 to Heap.obj_delta h a - 1 do
+        Heap.set_data h a j ((i * 7) + j + 1)
+      done)
+    objs;
+  Heap.set_roots h [| objs.(0); objs.(1) |];
+  let encode = Heap.encode h in
+  let m = Codec.W.measure () in
+  encode m;
+  let buf = Bytes.create (Codec.W.pos m) in
+  encode (Codec.W.into buf ~pos:0);
+  let image = Bytes.to_string buf in
+  let before = rss_or_skip () in
+  let fresh = Heap.create ~semispace_words in
+  Heap.restore fresh (Codec.R.of_substring image ~pos:0 ~len:(String.length image));
+  let grown = rss_or_skip () - before in
+  let image_kb = String.length image / 1024 in
+  let slack_kb = 1024 + if thp_always () then 4096 else 0 in
+  if grown > image_kb + slack_kb then
+    Alcotest.failf
+      "restoring a %d kB image onto a fresh %d MB heap grew the resident set by \
+       %d kB"
+      image_kb
+      (8 * Heap.length fresh.Heap.mem / 1024 / 1024)
+      grown;
+  Alcotest.(check bool) "restored word for word" true (fresh.Heap.mem = h.Heap.mem);
+  Alcotest.(check (array int)) "roots" h.Heap.roots fresh.Heap.roots
+
 let suite =
   [
     Alcotest.test_case "null reserved" `Quick test_null_reserved;
@@ -168,4 +294,10 @@ let suite =
     Alcotest.test_case "live words" `Quick test_live_words;
     Alcotest.test_case "null roots ignored" `Quick test_null_roots_ignored;
     QCheck_alcotest.to_alcotest qcheck_accessor_roundtrip;
+    Alcotest.test_case "dropped heaps are unmapped in pace" `Quick
+      test_release_keeps_pace;
+    Alcotest.test_case "heap words stay outside the OCaml heap" `Quick
+      test_heap_words_outside_ocaml_heap;
+    Alcotest.test_case "restore onto a fresh heap touches the image only" `Quick
+      test_restore_onto_fresh_heap;
   ]

@@ -41,7 +41,7 @@ let test_off_start_allocates_no_shadow () =
      for them. Under one byte per heap word leaves room for the
      machine's own fixed-size state, the header FIFO included. *)
   let heap = Hsgc_heap.Heap.create ~semispace_words:500_000 in
-  let words = Array.length heap.Hsgc_heap.Heap.mem in
+  let words = Hsgc_heap.Heap.length heap.Hsgc_heap.Heap.mem in
   let cfg = Coprocessor.config ~n_cores:2 () in
   let b0 = Gc.allocated_bytes () in
   let sim = Coprocessor.start cfg heap in

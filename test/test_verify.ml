@@ -499,8 +499,8 @@ let qcheck_differential =
    give the same verdict. *)
 let test_pointer_to_last_word () =
   let h, pre, r, _, _ = collected_pair () in
-  let last = Array.length h.Heap.mem - 1 in
-  Alcotest.(check int) "last word is an unused zero" 0 h.Heap.mem.(last);
+  let last = Heap.length h.Heap.mem - 1 in
+  Alcotest.(check int) "last word is an unused zero" 0 h.Heap.mem.{last};
   Heap.set_pointer h r 0 last;
   (match (try_snapshot Verify.snapshot h, try_snapshot Reference.snapshot h) with
   | Some got, Some want ->

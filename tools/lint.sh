@@ -14,6 +14,10 @@
 #                        artifact output; only bin/ and test/ may print
 #                        directly (Table.print is the one sanctioned
 #                        stdout sink).
+#   Array1.sub         — outside lib/heap/heap.ml: heap memory is an OS
+#                        mapping, and a sub-array of it does not keep it
+#                        alive, so one that outlives its call reads
+#                        unmapped memory. Heap.blit is the range copy.
 #
 # Exit status: 0 clean, 1 any offender found.
 
@@ -73,6 +77,14 @@ ban_hot lib/obs/metrics.ml
 ban_hot lib/fault/injector.ml
 ban_hot lib/heap/heap.ml
 ban_hot lib/coproc/counters.ml
+
+array1_sub_hits=$(cd "$root" && grep -rn 'Array1\.sub' lib --include='*.ml' 2>/dev/null \
+  | grep -v '^lib/heap/heap\.ml:')
+if [ -n "$array1_sub_hits" ]; then
+  echo "lint: Bigarray.Array1.sub outside lib/heap/heap.ml (a sub-array of a heap mapping can outlive it; use Heap.blit):" >&2
+  echo "$array1_sub_hits" >&2
+  status=1
+fi
 
 # Atomics allowlist. Every Atomic.* site in lib/ is shared mutable state
 # the model checker (lib/model) and the dynamic sanitizer cannot see:
