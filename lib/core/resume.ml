@@ -364,7 +364,13 @@ let drive ?every ?dir ?stop_at ?(should_stop = fun () -> false)
     match every with None -> max_int | Some e -> ((now / e) + 1) * e
   in
   let stop_bound = match stop_at with None -> max_int | Some s -> s in
-  let rec go due =
+  (* The cap moves only when a checkpoint moves [due], so a finite one is
+     boxed once per checkpoint interval rather than at every step. *)
+  let horizon_for due =
+    let h = if due <= stop_bound then due else stop_bound in
+    if h = max_int then None else Some h
+  in
+  let rec go due horizon =
     if Coprocessor.halted sim then Finished (Coprocessor.finalize sim, ())
     else if should_stop () || Coprocessor.now sim >= stop_bound then begin
       let cycle = Coprocessor.now sim in
@@ -374,17 +380,17 @@ let drive ?every ?dir ?stop_at ?(should_stop = fun () -> false)
       Stopped { at_cycle = cycle; checkpoint }
     end
     else begin
-      let h = min due stop_bound in
-      (if h = max_int then Coprocessor.step sim
-       else Coprocessor.step ~horizon:h sim);
+      Coprocessor.step ?horizon sim;
       if Coprocessor.now sim >= due then begin
         ignore (save_to (checkpoint_name (Coprocessor.now sim)));
-        go (next_due (Coprocessor.now sim))
+        let due = next_due (Coprocessor.now sim) in
+        go due (horizon_for due)
       end
-      else go due
+      else go due horizon
     end
   in
-  try go (next_due (Coprocessor.now sim))
+  let due = next_due (Coprocessor.now sim) in
+  try go due (horizon_for due)
   with Coprocessor.Stall_diagnosis _ as e ->
     (* The watchdog tripped at a cycle boundary: preserve the machine
        for offline inspection next to the structured diagnosis. *)

@@ -1,50 +1,86 @@
-type obj_desc = {
-  pi : int;
-  delta : int;
-  children : int array;
-  data : int array;
+type obj_desc = { pi : int; delta : int }
+
+type snapshot = {
+  objects : obj_desc array;
+  root_ids : int array;
+  words : Bytes.t;
 }
 
-type snapshot = { objects : obj_desc array; root_ids : int array }
+(* Words in [Bytes], native-endian, at unboxed primitives: the major GC
+   neither scans nor marks the contents of a [Bytes], where it would
+   scan an [int array] word by word. Every caller checks the range. *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let get_word b i = Int64.to_int (get64 b (i lsl 3))
+let set_word b i v = set64 b (i lsl 3) (Int64.of_int v)
+
+(* [b] with room for at least [n] words, its first [used] kept. *)
+let reserve b ~used n =
+  if n lsl 3 <= Bytes.length b then b
+  else begin
+    let bigger = Bytes.create (max (n lsl 3) (2 * Bytes.length b)) in
+    Bytes.blit b 0 bigger 0 (used lsl 3);
+    bigger
+  end
+
+(* The shapes that most objects have, one immutable descriptor each,
+   shared by every object of the shape in every snapshot (and by the
+   domains that snapshot in parallel). Any other (π, δ) gets its own. *)
+let shared_pi = 64
+let shared_delta = 16
+
+let shapes =
+  Array.init (shared_pi * shared_delta) (fun i ->
+      { pi = i / shared_delta; delta = i mod shared_delta })
+
+let shape ~pi ~delta =
+  if pi < shared_pi && delta < shared_delta then
+    Array.unsafe_get shapes ((pi * shared_delta) + delta)
+  else { pi; delta }
+
+let no_desc = shape ~pi:0 ~delta:0
 
 (* Canonical ids, handed out in discovery order. Addresses inside the
    current space's allocated range [base, free) map to ids through a
    direct-address table indexed by word offset; any other address (only
    a broken heap holds one) goes to a small hashtable. Because ids are
    handed out in enqueue order, the id -> address array is also the BFS
-   queue: the object with id k is the k-th dequeued. *)
+   queue: the object with id k is the k-th dequeued. An id fits the
+   table's 32 bits: ids are fewer than the roots and pointer words they
+   come from. *)
 type ids = {
   base : int;
-  table : int array;  (** word offset -> id; -1 = not yet discovered *)
-  mutable addrs : int array;  (** id -> address *)
+  span : int;  (** words of [base, free) *)
+  table : Bytes.t;  (** 4 bytes per word offset: its id, -1 until found *)
+  mutable addrs : Bytes.t;  (** a word per id: its address *)
   mutable count : int;
   mutable strays : (int, int) Hashtbl.t option;
 }
 
-(* [capacity] defaults to the most objects the table range can hold:
-   every object spans at least a header. *)
-let ids_create ?capacity heap =
+(* [capacity] is the ids the walk expects; the queue grows past it. *)
+let ids_create ~capacity heap =
   let space = Heap.from_space heap in
   let base = space.Semispace.base in
   (* [free] is a field a broken heap may carry any value in: clamp it to
      the space before sizing anything from it. *)
-  let words = max 0 (min space.Semispace.free space.Semispace.limit - base) in
-  let capacity =
-    match capacity with
-    | Some c -> c
-    | None -> 1 + (words / Header.header_words)
-  in
+  let span = max 0 (min space.Semispace.free space.Semispace.limit - base) in
   {
     base;
-    table = Array.make words (-1);
-    addrs = Array.make (max 1 capacity) Heap.null;
+    span;
+    table = Bytes.make (span lsl 2) '\255';
+    addrs = Bytes.create (max 1 capacity lsl 3);
     count = 0;
     strays = None;
   }
 
+let addr ids id = get_word ids.addrs id
+
 let find ids addr =
   let off = addr - ids.base in
-  if off >= 0 && off < Array.length ids.table then ids.table.(off)
+  if off >= 0 && off < ids.span then Int32.to_int (get32 ids.table (off lsl 2))
   else
     match ids.strays with
     | None -> -1
@@ -53,18 +89,12 @@ let find ids addr =
 (* Registers an undiscovered, non-null [addr] under the next id. *)
 let add ids addr =
   let id = ids.count in
-  if id = Array.length ids.addrs then begin
-    (* A loop, not [Array.blit]: see [Plan]'s growth. *)
-    let bigger = Array.make (2 * id) Heap.null in
-    for i = 0 to id - 1 do
-      bigger.(i) <- ids.addrs.(i)
-    done;
-    ids.addrs <- bigger
-  end;
-  ids.addrs.(id) <- addr;
+  if id lsl 3 = Bytes.length ids.addrs then
+    ids.addrs <- reserve ids.addrs ~used:id (id + 1);
+  set_word ids.addrs id addr;
   ids.count <- id + 1;
   let off = addr - ids.base in
-  if off >= 0 && off < Array.length ids.table then ids.table.(off) <- id
+  if off >= 0 && off < ids.span then set32 ids.table (off lsl 2) (Int32.of_int id)
   else begin
     let h =
       match ids.strays with
@@ -84,73 +114,80 @@ let id_of ids addr =
     let id = find ids addr in
     if id >= 0 then id else add ids addr
 
-let no_desc = { pi = 0; delta = 0; children = [||]; data = [||] }
+(* One range check per object body ([len] words from [slots]), after
+   which its words are read unchecked. An empty body is not checked: a
+   stray pointer to the last word of memory reads a zero header, and its
+   body would start past the end of the array. *)
+let check_body (mem : Heap.words) ~slots ~len =
+  if len > 0 && (slots < 0 || slots > Heap.length mem - len) then
+    invalid_arg "index out of bounds"
 
-(* [len] words from [pos] as an array, range-checked once rather than
-   per word. *)
-let words_at (mem : Heap.words) ~pos ~len =
-  if pos < 0 || pos > Heap.length mem - len then
-    invalid_arg "index out of bounds";
-  let a = Array.make len 0 in
-  for i = 0 to len - 1 do
-    Array.unsafe_set a i (Bigarray.Array1.unsafe_get mem (pos + i))
-  done;
-  a
+(* A snapshot's queue, objects and words start this small and double as
+   they fill. *)
+let initial_objects = 256
 
 let snapshot heap =
   let mem = heap.Heap.mem in
-  let ids = ids_create heap in
+  let ids = ids_create ~capacity:initial_objects heap in
   let roots = heap.Heap.roots in
   let root_ids = Array.make (Array.length roots) (-1) in
   for r = 0 to Array.length roots - 1 do
     root_ids.(r) <- id_of ids roots.(r)
   done;
   (* BFS so that canonical ids depend only on graph shape and root order,
-     not on heap addresses. *)
-  let objects = ref (Array.make (Array.length ids.addrs) no_desc) in
+     not on heap addresses. Each object's child ids, then its data
+     words, go to the end of [words]. *)
+  let objects = ref (Array.make initial_objects no_desc) in
+  let words = ref (Bytes.create (initial_objects lsl 3)) in
+  let used = ref 0 in
   let k = ref 0 in
   while !k < ids.count do
-    let obj = ids.addrs.(!k) in
+    let obj = addr ids !k in
     let w0 = mem.{obj} in
     let pi = Header.pi w0 and delta = Header.delta w0 in
-    let children = Array.make pi (-1) in
+    let slots = obj + Header.header_words in
+    check_body mem ~slots ~len:(pi + delta);
+    let at = !used in
+    words := reserve !words ~used:at (at + pi + delta);
+    let buf = !words in
     for i = 0 to pi - 1 do
-      children.(i) <- id_of ids mem.{obj + Header.header_words + i}
+      set_word buf (at + i) (id_of ids (Bigarray.Array1.unsafe_get mem (slots + i)))
     done;
-    (* No copy for an empty data area: a stray pointer to the last word
-       of memory reads a zero header, and its (empty) data area would
-       start past the end of the array. *)
-    let data =
-      if delta = 0 then [||]
-      else words_at mem ~pos:(obj + Header.header_words + pi) ~len:delta
-    in
+    for j = pi to pi + delta - 1 do
+      set_word buf (at + j) (Bigarray.Array1.unsafe_get mem (slots + j))
+    done;
+    used := at + pi + delta;
     if !k = Array.length !objects then begin
-      let bigger = Array.make (Array.length ids.addrs) no_desc in
+      let bigger = Array.make (2 * !k) no_desc in
       Array.blit !objects 0 bigger 0 !k;
       objects := bigger
     end;
-    !objects.(!k) <- { pi; delta; children; data };
+    Array.unsafe_set !objects !k (shape ~pi ~delta);
     incr k
   done;
-  { objects = Array.sub !objects 0 ids.count; root_ids }
+  {
+    objects = Array.sub !objects 0 ids.count;
+    root_ids;
+    words = Bytes.sub !words 0 (!used lsl 3);
+  }
 
 let rec equal_ints_from (a : int array) (b : int array) i =
   i = Array.length a || (a.(i) = b.(i) && equal_ints_from a b (i + 1))
 
 let equal_ints a b = Array.length a = Array.length b && equal_ints_from a b 0
 
-let equal_obj_desc a b =
-  a.pi = b.pi && a.delta = b.delta
-  && equal_ints a.children b.children
-  && equal_ints a.data b.data
+let rec equal_shapes_from a b i =
+  i = Array.length a
+  ||
+  let x = a.(i) and y = b.(i) in
+  (x == y || (x.pi = y.pi && x.delta = y.delta)) && equal_shapes_from a b (i + 1)
 
-let rec equal_objects_from a b i =
-  i = Array.length a || (equal_obj_desc a.(i) b.(i) && equal_objects_from a b (i + 1))
-
+(* Equal shapes lay the words out alike, so the buffers compare whole. *)
 let equal_snapshot a b =
   equal_ints a.root_ids b.root_ids
   && Array.length a.objects = Array.length b.objects
-  && equal_objects_from a.objects b.objects 0
+  && equal_shapes_from a.objects b.objects 0
+  && Bytes.equal a.words b.words
 
 type failure =
   | Graph_mismatch of string
@@ -262,14 +299,17 @@ let check_space heap =
 
 (* The isomorphism half of [check_collection], run in lockstep: replay
    [snapshot]'s BFS over [heap] and compare each object with
-   [pre.objects.(id)] as it is dequeued, without building the second
-   snapshot. Returns the first difference in BFS order, or [None] exactly
-   when [equal_snapshot pre (snapshot heap)]. Only called once
-   [check_space] has passed, so every root and pointer is null or an
-   object start inside [base, free), which the id table covers. *)
+   [pre.objects.(id)] and its words in [pre.words] as it is dequeued,
+   without building the second snapshot. Returns the first difference in
+   BFS order, or [None] exactly when [equal_snapshot pre (snapshot
+   heap)]. Only called once [check_space] has passed, so every root and
+   pointer is null or an object start inside [base, free), which the id
+   table covers. *)
 let first_difference ~pre heap =
   let mem = heap.Heap.mem in
   let npre = Array.length pre.objects in
+  let pre_words = pre.words in
+  let n_pre_words = Bytes.length pre_words lsr 3 in
   let ids = ids_create ~capacity:npre heap in
   let exception Differ of string in
   (* The id [snapshot] would give [target] here: a known one, or the
@@ -306,37 +346,43 @@ let first_difference ~pre heap =
       claim target id
     done;
     let k = ref 0 in
+    let at = ref 0 in
     while !k < ids.count do
       let id = !k in
-      let obj = ids.addrs.(id) in
+      let obj = addr ids id in
       let d = pre.objects.(id) in
       let w0 = mem.{obj} in
       let pi = Header.pi w0 and delta = Header.delta w0 in
-      if pi <> d.pi || Array.length d.children <> pi then
+      if pi <> d.pi then
         raise (Differ (Printf.sprintf "object #%d: pi %d -> %d" id d.pi pi));
-      if delta <> d.delta || Array.length d.data <> delta then
+      if delta <> d.delta then
         raise
           (Differ (Printf.sprintf "object #%d: delta %d -> %d" id d.delta delta));
       let slots = obj + Header.header_words in
+      check_body mem ~slots ~len:(pi + delta);
+      let here = !at in
+      if here + pi + delta > n_pre_words then
+        invalid_arg "Verify.check_collection: pre's words end before its objects";
       for i = 0 to pi - 1 do
-        let target = mem.{slots + i} in
+        let target = Bigarray.Array1.unsafe_get mem (slots + i) in
         let c = post_id target in
-        if c <> d.children.(i) then
+        let want = get_word pre_words (here + i) in
+        if c <> want then
           raise
             (Differ
-               (Printf.sprintf "object #%d: child slot %d: id %d -> %d" id i
-                  d.children.(i) c));
+               (Printf.sprintf "object #%d: child slot %d: id %d -> %d" id i want c));
         claim target c
       done;
-      let data = slots + pi in
+      let data = here + pi in
       for j = 0 to delta - 1 do
-        let v = mem.{data + j} in
-        if v <> d.data.(j) then
+        let v = Bigarray.Array1.unsafe_get mem (slots + pi + j) in
+        let want = get_word pre_words (data + j) in
+        if v <> want then
           raise
             (Differ
-               (Printf.sprintf "object #%d: data word %d: %#x -> %#x" id j
-                  d.data.(j) v))
+               (Printf.sprintf "object #%d: data word %d: %#x -> %#x" id j want v))
       done;
+      at := here + pi + delta;
       incr k
     done;
     if ids.count <> npre then

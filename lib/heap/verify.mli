@@ -6,26 +6,30 @@
     The snapshot is a canonical (BFS-ordered) serialization of the
     reachable subgraph, so isomorphism reduces to structural equality. *)
 
-type obj_desc = {
-  pi : int;
-  delta : int;
-  children : int array;
-      (** canonical id per pointer slot; [-1] encodes a null pointer *)
-  data : int array;  (** the δ data words *)
-}
+type obj_desc = { pi : int; delta : int }
+(** An object's shape: the lengths of its pointer and data areas. Common
+    shapes are one shared, immutable value each, so a snapshot allocates
+    nothing per object for them. *)
 
 type snapshot = {
   objects : obj_desc array;  (** indexed by canonical id (BFS discovery order) *)
   root_ids : int array;  (** canonical id per root slot; [-1] for null roots *)
+  words : Bytes.t;
+      (** every object's body, in canonical order and end to end: its π
+          child ids (the canonical id per pointer slot, [-1] for a null
+          pointer), then its δ data words. A word is 8 bytes in native
+          byte order ([Bytes.get_int64_ne]); the buffer holds exactly the
+          objects' π + δ words. *)
 }
 
 val snapshot : Heap.t -> snapshot
 (** Canonical serialization of the graph reachable from the heap's roots
     (in the current space). Canonical ids are assigned through a
-    direct-address table over the space's allocated words, so besides
-    the output it needs only scratch proportional to those words; a
-    pointer outside that range (only a broken heap has one) is still
-    followed. *)
+    direct-address table over the space's allocated words; a pointer
+    outside that range (only a broken heap has one) is still followed.
+    The walk's scratch (that table and the BFS queue) and [words] are
+    [Bytes], whose contents the major GC does not scan, sized to the
+    space's words, the objects found and the snapshot's words. *)
 
 val equal_snapshot : snapshot -> snapshot -> bool
 

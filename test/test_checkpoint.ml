@@ -950,6 +950,36 @@ let test_drive_off_matches_collect () =
   | Resume.Finished (stats, ()) ->
     Test_kernel.check_stats_equal "drive-off vs collect" reference stats
 
+(* A finite horizon ([stop_at], or checkpointing on) caps every step.
+   Stepping allocates nothing, so the cap may allocate once per run, not
+   once per step: a run driven with [~stop_at] past its end allocates a
+   few hundred words in all, finalize included. *)
+let test_drive_allocation () =
+  let w = Workloads.javacc in
+  let heap = Workloads.build_heap ~scale:0.3 ~seed:4 w in
+  let sim = Coprocessor.start (Coprocessor.config ~n_cores:8 ()) heap in
+  let meta =
+    {
+      Resume.workload = w.Workloads.name;
+      scale = 0.3;
+      seed = 4;
+      partitions = 1;
+      obs_on = false;
+      obs_capacity = 0;
+      obs_interval = 0;
+      prof_on = false;
+    }
+  in
+  let before = Gc.minor_words () in
+  let outcome = Resume.drive ~stop_at:(1 lsl 40) ~meta sim in
+  let words = Gc.minor_words () -. before in
+  (match outcome with
+  | Resume.Finished _ -> ()
+  | Resume.Stopped _ -> Alcotest.fail "stopped before its end");
+  if words > 512. then
+    Alcotest.failf "a %d-cycle run driven with ~stop_at allocated %.0f minor words"
+      (Coprocessor.now sim) words
+
 (* ------------------------------------------------------------------ *)
 (* Resume equivalence                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -1498,6 +1528,8 @@ let suite =
       test_checkpoint_boundaries_exact;
     Alcotest.test_case "driver with checkpointing off = plain collect" `Quick
       test_drive_off_matches_collect;
+    Alcotest.test_case "driver with a finite horizon allocates per run, not per step"
+      `Quick test_drive_allocation;
     Alcotest.test_case "resume equivalence: workloads x {1,4,16} cores" `Quick
       test_resume_equivalence_grid;
     Alcotest.test_case "resume with faults and scan-unit" `Quick

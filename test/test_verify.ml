@@ -11,9 +11,39 @@ module Graph_gen = Hsgc_objgraph.Graph_gen
 module Workloads = Hsgc_objgraph.Workloads
 module Rng = Hsgc_util.Rng
 
+(* A snapshot object by object, the form [Verify]'s flat one encodes:
+   each object's shape, child ids and data words. *)
+type desc = { pi : int; delta : int; children : int array; data : int array }
+type per_object = { objects : desc array; root_ids : int array }
+
+(* The one conversion from [Verify.snapshot]'s flat form, which must
+   hold exactly its objects' words. *)
+let per_object (s : Verify.snapshot) =
+  let word i = Int64.to_int (Bytes.get_int64_ne s.words (8 * i)) in
+  let at = ref 0 in
+  let objects =
+    Array.map
+      (fun (d : Verify.obj_desc) ->
+        let body = !at in
+        at := body + d.pi + d.delta;
+        {
+          pi = d.pi;
+          delta = d.delta;
+          children = Array.init d.pi (fun i -> word (body + i));
+          data = Array.init d.delta (fun j -> word (body + d.pi + j));
+        })
+      s.objects
+  in
+  if 8 * !at <> Bytes.length s.words then
+    failwith
+      (Printf.sprintf "snapshot words: %d bytes for objects of %d words"
+         (Bytes.length s.words) !at);
+  { objects; root_ids = s.root_ids }
+
 (* The verifier as it was before the direct-address rewrite, kept as the
-   differential oracle: a Hashtbl/Queue BFS snapshot, polymorphic
-   structural equality, and the check composed from the two. *)
+   differential oracle: a Hashtbl/Queue BFS snapshot object by object,
+   polymorphic structural equality, and the check composed from the
+   two. *)
 module Reference = struct
   let snapshot heap =
     let ids = Hashtbl.create 1024 in
@@ -43,30 +73,30 @@ module Reference = struct
         Array.init pi (fun i -> id_of (Heap.get_pointer heap obj i))
       in
       let data = Array.init delta (fun i -> Heap.get_data heap obj i) in
-      descs := { Verify.pi; delta; children; data } :: !descs
+      descs := { pi; delta; children; data } :: !descs
     done;
-    { Verify.objects = Array.of_list (List.rev !descs); root_ids }
+    { objects = Array.of_list (List.rev !descs); root_ids }
 
-  let equal_obj_desc (a : Verify.obj_desc) (b : Verify.obj_desc) =
+  let equal_desc a b =
     a.pi = b.pi && a.delta = b.delta && a.children = b.children
     && a.data = b.data
 
-  let equal_snapshot (a : Verify.snapshot) (b : Verify.snapshot) =
+  let equal_snapshot a b =
     a.root_ids = b.root_ids
     && Array.length a.objects = Array.length b.objects
-    && Array.for_all2 equal_obj_desc a.objects b.objects
+    && Array.for_all2 equal_desc a.objects b.objects
 
   let check_collection ~(pre : Verify.snapshot) heap =
     match Verify.check_space heap with
     | Error _ as e -> e
     | Ok () ->
+      let pre = per_object pre in
       if not (equal_snapshot pre (snapshot heap)) then
         Error (Verify.Graph_mismatch "")
       else
         let live =
           Array.fold_left
-            (fun acc (d : Verify.obj_desc) ->
-              acc + Header.size_of ~pi:d.pi ~delta:d.delta)
+            (fun acc d -> acc + Header.size_of ~pi:d.pi ~delta:d.delta)
             0 pre.objects
         in
         if live <> Semispace.used (Heap.from_space heap) then
@@ -353,10 +383,18 @@ let test_mismatch_names_the_difference () =
   Heap.set_roots h [| r; r |];
   expect "root count" ~sub:"root count 1 -> 2" (mismatch_of ~pre h);
   let h, pre, _, _, _ = collected_pair () in
-  let extra = { Verify.pi = 0; delta = 0; children = [||]; data = [||] } in
+  (* An extra empty object adds no words; dropping the last object drops
+     its words too. *)
+  let extra = { Verify.pi = 0; delta = 0 } in
   let longer = { pre with Verify.objects = Array.append pre.Verify.objects [| extra |] } in
   expect "object count" ~sub:"object count 4 -> 3" (mismatch_of ~pre:longer h);
-  let shorter = { pre with Verify.objects = Array.sub pre.Verify.objects 0 2 } in
+  let kept = Array.sub pre.Verify.objects 0 2 in
+  let kept_words =
+    Array.fold_left (fun acc (d : Verify.obj_desc) -> acc + d.pi + d.delta) 0 kept
+  in
+  let shorter =
+    { pre with Verify.objects = kept; words = Bytes.sub pre.Verify.words 0 (8 * kept_words) }
+  in
   expect "object count" ~sub:"object count 2 -> at least 3"
     (mismatch_of ~pre:shorter h)
 
@@ -478,11 +516,13 @@ let qcheck_differential =
         (fun (name, collect) ->
           let heap = Plan.materialize plan in
           let pre = Verify.snapshot heap in
-          if pre <> Reference.snapshot heap then
+          if per_object pre <> Reference.snapshot heap then
             QCheck.Test.fail_reportf "%s: pre snapshots differ" name;
           collect heap;
           mutate rng heap;
-          if try_snapshot Verify.snapshot heap <> try_snapshot Reference.snapshot heap
+          if
+            Option.map per_object (try_snapshot Verify.snapshot heap)
+            <> try_snapshot Reference.snapshot heap
           then QCheck.Test.fail_reportf "%s: post snapshots differ" name;
           let got = outcome (Verify.check_collection ~pre heap) in
           let want = outcome (Reference.check_collection ~pre heap) in
@@ -504,7 +544,7 @@ let test_pointer_to_last_word () =
   Heap.set_pointer h r 0 last;
   (match (try_snapshot Verify.snapshot h, try_snapshot Reference.snapshot h) with
   | Some got, Some want ->
-    if not (Reference.equal_snapshot got want) then
+    if not (Reference.equal_snapshot (per_object got) want) then
       Alcotest.fail "snapshots of the stray pointer differ"
   | None, _ -> Alcotest.fail "Verify.snapshot rejected the stray pointer"
   | Some _, None -> Alcotest.fail "reference snapshot rejected the stray pointer");
@@ -529,6 +569,21 @@ let test_check_allocation () =
       if words > 1024. then
         Alcotest.failf "%s: check_collection allocated %.0f minor words"
           w.Workloads.name words)
+    Workloads.all
+
+(* A snapshot allocates no block per object: its scratch and its words
+   are [Bytes] that go straight to the major heap, and every object of a
+   common shape shares one descriptor. *)
+let test_snapshot_allocation () =
+  List.iter
+    (fun w ->
+      let heap = Workloads.build_heap ~scale:0.3 ~seed:42 w in
+      let before = Gc.minor_words () in
+      let s = Verify.snapshot heap in
+      let words = Gc.minor_words () -. before in
+      if words > 1024. then
+        Alcotest.failf "%s: a snapshot of %d objects allocated %.0f minor words"
+          w.Workloads.name (Array.length s.Verify.objects) words)
     Workloads.all
 
 let suite =
@@ -564,4 +619,6 @@ let suite =
       test_pointer_to_last_word;
     Alcotest.test_case "check_collection allocation is bounded" `Quick
       test_check_allocation;
+    Alcotest.test_case "snapshot allocation is bounded" `Quick
+      test_snapshot_allocation;
   ]

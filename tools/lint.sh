@@ -54,6 +54,9 @@ ban 'Printf\.printf' 'bare stdout formatting from library code'
 # Release builds inline across modules (lib/dune), which puts the fault
 # injector's hooks, the heap accessors and the stall counters inside
 # the cycle too: a closure literal there would allocate per cycle.
+# The verifier is on a per-object path instead: its walks run once per
+# reachable object of every verified collection and allocate nothing
+# per object (test_verify's snapshot and check_collection budgets).
 ban_hot() {
   file="$1"
   hits=$(grep -nE 'fun \(\) ->' "$root/$file" 2>/dev/null)
@@ -76,6 +79,7 @@ ban_hot lib/obs/profiler.ml
 ban_hot lib/obs/metrics.ml
 ban_hot lib/fault/injector.ml
 ban_hot lib/heap/heap.ml
+ban_hot lib/heap/verify.ml
 ban_hot lib/coproc/counters.ml
 
 array1_sub_hits=$(cd "$root" && grep -rn 'Array1\.sub' lib --include='*.ml' 2>/dev/null \
