@@ -345,10 +345,10 @@ type t = {
      that carries no per-step trace; an attached tracer or profiler is
      credited at the wake ([unpark]). *)
   park_ok : bool;
-  (* A plain run (the parking guards without the core count) on a
-     one-core machine with no tracer or profiler attached: after the
-     root phase its untraced steps run the exclusive interpreter (see
-     "Lone-core stepping"). *)
+  (* A plain run (the parking guards without the core count) with no
+     tracer or profiler attached: after the root phase, an untraced step
+     at which exactly one core is due and none is parked runs that core
+     through the exclusive interpreter (see "Lone-core stepping"). *)
   lone_plain : bool;
   (* The furthest any jump of the clock may reach: the divergence bound
      [max_cycles + 1] or the cycle budget, whichever is smaller. A quiet
@@ -1151,8 +1151,7 @@ let start ?(obs = Obs.disabled) ?(prof = Prof.disabled) ?remote cfg heap =
   {
     cfg;
     park_ok = parkable && cfg.n_cores > 1;
-    lone_plain =
-      parkable && cfg.n_cores = 1 && (not obs.Obs.on) && not prof.Prof.on;
+    lone_plain = parkable && (not obs.Obs.on) && not prof.Prof.on;
     jump_cap =
       (match cfg.cycle_budget with
       | Some b -> min b (cfg.max_cycles + 1)
@@ -1806,14 +1805,17 @@ let unpark_all t =
    [park] enables spinner parking. *)
 (* ------------------------------------------------------------------ *)
 
+(* Branch-free: every id is written at the list's end, and the end
+   moves past it only when the core is due ([n0 - wake] is negative
+   exactly when it is not, and no wake is negative, so the difference
+   cannot overflow). A compare-and-branch here mispredicted on most
+   cycles at 8 and 16 cores. *)
 let collect_due t ~n0 =
   let cores = t.cores and due = t.due_ids in
   let d = ref 0 in
   for i = 0 to Array.length cores - 1 do
-    if (Array.unsafe_get cores i).wake <= n0 then begin
-      Array.unsafe_set due !d i;
-      incr d
-    end
+    Array.unsafe_set due !d i;
+    d := !d + 1 + ((n0 - (Array.unsafe_get cores i).wake) asr 62)
   done;
   t.n_due <- !d
 
@@ -1977,22 +1979,30 @@ let step_cycle ?trace ?horizon t ~n0 ~park =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Lone-core stepping.
+(* Lone-core stepping: the single-due window.
 
-   A one-core machine has nothing to synchronize with: nothing parks,
-   no other core carries a wake, and every cycle's timing is set by the
-   core's own port latencies. So in a plain run on one core (see
-   [lone_plain]) each untraced [step] after the root phase runs the
-   core alone through an exclusive interpreter ([exclusive_loop]), up
-   to the horizon, the cycle budget or the divergence bound
-   ([jump_cap]), and the body-copy inner loop ([data_run_macro])
-   retires whole runs of data words in closed form.
+   When exactly one core is due and none is parked, every other core is
+   asleep or halted until its armed wake, and nothing the due core does
+   can wake one earlier (only parked cores wake on a write). So in a
+   plain run (see [lone_plain]) such an untraced [step] after the root
+   phase runs the core alone through an exclusive interpreter
+   ([exclusive_loop]) up to the other cores' earliest wake ([foreign];
+   [max_int] on one core), the horizon, the cycle budget or the
+   divergence bound ([jump_cap]), and the body-copy inner loop
+   ([data_run_macro]) retires whole runs of data words in closed form.
 
    The contract is the event-driven engine's: every reported statistic
    is bit-identical to naive stepping. The split is too: the
    interpreter executes exactly the cycles the shared cycle would
-   execute at one core and skips exactly the spans it would sleep or
-   fast-forward through (test_kernel pins both).
+   execute and skips exactly the spans it would sleep or fast-forward
+   through (test_kernel pins both). Beyond one core that takes three
+   things: a quiet spin jumps to the earlier of its own buffers' next
+   event and [foreign], as the shared cycle does (a core spinning on a
+   lock held by a sleeper has no buffer event); a copy run cut by the
+   window's end sleeps on its body load as the shared cycle would; and
+   the run reports its last word cycle to the deferred watchdog. A
+   spinner is stepped, not parked: parking is exact against the
+   unparked engine, and the next shared cycle parks it.
 
    The root phase stays on the shared cycle because a caller may poll
    [roots_done] between steps that pass no horizon, as
@@ -2011,34 +2021,92 @@ let step_cycle ?trace ?horizon t ~n0 ~park =
    Per full word the naive engine books: one executed copy cycle (busy,
    one store + one load accepted — bandwidth >= 2 guarantees both) and
    [L-1] body-load stall cycles (busy). The macro books those totals
-   directly ([Kernel.retire] advances the clock in one call), performs
-   the same word-at-a-time heap copy, and leaves the port registers
-   exactly as the per-cycle engines would at the exit cycle. A pointer
-   slot, the end of the work item, or [limit] ends the run; the clock
-   stops just after the last processed word cycle, with [c.wake] due so
-   the per-cycle loop resumes seamlessly. *)
-(* Close out a data run: book the totals the per-cycle engines would
-   have accumulated over the run's [exec] word cycles and [gaps]
-   replayed stall cycles, advance the clock in one call, and leave the
-   core due at the exit cycle. [w] is the run's last executed word
-   cycle. The watchdog is handled by the caller ([exclusive_loop]
-   records the run as one deferred progress observation at [w]; the
-   state that leaves — quiet = 0, last progress = [w] — matches
-   per-cycle stepping, and [limit] never exceeds the cycle budget, so
-   the deferral cannot mask a budget trip). *)
-let data_run_finish t c ~w ~slot ~words ~gaps ~exec ~next_loads =
-  c.slot <- slot;
+   directly ([Kernel.retire] advances the clock in one call) and
+   performs the same word-at-a-time heap copy. A pointer slot, the end
+   of the work item, or a next word that completes at or past [limit]
+   ends the run ([data_run_exit]). *)
+let set_port (p : Port.t) st ~addr ~done_at ~issued_at =
+  p.Port.st <- st;
+  p.Port.addr <- addr;
+  p.Port.done_at <- done_at;
+  p.Port.issued_at <- issued_at
+
+(* Close out a run at its last word cycle [w], which consumes [slot]
+   (holding [v]) after [words] data words and [gaps] replayed stall
+   cycles: a pointer slot turns to the child; the item's last word is
+   stored; any other word is stored, its successor loaded, and the core
+   sleeps on that load as the shared cycle would, its [L-1] stall cycles
+   credited and the clock stopped at [limit]. Otherwise the clock stops
+   just after [w] with the core due. The port registers and the
+   per-cycle registers (memory cycle and acceptances, hook cycle,
+   transition count) are left as the per-cycle engines leave them after
+   [w], so a snapshot taken there reads the same bytes. The watchdog is
+   the caller's deferral, reported at [w]: the state that leaves —
+   quiet = 0, last progress = [w] — matches per-cycle stepping, and
+   [limit] never exceeds the cycle budget, so the deferral cannot mask
+   a budget trip. *)
+let data_run_exit t c ~fromb ~tob ~slot_limit ~lat_l ~lat_s ~limit ~ptr w
+    slot words gaps v =
+  let bl = c.bl and bs = c.bs in
+  (* A word cycle after the first ticked two completions, the previous
+     word's store and this word's load; the first one's tick ran before
+     the macro and left its count in [t.events]. *)
+  let ticked =
+    if words = 0 then !(t.events)
+    else begin
+      set_port bs Port.st_idle ~addr:(tob + slot - 1)
+        ~done_at:(w - lat_l + lat_s) ~issued_at:(w - lat_l);
+      set_port bl Port.st_idle ~addr:(fromb + slot) ~done_at:w
+        ~issued_at:(w - lat_l);
+      2
+    end
+  in
+  bl.Port.st <- Port.st_idle;
+  (* Transfers issued at [w], each a deposit and an acceptance. *)
+  let issued =
+    if ptr then begin
+      c.child <- v;
+      c.state <- Lock_child;
+      0
+    end
+    else begin
+      set_port bs Port.st_in_flight ~addr:(tob + slot) ~done_at:(w + lat_s)
+        ~issued_at:w;
+      if slot + 1 >= slot_limit then begin
+        c.state <- (if c.whole then Blacken else Piece_done);
+        1
+      end
+      else begin
+        set_port bl Port.st_in_flight ~addr:(fromb + slot + 1)
+          ~done_at:(w + lat_l) ~issued_at:w;
+        c.state <- Body_wait;
+        2
+      end
+    end
+  in
+  let copied = if ptr then words else words + 1
+  and sleep = if issued = 2 then lat_l - 1 else 0 in
+  c.slot <- (if ptr then slot else slot + 1);
   let k = c.counters in
-  k.Counters.words_copied <- k.Counters.words_copied + words;
-  k.Counters.body_load <- k.Counters.body_load + gaps;
+  k.Counters.words_copied <- k.Counters.words_copied + copied;
+  k.Counters.body_load <- k.Counters.body_load + gaps + sleep;
   (* Word cycles and their replayed gaps are all busy: [Body_wait]
      implies the busy bit is set for the whole run. *)
-  k.Counters.busy_cycles <- k.Counters.busy_cycles + exec + gaps;
+  k.Counters.busy_cycles <- k.Counters.busy_cycles + words + 1 + gaps + sleep;
   let m = t.mem in
-  m.Mem.loads <- m.Mem.loads + next_loads;
-  m.Mem.stores <- m.Mem.stores + words;
-  Kernel.retire t.clock ~executed:exec ~skipped:gaps;
-  c.wake <- w + 1
+  (* Every copied word but the item's last issued a next load. *)
+  m.Mem.loads <- m.Mem.loads + (if issued = 2 then words + 1 else words);
+  m.Mem.stores <- m.Mem.stores + copied;
+  m.Mem.cycle <- w;
+  m.Mem.accepted_this_cycle <- issued;
+  t.hooks.Hooks.cycle <- w;
+  t.events := ticked + 1 + (2 * issued);
+  t.saw_empty <- false;
+  t.wd_defer <- w;
+  let stop = if issued = 2 then limit else w + 1 in
+  Kernel.retire t.clock ~executed:(words + 1)
+    ~skipped:(stop - t.clock.Kernel.now - words - 1);
+  c.wake <- w + 1 + sleep
 
 (* The run loop proper, as explicit tail recursion over plain ints: a
    [while] with [ref] accumulators would box them (classic ocamlopt
@@ -2053,50 +2121,15 @@ let rec data_run_go t c ~fromb ~tob ~pi ~slot_limit ~lat_l ~lat_s ~limit w
     slot words gaps =
   let heap = t.heap.H.mem in
   let v = Bigarray.Array1.unsafe_get heap (fromb + slot) in
-  if slot < pi && v <> H.null then begin
-    (* Pointer slot: this word cycle consumes it and turns to the
-       child ([step_body_wait]'s first arm). Every copied word issued
-       a next load ([next_loads = words]). *)
-    c.bl.Port.st <- Port.st_idle;
-    c.child <- v;
-    c.state <- Lock_child;
-    data_run_finish t c ~w ~slot ~words ~gaps ~exec:(words + 1)
-      ~next_loads:words
-  end
-  else begin
-    Bigarray.Array1.unsafe_set heap (tob + slot) v;
-    let slot = slot + 1 and words = words + 1 in
-    if slot >= slot_limit then begin
-      (* Work item complete: the last word's store is in flight, and
-         that word issued no further load ([next_loads = words - 1]). *)
-      c.bl.Port.st <- Port.st_idle;
-      c.bs.Port.st <- Port.st_in_flight;
-      c.bs.Port.addr <- tob + slot - 1;
-      c.bs.Port.done_at <- w + lat_s;
-      c.bs.Port.issued_at <- w;
-      c.state <- (if c.whole then Blacken else Piece_done);
-      data_run_finish t c ~w ~slot ~words ~gaps ~exec:words
-        ~next_loads:(words - 1)
-    end
-    else if w + lat_l >= limit then begin
-      (* The next word completes at or past [limit]: leave both
-         transactions in flight for the per-cycle loop. *)
-      c.bl.Port.st <- Port.st_in_flight;
-      c.bl.Port.addr <- fromb + slot;
-      c.bl.Port.done_at <- w + lat_l;
-      c.bl.Port.issued_at <- w;
-      c.bs.Port.st <- Port.st_in_flight;
-      c.bs.Port.addr <- tob + slot - 1;
-      c.bs.Port.done_at <- w + lat_s;
-      c.bs.Port.issued_at <- w;
-      c.state <- Body_wait;
-      data_run_finish t c ~w ~slot ~words ~gaps ~exec:words ~next_loads:words
-    end
-    else
-      data_run_go t c ~fromb ~tob ~pi ~slot_limit ~lat_l ~lat_s ~limit
-        (w + lat_l) slot words
-        (gaps + (lat_l - 1))
-  end
+  let ptr = slot < pi && v <> H.null in
+  if not ptr then Bigarray.Array1.unsafe_set heap (tob + slot) v;
+  if ptr || slot + 1 >= slot_limit || w + lat_l >= limit then
+    data_run_exit t c ~fromb ~tob ~slot_limit ~lat_l ~lat_s ~limit ~ptr w
+      slot words gaps v
+  else
+    data_run_go t c ~fromb ~tob ~pi ~slot_limit ~lat_l ~lat_s ~limit
+      (w + lat_l) (slot + 1) (words + 1)
+      (gaps + (lat_l - 1))
 
 let data_run_macro t c ~limit =
   let cfgm = t.mem.Mem.config in
@@ -2143,7 +2176,7 @@ let wd_flush t =
    arguments: a [while] over [ref] state would box the refs and a local
    flush closure would allocate per segment, and the step loop must not
    allocate). *)
-let rec exclusive_loop t c ~limit ~macro_ok =
+let rec exclusive_loop t c ~limit ~foreign ~macro_ok =
   let clock = t.clock in
   let n0 = clock.Kernel.now in
   if n0 >= limit || c.wake > n0 then ()
@@ -2162,11 +2195,10 @@ let rec exclusive_loop t c ~limit ~macro_ok =
       && c.hs.Port.st = Port.st_idle
       && c.bs.Port.st = Port.st_idle
     then begin
+      (* The run's last word cycle, reported to [t.wd_defer], subsumes
+         any older pending progress observation. *)
       data_run_macro t c ~limit;
-      (* The run's last executed cycle subsumes any older pending
-         progress observation. *)
-      t.wd_defer <- c.wake - 1;
-      exclusive_loop t c ~limit ~macro_ok
+      exclusive_loop t c ~limit ~foreign ~macro_ok
     end
     else begin
       t.saw_empty <- false;
@@ -2232,9 +2264,10 @@ let rec exclusive_loop t c ~limit ~macro_ok =
           if not slept then begin
             (* Quiet spin (e.g. a poll-state replay): same global
                fast-forward as the shared cycle, but [c] is the only
-               core, so the whole-machine scan collapses to its own
-               buffer arithmetic and the bulk credit touches it alone. *)
-            let wake = port_wake c t.mem ~now:n0 in
+               awake core, so the whole-machine scan collapses to its
+               own buffer arithmetic and the other cores' earliest wake,
+               and the bulk credit touches it alone. *)
+            let wake = imin (port_wake c t.mem ~now:n0) foreign in
             if wake < max_int then begin
               let target = imin wake limit in
               if target > n0 + 1 then begin
@@ -2252,11 +2285,11 @@ let rec exclusive_loop t c ~limit ~macro_ok =
         end
         else t.wd_defer <- n0
       end;
-      exclusive_loop t c ~limit ~macro_ok
+      exclusive_loop t c ~limit ~foreign ~macro_ok
     end
   end
 
-let step_exclusive t c ~limit =
+let step_exclusive t c ~limit ~foreign =
   (* Macro preconditions that are configuration-static: the same-cycle
      store + next-load pair always fits the bandwidth, and the store
      buffer has always drained by the next word cycle. *)
@@ -2265,7 +2298,7 @@ let step_exclusive t c ~limit =
     cfgm.Mem.bandwidth >= 2
     && cfgm.Mem.store_latency <= cfgm.Mem.body_load_latency
   in
-  exclusive_loop t c ~limit ~macro_ok;
+  exclusive_loop t c ~limit ~foreign ~macro_ok;
   wd_flush t;
   (* Restore the queue invariant for the shared cycle: a sleeping
      core's wake must be armed (stale earlier entries are filtered by
@@ -2283,15 +2316,19 @@ let step ?trace ?horizon t =
   match trace with
   | None ->
     collect_due t ~n0;
-    (* A due lone core runs a segment up to the horizon, the cycle
-       budget or the divergence bound (see "Lone-core stepping"). *)
-    let limit =
-      if t.lone_plain && t.parallel_phase && t.n_due = 1 then
-        Wake_queue.bound ~horizon t.jump_cap
+    (* A lone due core runs a window up to the other cores' earliest
+       wake, the horizon, the cycle budget or the divergence bound (see
+       "Lone-core stepping"). *)
+    let foreign =
+      if t.lone_plain && t.parallel_phase && t.n_due = 1 && t.n_parked = 0
+      then Wake_queue.next_after t.wakeq ~now:n0
       else n0
     in
-    if limit > n0 + 1 then
-      step_exclusive t (Array.unsafe_get t.cores 0) ~limit
+    let limit = Wake_queue.bound ~horizon (imin foreign t.jump_cap) in
+    if limit > n0 then
+      step_exclusive t
+        (Array.unsafe_get t.cores (Array.unsafe_get t.due_ids 0))
+        ~limit ~foreign
     else step_cycle ?horizon t ~n0 ~park:t.park_ok
   | Some _ ->
     (* A per-step trace (possibly attached mid-run) samples every cycle

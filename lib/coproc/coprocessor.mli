@@ -61,7 +61,13 @@ type config = {
           at the wake, to an attached tracer and profiler too. A parked
           core counts as awake everywhere outside the stepping loop, so
           parking changes no statistic, no snapshot, no trace event or
-          profile cell and not the executed/skipped split. *)
+          profile cell and not the executed/skipped split. In a plain
+          run (the parking guards at any core count, no tracer or
+          profiler) a step after the root phase at which exactly one
+          core is due and none is parked runs that core alone through
+          an exclusive interpreter until the other cores' earliest
+          wake: the single-due window, which also changes no
+          statistic, no snapshot and not the executed/skipped split. *)
   faults : Hsgc_fault.Injector.spec option;
       (** fault-injection plan ({!Hsgc_fault.Injector}). Each simulator
           instance builds a private injector from the spec, so
@@ -281,17 +287,18 @@ val step : ?trace:Trace.t -> ?horizon:int -> sim -> unit
 (** Advance the coprocessor by one clock cycle — or, when the cycle turns
     out quiescent and skipping is enabled, by as many cycles as it takes
     to reach the next wake-up (statistics credited in bulk, bit-identical
-    to naive stepping). On a one-core machine in a plain run (skipping
-    on; no sanitizer, fault plan, scan unit, bank, tracer or profiler)
-    one call after the root phase may retire many executed cycles, but
-    never past the root phase's end, a halt, [horizon], the cycle budget
-    or [max_cycles + 1]. [horizon] caps any fast-forward at the given
+    to naive stepping). In a plain run (skipping on; no sanitizer,
+    fault plan, scan unit, bank, tracer or profiler) a call after the
+    root phase at which exactly one core is due and none is parked may
+    retire many executed cycles, but never past the root phase's end, a
+    halt, another core's wake, [horizon], the cycle budget or
+    [max_cycles + 1]. [horizon] caps any fast-forward at the given
     cycle: a concurrent driver passes the time of its next mutator
     operation so the coprocessor never jumps past an external event. No
     jump passes the cycle budget either, so the watchdog trips at the
     cycle naive stepping trips it. A [trace] samples every cycle, so it
-    turns spinner parking and lone-core batching off (parked cores are
-    first returned to the spinners they stand for). *)
+    turns spinner parking and the single-due window off (parked cores
+    are first returned to the spinners they stand for). *)
 
 val halted : sim -> bool
 (** All cores have passed the end barrier. *)

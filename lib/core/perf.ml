@@ -31,7 +31,7 @@ module Verify = Hsgc_heap.Verify
 
 (* One (workload, core-count) grid point, collected three times from
    identical prebuilt heaps: naive stepping, the default engine
-   (event-driven skipping, and lone-core batching on the 1-core legs),
+   (event-driven skipping and single-due windows),
    and the default engine with the machine sanitizer attached.
    Simulation statistics of the three runs are equal by the kernel's
    equivalence invariant and the sanitizer's observe-only contract (both

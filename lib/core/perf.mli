@@ -9,8 +9,8 @@
     three times (naive stepping, the default engine, and the default
     engine with the machine sanitizer attached) from identical heaps;
     the suite asserts full per-counter parity plus a verified
-    bit-identical post-heap for the default engine (whose 1-core legs
-    run lone-core batching), cycle-count equality for the sanitized
+    bit-identical post-heap for the default engine (single-due windows
+    included), cycle-count equality for the sanitized
     run, that the sanitizer stays silent on every default
     configuration, and that the default run's minor allocation stays
     within the steady-state budgets (whole-collection and loop-only). *)

@@ -43,12 +43,19 @@ let next_after t ~now =
   | None ->
     (* An armed time at or before [now] is stale by construction (the
        component was woken and stepped at that cycle), so the strictly-
-       future filter doubles as staleness pruning. *)
+       future filter doubles as staleness pruning. Branch-free, as the
+       per-cycle due scan is: a mask maps a wake at or before [now] to
+       [max_int], and the minimum is taken with the sign of the
+       difference. Every value lies in [0, max_int], so no difference
+       overflows. *)
     let armed = t.armed in
     let best = ref max_int in
     for i = 0 to Array.length armed - 1 do
       let w = Array.unsafe_get armed i in
-      if w > now && w < !best then best := w
+      (* [(now - w) asr 62] is -1 when [w > now], else 0. *)
+      let v = w lor (lnot ((now - w) asr 62) land max_int) in
+      let d = v - !best in
+      best := !best + (d land (d asr 62))
     done;
     !best
   | Some h ->

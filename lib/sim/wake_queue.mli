@@ -36,7 +36,8 @@ val wake_of : t -> id:int -> int
 
 val next_after : t -> now:int -> int
 (** Earliest armed wake strictly after [now], or [max_int] when nothing
-    is armed. Prunes stale entries as a side effect. *)
+    is armed. Prunes stale entries as a side effect. Wake times and
+    [now] are cycle numbers, never negative. *)
 
 val scan_threshold : int
 (** Largest population handled by the linear-scan regime; [create ~n]

@@ -157,9 +157,14 @@ let qcheck_accessor_roundtrip =
 
 (* Words a call adds to the OCaml heap, minor and major together. *)
 let ocaml_words f =
-  (* [Gc.quick_stat] counts the minor heap as of its last collection. *)
+  (* [Gc.quick_stat] counts the minor heap as of its last collection,
+     and takes in a word allocated directly on the major heap only when
+     a later major slice accounts for it: a reading after a bare
+     [Gc.minor] can include words allocated before the call, or miss
+     words allocated by it. A full major cycle before each reading
+     accounts for every pending word. *)
   let total () =
-    Gc.minor ();
+    Gc.full_major ();
     let s = Gc.quick_stat () in
     s.minor_words +. s.major_words -. s.promoted_words
   in

@@ -568,6 +568,66 @@ let test_split_pinned () =
           s.Coprocessor.skipped_cycles ))
     pinned_splits
 
+(* The single-due window (a step at which exactly one core is due and
+   none is parked runs that core alone until another core's wake) keeps
+   the executed/skipped split of the shared cycle at every core count.
+   The reference is the inert-fault twin ([Injector.default_spec]: every
+   probability zero), which neither parks nor takes the window; the
+   split and every statistic must match, with no horizon and with
+   horizons every 1 000 cycles on both runs. At +20 latency on two
+   cores most executed cycles have one core due, so the window must
+   also save [step] calls there. *)
+let test_single_due_window_split () =
+  let run ?every cfg heap =
+    let sim = Coprocessor.start cfg heap in
+    let calls = ref 0 in
+    while not (Coprocessor.halted sim) do
+      incr calls;
+      match every with
+      | None -> Coprocessor.step sim
+      | Some e ->
+        Coprocessor.step ~horizon:(((Coprocessor.now sim / e) + 1) * e) sim
+    done;
+    (Coprocessor.finalize sim, !calls)
+  in
+  let split (s : Coprocessor.gc_stats) =
+    ( s.Coprocessor.total_cycles,
+      s.Coprocessor.executed_cycles,
+      s.Coprocessor.skipped_cycles )
+  in
+  List.iter
+    (fun w ->
+      List.iter
+        (fun (n_cores, latency) ->
+          let mem = Memsys.with_extra_latency Memsys.default_config latency in
+          let cfg = Coprocessor.config ~mem ~n_cores () in
+          let twin = { cfg with Coprocessor.faults = Some Injector.default_spec } in
+          let build () = Workloads.build_heap ~scale:0.05 ~seed:42 w in
+          List.iter
+            (fun every ->
+              let ctx =
+                Printf.sprintf "%s/%d cores/+%d%s" w.Workloads.name n_cores
+                  latency
+                  (match every with
+                  | None -> ""
+                  | Some e -> Printf.sprintf ", horizon every %d" e)
+              in
+              let plain, calls = run ?every cfg (build ()) in
+              let shared, twin_calls = run ?every twin (build ()) in
+              check_stats_equal ctx ~ref_name:"twin" ~other_name:"plain" shared
+                plain;
+              Alcotest.(check (triple int int int))
+                (ctx ^ ": (total, executed, skipped)")
+                (split shared) (split plain);
+              if n_cores = 2 && latency = 20 && every = None
+                 && calls >= twin_calls
+              then
+                Alcotest.failf "%s: %d step calls, the twin %d" ctx calls
+                  twin_calls)
+            [ None; Some 1_000 ])
+        [ (2, 0); (2, 20); (3, 0); (3, 20); (8, 0); (8, 20) ])
+    Workloads.all
+
 (* The cycle budget trips where naive stepping trips it: no jump of the
    clock passes the budget, and the whole machine dump matches naive's
    at every core count (a core that slept or parked through the trip
@@ -808,7 +868,7 @@ let test_hot_loop_allocation_free () =
                       per_cycle (w1 -. w0) executed)
                 [ false; true ])
             latencies)
-        [ 1; 4; 16 ])
+        [ 1; 2; 4; 16 ])
     [ Workloads.javacc; Workloads.cup ]
 
 let test_concurrent_skip_equivalent () =
@@ -949,6 +1009,8 @@ let suite =
       test_skip_equivalent_latency_bound;
     Alcotest.test_case "executed/skipped split pinned" `Quick
       test_split_pinned;
+    Alcotest.test_case "single-due window keeps the split" `Quick
+      test_single_due_window_split;
     Alcotest.test_case "cycle budget trips on naive's cycle" `Quick
       test_budget_trips_on_time;
     Alcotest.test_case "skipping actually skips" `Quick

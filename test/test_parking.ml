@@ -207,14 +207,15 @@ let save_image sim =
 
 (* Snapshots taken while cores are parked: every section but the
    configuration and the fault-stream state is byte-identical to the
-   unparked twin's every 53 steps, saving does not perturb the run, and
+   unparked twin's at the same cycle every 53 steps, saving does not
+   perturb the run, and
    a run resumed from a mid-run image ends bit-identical to a
    straight-through one, executed/skipped split included. With
    [instrumented], every run carries a tracer and a profiler: their
    sections are compared too, the saved and resumed runs end with the
    straight run's raw ring and encodings (so its digest), and the
    resumed profile rows close to the total. *)
-let check_park_snapshots ?(instrumented = false) ctx cfg build =
+let check_park_snapshots ?(instrumented = false) ?(every = 53) ctx cfg build =
   let n_cores = cfg.Coprocessor.n_cores in
   let start cfg =
     if instrumented then begin
@@ -235,9 +236,17 @@ let check_park_snapshots ?(instrumented = false) ctx cfg build =
   let steps = ref 0 and mid = ref None in
   while not (Coprocessor.halted a) do
     Coprocessor.step a;
-    Coprocessor.step b;
+    (* One step of [a] may retire several cycles (a single-due window),
+       so the twin steps until it reaches [a]'s cycle. A horizon would
+       add an executed cycle to the twin, so it steps without one. *)
+    while Coprocessor.now b < Coprocessor.now a do
+      Coprocessor.step b
+    done;
+    if Coprocessor.now b <> Coprocessor.now a then
+      Alcotest.failf "%s: the twin passed cycle %d (at %d)" ctx
+        (Coprocessor.now a) (Coprocessor.now b);
     incr steps;
-    if !steps mod 53 = 0 then begin
+    if !steps mod every = 0 then begin
       let image = save_image a in
       List.iter2
         (fun (name, got) (_, want) ->
@@ -291,6 +300,21 @@ let test_park_snapshot_resume () =
       ( "header lock, javac/16",
         Coprocessor.config ~mem:(mem_at 20) ~n_cores:16 (),
         fun () -> Workloads.build_heap ~scale:0.02 ~seed:42 Workloads.javac );
+    ]
+
+(* After every step, single-due windows included: a window's copy run
+   leaves the port and per-cycle registers as the shared cycle does, so
+   its snapshot is the twin's byte for byte. *)
+let test_window_snapshots () =
+  List.iter
+    (fun (ctx, n_cores, lat, w) ->
+      check_park_snapshots ~every:1 ctx
+        (Coprocessor.config ~mem:(mem_at lat) ~n_cores ())
+        (fun () -> Workloads.build_heap ~scale:0.005 ~seed:42 w))
+    [
+      ("window, compress/2 +0", 2, 0, Workloads.compress);
+      ("window, javac/2 +0", 2, 0, Workloads.javac);
+      ("window, jflex/2 +20", 2, 20, Workloads.jflex);
     ]
 
 (* A per-step trace attached mid-run, while cores are parked, samples
@@ -439,6 +463,8 @@ let suite =
       test_park_termination;
     Alcotest.test_case "snapshots with cores parked" `Quick
       test_park_snapshot_resume;
+    Alcotest.test_case "snapshots after every single-due window" `Quick
+      test_window_snapshots;
     Alcotest.test_case "per-step trace attached mid-run" `Quick
       test_park_trace_mid_run;
     Alcotest.test_case "watchdog dump with cores parked" `Quick
