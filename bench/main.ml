@@ -1,7 +1,6 @@
 (* The full benchmark harness: regenerates every table and figure of the
-   paper's evaluation section, runs the extension experiments, and then
-   times the underlying kernels with Bechamel (one Test.make per
-   artifact).
+   paper's evaluation section, runs the extension experiments, and prints
+   the stepping-throughput suite.
 
      dune exec bench/main.exe                  — everything, paper-like scale
      HSGC_SCALE=0.2 dune exec bench/main.exe   — smaller/faster
@@ -17,17 +16,11 @@
      E8  concurrent the coprocessor running while the mutator executes *)
 
 module Report = Hsgc_core.Report
-module Experiment = Hsgc_core.Experiment
 module Memsys = Hsgc_memsim.Memsys
 module Workloads = Hsgc_objgraph.Workloads
-module Engine = Hsgc_baselines.Engine
 module Parallel_copy = Hsgc_swgc.Parallel_copy
-module Par = Hsgc_swgc.Par
-module Coprocessor = Hsgc_coproc.Coprocessor
 module Verify = Hsgc_heap.Verify
 module Tbl = Hsgc_util.Table
-open Bechamel
-open Toolkit
 
 let scale =
   match Sys.getenv_opt "HSGC_SCALE" with
@@ -115,8 +108,6 @@ let swgc_artifacts () =
 (* E7: the paper's Section VII future-work features, as ablations      *)
 (* ------------------------------------------------------------------ *)
 
-module Plan = Hsgc_objgraph.Plan
-
 let future_work_artifacts () =
   print_endline (Report.future_work ~scale ())
 
@@ -124,112 +115,8 @@ let future_work_artifacts () =
 (* E8: concurrent collection (the announced next step)                 *)
 (* ------------------------------------------------------------------ *)
 
-module Concurrent = Hsgc_coproc.Concurrent
-module Heap = Hsgc_heap.Heap
-
 let concurrent_artifacts () =
   print_endline (Report.concurrent_pauses ~scale:(0.5 *. scale) ())
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel: one Test.make per artifact                                *)
-(* ------------------------------------------------------------------ *)
-
-let bench_scale = 0.05
-
-let fig5_kernel () =
-  (* the kernel behind Figure 5: one sweep point (db at 8 cores) *)
-  let heap = Workloads.build_heap ~scale:bench_scale ~seed:42 Workloads.db in
-  Coprocessor.collect (Coprocessor.config ~n_cores:8 ()) heap
-
-let fig5_kernel_noskip () =
-  (* same point with idle-cycle skipping disabled: the pair tracks the
-     simulation kernel's own win across revisions *)
-  let heap = Workloads.build_heap ~scale:bench_scale ~seed:42 Workloads.db in
-  Coprocessor.collect (Coprocessor.config ~skip:false ~n_cores:8 ()) heap
-
-let table1_kernel () =
-  (* the kernel behind Table I: an empty-worklist-bound workload *)
-  let heap = Workloads.build_heap ~scale:bench_scale ~seed:42 Workloads.search in
-  Coprocessor.collect (Coprocessor.config ~n_cores:8 ()) heap
-
-let table2_kernel () =
-  (* the kernel behind Table II: the contention-heavy workload, 16 cores *)
-  let heap = Workloads.build_heap ~scale:bench_scale ~seed:42 Workloads.javac in
-  Coprocessor.collect (Coprocessor.config ~n_cores:16 ()) heap
-
-let fig6_kernel () =
-  let mem = Memsys.with_extra_latency Memsys.default_config 20 in
-  let heap = Workloads.build_heap ~scale:bench_scale ~seed:42 Workloads.db in
-  Coprocessor.collect (Coprocessor.config ~mem ~n_cores:8 ()) heap
-
-let baselines_kernel =
-  let plan = Workloads.db.Workloads.build ~scale:bench_scale ~seed:42 in
-  fun () -> Engine.simulate ~plan ~workers:8 Engine.Work_stealing
-
-let swgc_kernel () =
-  let heap = Workloads.build_heap ~scale:bench_scale ~seed:42 Workloads.db in
-  Parallel_copy.collect ~domains:2 heap
-
-let seq_oracle_kernel () =
-  let heap = Workloads.build_heap ~scale:bench_scale ~seed:42 Workloads.db in
-  Hsgc_core.Cheney_seq.collect heap
-
-let concurrent_kernel () =
-  let heap = Workloads.build_heap ~scale:bench_scale ~seed:42 Workloads.db in
-  Hsgc_coproc.Concurrent.collect
-    (Hsgc_coproc.Concurrent.default_config ~n_cores:8 ())
-    heap
-
-let subobject_kernel () =
-  let heap = Workloads.build_heap ~scale:bench_scale ~seed:42 Workloads.compress in
-  Coprocessor.collect (Coprocessor.config ~scan_unit:32 ~n_cores:8 ()) heap
-
-let header_cache_kernel () =
-  let mem = Memsys.with_header_cache Memsys.default_config 1024 in
-  let heap = Workloads.build_heap ~scale:bench_scale ~seed:42 Workloads.javac in
-  Coprocessor.collect (Coprocessor.config ~mem ~n_cores:8 ()) heap
-
-let tests =
-  Test.make_grouped ~name:"hsgc"
-    [
-      Test.make ~name:"fig5_scaling" (Staged.stage fig5_kernel);
-      Test.make ~name:"fig5_scaling_noskip" (Staged.stage fig5_kernel_noskip);
-      Test.make ~name:"table1_empty_worklist" (Staged.stage table1_kernel);
-      Test.make ~name:"table2_stalls" (Staged.stage table2_kernel);
-      Test.make ~name:"fig6_latency_scaling" (Staged.stage fig6_kernel);
-      Test.make ~name:"baselines_compare" (Staged.stage baselines_kernel);
-      Test.make ~name:"swgc_domains" (Staged.stage swgc_kernel);
-      Test.make ~name:"cheney_seq_oracle" (Staged.stage seq_oracle_kernel);
-      Test.make ~name:"subobject_units" (Staged.stage subobject_kernel);
-      Test.make ~name:"header_cache" (Staged.stage header_cache_kernel);
-      Test.make ~name:"concurrent_cycle" (Staged.stage concurrent_kernel);
-    ]
-
-let run_bechamel () =
-  rule "Bechamel micro-benchmarks (simulator kernels, reduced scale)";
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None ~stabilize:true
-      ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let per_run =
-        match Analyze.OLS.estimates ols_result with
-        | Some (x :: _) -> x
-        | Some [] | None -> nan
-      in
-      rows := [ name; Printf.sprintf "%.3f ms/run" (per_run /. 1e6) ] :: !rows)
-    results;
-  let rows = List.sort compare !rows in
-  Tbl.print ~header:[ "benchmark"; "monotonic clock" ] ~rows;
-  print_newline ()
 
 (* ------------------------------------------------------------------ *)
 (* E9: stepping throughput (the `gcsim bench` perf suite, small scale)  *)
@@ -250,5 +137,4 @@ let () =
   future_work_artifacts ();
   concurrent_artifacts ();
   stepping_throughput ();
-  run_bechamel ();
   print_endline "done."

@@ -13,12 +13,12 @@ module Coprocessor = Hsgc_coproc.Coprocessor
 module Banked = Hsgc_coproc.Banked
 module Domain_pool = Hsgc_sim.Domain_pool
 module Counters = Hsgc_coproc.Counters
-module Trace = Hsgc_coproc.Trace
 module Concurrent = Hsgc_coproc.Concurrent
 module Memsys = Hsgc_memsim.Memsys
 module Tracer = Hsgc_obs.Tracer
 module Profiler = Hsgc_obs.Profiler
 module Perfetto = Hsgc_obs.Perfetto
+module Timeline = Hsgc_obs.Timeline
 module Experiment = Hsgc_core.Experiment
 module Chaos = Hsgc_core.Chaos
 module Perf = Hsgc_core.Perf
@@ -107,7 +107,10 @@ let workload_opt_arg =
            snapshot records it).")
 
 let cores_arg =
-  Arg.(value & opt int 8 & info [ "n"; "cores" ] ~doc:"Number of GC cores.")
+  Arg.(
+    value
+    & opt (positive_conv "cores") 8
+    & info [ "n"; "cores" ] ~doc:"Number of GC cores.")
 
 let scale_arg =
   Arg.(value & opt float 1.0 & info [ "scale" ] ~doc:"Workload size multiplier.")
@@ -722,30 +725,32 @@ let trace_cmd =
         close_out oc;
         Printf.printf "%s written to %s\n" what path
     in
+    (* The view drains a small ring whenever it is half full, so it sees
+       the whole run; perfetto exports the ring as the run left it. *)
+    let view = format <> `Perfetto in
+    let capacity = if view then 1 lsl 14 else Tracer.default_capacity in
+    let obs = Tracer.create ~capacity ~interval ~n_cores () in
+    Tracer.enable obs;
+    let tl = Timeline.create obs in
+    let cfg = Coprocessor.config ~skip:(not no_skip) ~n_cores () in
+    let sim = Coprocessor.start ~obs cfg heap in
+    while not (Coprocessor.halted sim) do
+      Coprocessor.step sim;
+      if view && Tracer.length obs >= capacity / 2 then Timeline.absorb tl
+    done;
+    let stats = Coprocessor.finalize sim in
+    if view then Timeline.absorb tl;
     (match format with
-    | `Ascii | `Csv ->
-      let trace = Trace.create ~interval () in
-      let stats =
-        Coprocessor.collect ~trace (Coprocessor.config ~n_cores ()) heap
-      in
-      (match format with
-      | `Csv ->
-        emit
-          ~what:(Printf.sprintf "%d samples (CSV)" (Trace.length trace))
-          (Trace.to_csv trace)
-      | _ ->
-        Printf.printf "workload %s, %d cores, %d cycles, %d live objects\n\n"
-          workload.Workloads.name n_cores stats.Coprocessor.total_cycles
-          stats.Coprocessor.live_objects;
-        emit ~what:"timeline" (Trace.timeline trace))
+    | `Csv ->
+      emit
+        ~what:(Printf.sprintf "%d samples (CSV)" (Timeline.samples tl))
+        (Timeline.to_csv tl)
+    | `Ascii ->
+      Printf.printf "workload %s, %d cores, %d cycles, %d live objects\n\n"
+        workload.Workloads.name n_cores stats.Coprocessor.total_cycles
+        stats.Coprocessor.live_objects;
+      emit ~what:"timeline" (Timeline.timeline tl)
     | `Perfetto ->
-      let obs = Tracer.create ~interval ~n_cores () in
-      Tracer.enable obs;
-      let stats =
-        Coprocessor.collect ~obs
-          (Coprocessor.config ~skip:(not no_skip) ~n_cores ())
-          heap
-      in
       emit
         ~what:
           (Printf.sprintf
@@ -757,11 +762,10 @@ let trace_cmd =
   in
   let interval_arg =
     Arg.(
-      value & opt int 16
+      value
+      & opt (positive_conv "interval") 16
       & info [ "interval" ]
-          ~doc:
-            "Cycles between samples (signal samples for ascii/csv, counter \
-             samples for perfetto).")
+          ~doc:"Cycles between counter samples (one csv row each).")
   in
   let format_arg =
     Arg.(

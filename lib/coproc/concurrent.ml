@@ -121,13 +121,13 @@ let do_alloc m =
     m.regs.(Rng.int m.rng (Array.length m.regs)) <- addr;
     Some (cost + 2)
 
-let collect ?trace cfg heap =
+let collect cfg heap =
   if cfg.mutator_period < 1 then invalid_arg "Concurrent.collect: period";
   if cfg.registers < 1 then invalid_arg "Concurrent.collect: registers";
   let sim = Coprocessor.start cfg.gc heap in
   (* Stop-the-world prefix: the root phase. *)
   while (not (Coprocessor.roots_done sim)) && not (Coprocessor.halted sim) do
-    Coprocessor.step ?trace sim
+    Coprocessor.step sim
   done;
   let pause_cycles = Coprocessor.now sim in
   let m =
@@ -166,7 +166,7 @@ let collect ?trace cfg heap =
        cannot see: cap any fast-forward at the next operation's cycle so
        mutator operations land on exactly the same cycle numbers as under
        naive stepping. *)
-    Coprocessor.step ?trace ~horizon:!next_op sim
+    Coprocessor.step ~horizon:!next_op sim
   done;
   let gc = Coprocessor.finalize sim in
   (* The register file keeps its objects alive into the next cycle. *)

@@ -53,7 +53,7 @@ type stats = {
           mutator allocated during the cycle, as written *)
 }
 
-val collect : ?trace:Trace.t -> config -> Hsgc_heap.Heap.t -> stats
+val collect : config -> Hsgc_heap.Heap.t -> stats
 (** One concurrent collection cycle. On return the heap is flipped as
     usual and the mutator's register contents have been appended to the
     root set (objects allocated during the cycle stay live). *)

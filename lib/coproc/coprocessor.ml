@@ -341,13 +341,12 @@ type t = {
   cfg : config;
   (* Parking guards, derived from the configuration once at [start]:
      skipping on, more than one core, and no sanitizer, fault plan, scan
-     unit or bank attachment. Spinners park on every step of such a run
-     that carries no per-step trace; an attached tracer or profiler is
-     credited at the wake ([unpark]). *)
+     unit or bank attachment. Spinners park on every step of such a run;
+     an attached tracer or profiler is credited at the wake ([unpark]). *)
   park_ok : bool;
   (* A plain run (the parking guards without the core count) with no
-     tracer or profiler attached: after the root phase, an untraced step
-     at which exactly one core is due and none is parked runs that core
+     tracer or profiler attached: after the root phase, a step at which
+     exactly one core is due and none is parked runs that core
      through the exclusive interpreter (see "Lone-core stepping"). *)
   lone_plain : bool;
   (* The furthest any jump of the clock may reach: the divergence bound
@@ -393,7 +392,6 @@ type t = {
      protocol diagnostics get cycle context in plain runs too. *)
   hooks : Hooks.t;
   san : San.t;
-  mutable san_seen : int;  (* findings already annotated into the trace *)
   (* Observability: the event/span tracer and the stall-attribution
      profiler. Both default to shared never-enabled instances, so in
      plain runs every instrumentation site reduces to one
@@ -1007,22 +1005,6 @@ let[@inline never] step_end_barrier t core =
     mark t
   end
 
-(* One-character activity code per core for the signal trace. *)
-let state_code = function
-  | Init -> 'I'
-  | Root_next | Root_header_wait -> 'R'
-  | Start_barrier | End_barrier -> 'B'
-  | Try_lock_scan -> '.'
-  | Scan_header_wait -> 's'
-  | Body_issue_load | Body_wait | Store_slot -> 'c'
-  | Lock_child -> 'l'
-  | Child_header_wait -> 'h'
-  | Lock_free | Evac_store_fwd | Evac_store_gray -> 'e'
-  | Piece_done -> 'p'
-  | Blacken -> 'k'
-  | Flush -> 'f'
-  | Halt -> ' '
-
 let state_name = function
   | Init -> "init"
   | Root_next -> "root-next"
@@ -1177,7 +1159,6 @@ let start ?(obs = Obs.disabled) ?(prof = Prof.disabled) ?remote cfg heap =
     remote = (match remote with None -> remote_disabled | Some r -> r);
     hooks;
     san;
-    san_seen = 0;
     obs;
     prof;
     cores = Array.init cfg.n_cores (make_core ~events ~faults ~hooks ~obs);
@@ -1772,8 +1753,8 @@ let wake_check t c ~now ~hdr0 =
 (* Flush every parked core back to the spinner it stands for, between
    steps: spins credited up to the current cycle, latch on the last
    executed cycle, due as an awake core is. Run before anything outside
-   the stepping loop can observe the machine — a snapshot, a per-step
-   trace, a main-processor write. *)
+   the stepping loop can observe the machine — a snapshot or a
+   main-processor write. *)
 let unpark_all t =
   if t.n_parked > 0 then begin
     let upto = t.clock.Kernel.now and latch = t.hooks.Hooks.cycle in
@@ -1800,9 +1781,7 @@ let unpark_all t =
    complete. A due core's wake cannot change before its own turn, and a
    write that wakes a parked core in time to retry this same cycle (id
    past the writer) inserts it into the rest of the list, so every core
-   still gets its turn in index order.
-
-   [park] enables spinner parking. *)
+   still gets its turn in index order. *)
 (* ------------------------------------------------------------------ *)
 
 (* Branch-free: every id is written at the list's end, and the end
@@ -1820,7 +1799,7 @@ let collect_due t ~n0 =
   t.n_due <- !d
 
 (* One cycle over the due list built by [collect_due]. *)
-let step_cycle ?trace ?horizon t ~n0 ~park =
+let step_cycle ?horizon t ~n0 =
   let m = t.mem in
   m.Mem.cycle <- n0;
   m.Mem.accepted_this_cycle <- 0;
@@ -1837,7 +1816,7 @@ let step_cycle ?trace ?horizon t ~n0 ~park =
   done;
   t.saw_empty <- false;
   t.n_awake <- 0;
-  let skip = t.cfg.skip in
+  let skip = t.cfg.skip and park = t.park_ok in
   (* [t.n_due] can grow during the walk: a write may wake a parked core
      in time to retry this cycle ([insert_due]). *)
   let k = ref 0 in
@@ -1897,28 +1876,6 @@ let step_cycle ?trace ?horizon t ~n0 ~park =
     if t.parallel_phase && (not t.finished) && t.saw_empty then 1 else 0
   in
   t.empty_cycles <- t.empty_cycles + empty_delta;
-  (match trace with
-  | Some tr ->
-    if Trace.due tr ~cycle:n0 then begin
-      let activity =
-        String.init t.cfg.n_cores (fun i -> state_code t.cores.(i).state)
-      in
-      Trace.record tr ~cycle:n0 ~scan:(t.sb.SB.scan) ~free:(t.sb.SB.free)
-        ~fifo_depth:(Fifo.length t.fifo) ~activity
-    end;
-    if t.hooks.Hooks.on then begin
-      let fs = San.findings t.san in
-      let n = List.length fs in
-      if n > t.san_seen then begin
-        List.iteri
-          (fun i d ->
-            if i >= t.san_seen then
-              Trace.annotate tr ~cycle:n0 (Diag.to_string d))
-          fs;
-        t.san_seen <- n
-      end
-    end
-  | None -> ());
   Kernel.tick t.clock;
   let quiet = cycle_was_quiet t ~scan0 ~free0 in
   if not (all_halted t) then begin
@@ -1932,14 +1889,13 @@ let step_cycle ?trace ?horizon t ~n0 ~park =
      with
     | Some trip -> raise (Stall_diagnosis (diagnose t trip))
     | None -> ());
-    (* Whole-machine fast-forward (disabled while tracing: a trace wants
-       to sample the quiet cycles too). Two triggers: a quiescent cycle
+    (* Whole-machine fast-forward. Two triggers: a quiescent cycle
        (the classic idle-cycle skip, bounded by every buffer wake), or
        every core asleep on a memory response, in which case nothing can
        happen before the earliest armed wake even though this cycle
        itself made progress. A parked core counts as awake there: the
        spinner it stands for would have run. *)
-    if t.cfg.skip && Option.is_none trace then
+    if t.cfg.skip then
       if quiet then begin
         let wake = next_wake_awake t ~now:n0 in
         if wake < max_int then begin
@@ -1984,7 +1940,7 @@ let step_cycle ?trace ?horizon t ~n0 ~park =
    When exactly one core is due and none is parked, every other core is
    asleep or halted until its armed wake, and nothing the due core does
    can wake one earlier (only parked cores wake on a write). So in a
-   plain run (see [lone_plain]) such an untraced [step] after the root
+   plain run (see [lone_plain]) such a [step] after the root
    phase runs the core alone through an exclusive interpreter
    ([exclusive_loop]) up to the other cores' earliest wake ([foreign];
    [max_int] on one core), the horizon, the cycle budget or the
@@ -2306,37 +2262,28 @@ let step_exclusive t c ~limit ~foreign =
   if c.wake > t.clock.Kernel.now && c.wake < max_int then
     Wake_queue.arm t.wakeq ~id:c.id ~time:c.wake
 
-let step ?trace ?horizon t =
+let step ?horizon t =
   let n0 = t.clock.Kernel.now in
   if n0 > t.cfg.max_cycles then
     raise
       (Simulation_diverged
          (Printf.sprintf "exceeded %d cycles (scan=%d free=%d)" t.cfg.max_cycles
             (t.sb.SB.scan) (t.sb.SB.free)));
-  match trace with
-  | None ->
-    collect_due t ~n0;
-    (* A lone due core runs a window up to the other cores' earliest
-       wake, the horizon, the cycle budget or the divergence bound (see
-       "Lone-core stepping"). *)
-    let foreign =
-      if t.lone_plain && t.parallel_phase && t.n_due = 1 && t.n_parked = 0
-      then Wake_queue.next_after t.wakeq ~now:n0
-      else n0
-    in
-    let limit = Wake_queue.bound ~horizon (imin foreign t.jump_cap) in
-    if limit > n0 then
-      step_exclusive t
-        (Array.unsafe_get t.cores (Array.unsafe_get t.due_ids 0))
-        ~limit ~foreign
-    else step_cycle ?horizon t ~n0 ~park:t.park_ok
-  | Some _ ->
-    (* A per-step trace (possibly attached mid-run) samples every cycle
-       of the plain machine, so parking is off: flush parked cores back
-       to the spinners they stand for first. *)
-    unpark_all t;
-    collect_due t ~n0;
-    step_cycle ?trace ?horizon t ~n0 ~park:false
+  collect_due t ~n0;
+  (* A lone due core runs a window up to the other cores' earliest wake,
+     the horizon, the cycle budget or the divergence bound (see
+     "Lone-core stepping"). *)
+  let foreign =
+    if t.lone_plain && t.parallel_phase && t.n_due = 1 && t.n_parked = 0 then
+      Wake_queue.next_after t.wakeq ~now:n0
+    else n0
+  in
+  let limit = Wake_queue.bound ~horizon (imin foreign t.jump_cap) in
+  if limit > n0 then
+    step_exclusive t
+      (Array.unsafe_get t.cores (Array.unsafe_get t.due_ids 0))
+      ~limit ~foreign
+  else step_cycle ?horizon t ~n0
 
 let finalize t =
   if not (all_halted t) then invalid_arg "Coprocessor.finalize: not halted";
@@ -2380,10 +2327,10 @@ let finalize t =
 let sanitizer_findings t = San.findings t.san
 let sanitizer_total t = San.total t.san
 
-let collect ?trace ?obs ?prof cfg heap =
+let collect ?obs ?prof cfg heap =
   let t = start ?obs ?prof cfg heap in
   while not (all_halted t) do
-    step ?trace t
+    step t
   done;
   finalize t
 

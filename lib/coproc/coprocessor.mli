@@ -50,18 +50,17 @@ type config = {
           for the slept or skipped spans, so every reported number is
           bit-identical to naive stepping; only wall-clock time changes.
           Default [true]; [false] is the pure poll-every-core-every-cycle
-          parity reference ([--no-skip] in the CLI). Tracing temporarily
-          disables the whole-machine jumps so quiet cycles are sampled
-          too. In a parkable run (more than one core; no sanitizer,
-          fault plan, scan unit or bank attachment; no per-step trace)
-          a core whose step failed a scan-lock grab, an empty-worklist
-          termination probe or a header lock {e parks}: it is not
-          stepped again until another core's write can change the
-          retry's outcome, and its skipped retries are credited in bulk
-          at the wake, to an attached tracer and profiler too. A parked
-          core counts as awake everywhere outside the stepping loop, so
-          parking changes no statistic, no snapshot, no trace event or
-          profile cell and not the executed/skipped split. In a plain
+          parity reference ([--no-skip] in the CLI). In a parkable run
+          (more than one core; no sanitizer, fault plan, scan unit or
+          bank attachment) a core whose step failed a scan-lock grab,
+          an empty-worklist termination probe or a header lock
+          {e parks}: it is not stepped again until another core's
+          write can change the retry's outcome, and its skipped
+          retries are credited in bulk at the wake, to an attached
+          tracer and profiler too. A parked core counts as awake
+          everywhere outside the stepping loop, so parking changes no
+          statistic, no snapshot, no trace event or profile cell and
+          not the executed/skipped split. In a plain
           run (the parking guards at any core count, no tracer or
           profiler) a step after the root phase at which exactly one
           core is due and none is parked runs that core alone through
@@ -237,15 +236,12 @@ val stalls_mean_per_core : gc_stats -> Counters.t
 (** Mean per core — the form the paper's Table II reports. *)
 
 val collect :
-  ?trace:Trace.t ->
   ?obs:Hsgc_obs.Tracer.t ->
   ?prof:Hsgc_obs.Profiler.t ->
   config -> Hsgc_heap.Heap.t -> gc_stats
 (** Run one collection cycle: evacuate everything reachable from the
     heap's roots into the other semispace, update the roots, flip the
-    heap. Raises {!Heap_overflow} if the live data does not fit. An
-    attached {!Trace} samples the internal signals while the cycle
-    runs.
+    heap. Raises {!Heap_overflow} if the live data does not fit.
 
     [obs] attaches an event/span tracer ({!Hsgc_obs.Tracer}): per-core
     phase spans, merged stall runs, FIFO overflow episodes, gray
@@ -283,7 +279,7 @@ val start :
     the bank's view — its fromspace is the home range and its tospace
     the bank's slice — sharing the memory array with the real heap. *)
 
-val step : ?trace:Trace.t -> ?horizon:int -> sim -> unit
+val step : ?horizon:int -> sim -> unit
 (** Advance the coprocessor by one clock cycle — or, when the cycle turns
     out quiescent and skipping is enabled, by as many cycles as it takes
     to reach the next wake-up (statistics credited in bulk, bit-identical
@@ -296,9 +292,7 @@ val step : ?trace:Trace.t -> ?horizon:int -> sim -> unit
     cycle: a concurrent driver passes the time of its next mutator
     operation so the coprocessor never jumps past an external event. No
     jump passes the cycle budget either, so the watchdog trips at the
-    cycle naive stepping trips it. A [trace] samples every cycle, so it
-    turns spinner parking and the single-due window off (parked cores
-    are first returned to the spinners they stand for). *)
+    cycle naive stepping trips it. *)
 
 val halted : sim -> bool
 (** All cores have passed the end barrier. *)

@@ -309,6 +309,8 @@ let iter t f =
       ~a:t.ev_a.(i) ~b:t.ev_b.(i)
   done
 
+let clear t = t.len <- 0
+
 (* Canonical textual serialization of the event stream. Two
    normalizations make the digest a property of the machine rather than
    of this run's stepping strategy: kernel skip spans (absent under

@@ -159,6 +159,11 @@ val iter :
   (cycle:int -> code:int -> core:int -> a:int -> b:int -> unit) ->
   unit
 
+val clear : t -> unit
+(** Empty the ring once its events are read ({!Timeline.absorb}). Open
+    spans, the sampling cursor and the drop count stay; {!finish}'s
+    events-kept counter counts only the events still in the ring. *)
+
 val serialize : ?include_skips:bool -> t -> string
 (** One event per line, ["cycle code core a b"], in canonical order
     (sorted by the full event tuple — ring order is span-closure order,

@@ -21,7 +21,7 @@ let () =
       ("baselines", Test_baselines.suite);
       ("swgc", Test_swgc.suite);
       ("coprocessor", Test_coprocessor.suite);
-      ("trace", Test_trace.suite);
+      ("trace", Test_timeline.suite);
       ("obs", Test_obs.suite);
       ("golden", Test_golden.suite);
       ("concurrent", Test_concurrent.suite);

@@ -6,6 +6,7 @@ module Metrics = Hsgc_obs.Metrics
 module Tracer = Hsgc_obs.Tracer
 module Profiler = Hsgc_obs.Profiler
 module Perfetto = Hsgc_obs.Perfetto
+module Timeline = Hsgc_obs.Timeline
 module Coprocessor = Hsgc_coproc.Coprocessor
 module Counters = Hsgc_coproc.Counters
 module Workloads = Hsgc_objgraph.Workloads
@@ -194,10 +195,10 @@ let test_profiler_close_pads_idle () =
 (* Live-coprocessor identities                                         *)
 (* ------------------------------------------------------------------ *)
 
-let instrumented_run ?faults ?(seed = 11) ?(latency = 0) ~workload ~n_cores
-    ~skip () =
+let instrumented_run ?faults ?(seed = 11) ?(latency = 0) ?interval ~workload
+    ~n_cores ~skip () =
   let heap = Workloads.build_heap ~scale:0.05 ~seed workload in
-  let obs = Tracer.create ~n_cores () in
+  let obs = Tracer.create ?interval ~n_cores () in
   Tracer.enable obs;
   let prof = Profiler.create ~n_cores () in
   Profiler.enable prof;
@@ -276,15 +277,22 @@ let test_profile_skip_naive_identical () =
    configuration with an inert fault plan) agree on count, sum, max and
    every bucket. The scan-lock holds include one zero-cycle hold per
    failed termination probe, in executed, skipped and parked cycles
-   alike. Golden grid (seed 42), base and +20 latency. *)
+   alike. So do the ascii and csv views of `gcsim trace` (Timeline), with
+   every cell covered. Golden grid (seed 42), base and +20 latency. *)
 let test_histograms_engine_independent () =
   let hists ?faults ~skip ~latency ~workload ~n_cores () =
     let _, obs, _ =
-      instrumented_run ?faults ~seed:42 ~latency ~workload ~n_cores ~skip ()
+      instrumented_run ?faults ~seed:42 ~latency ~interval:16 ~workload
+        ~n_cores ~skip ()
     in
-    Metrics.all_hists (Tracer.metrics obs)
+    let v = Timeline.create obs in
+    Timeline.absorb v;
+    (Metrics.all_hists (Tracer.metrics obs), Timeline.to_csv v ^ Timeline.timeline v)
   in
-  let check ctx ~other_name reference other =
+  let check ctx ~other_name (reference, view) (other, other_view) =
+    if String.contains view '?' then Alcotest.failf "%s: a cell no span covers" ctx;
+    if other_view <> view then
+      Alcotest.failf "%s: the %s view differs" ctx other_name;
     List.iter2
       (fun h o ->
         let name = Metrics.hist_name h in

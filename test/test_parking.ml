@@ -22,7 +22,6 @@ module Checkpoint = Hsgc_checkpoint.Checkpoint
 module Tracer = Hsgc_obs.Tracer
 module Profiler = Hsgc_obs.Profiler
 module Injector = Hsgc_fault.Injector
-module Trace = Hsgc_coproc.Trace
 module Codec = Hsgc_util.Codec
 
 let check_stats_equal = Test_kernel.check_stats_equal
@@ -317,34 +316,6 @@ let test_window_snapshots () =
       ("window, jflex/2 +20", 2, 20, Workloads.jflex);
     ]
 
-(* A per-step trace attached mid-run, while cores are parked, samples
-   the machine exactly as it samples the unparked twin, and the run
-   still ends bit-identical to it, executed/skipped split included. *)
-let test_park_trace_mid_run () =
-  let cfg = Coprocessor.config ~mem:(mem_at 20) ~n_cores:3 () in
-  let build = termination_heap ~small:true in
-  let run cfg =
-    let sim = Coprocessor.start cfg (build ()) in
-    let trace = Trace.create ~interval:7 () in
-    let steps = ref 0 in
-    while not (Coprocessor.halted sim) do
-      incr steps;
-      (* Untraced for a stretch with probers parked, then traced. *)
-      if !steps < 200 || !steps > 400 then Coprocessor.step sim
-      else Coprocessor.step ~trace sim
-    done;
-    if Trace.length trace = 0 then Alcotest.fail "the trace took no sample";
-    (Coprocessor.finalize sim, Trace.to_csv trace)
-  in
-  let parked, csv = run cfg and unparked, csv_twin = run (twin cfg) in
-  check_stats_equal "trace mid-run" ~ref_name:"unparked" ~other_name:"parked"
-    unparked parked;
-  Alcotest.(check (pair int int))
-    "trace mid-run: executed/skipped split"
-    (unparked.Coprocessor.executed_cycles, unparked.Coprocessor.skipped_cycles)
-    (parked.Coprocessor.executed_cycles, parked.Coprocessor.skipped_cycles);
-  Alcotest.(check string) "trace samples" csv_twin csv
-
 (* A watchdog trip while cores are parked: the same cycle and the same
    machine dump as the unparked twin. *)
 let test_park_watchdog_dump () =
@@ -465,8 +436,6 @@ let suite =
       test_park_snapshot_resume;
     Alcotest.test_case "snapshots after every single-due window" `Quick
       test_window_snapshots;
-    Alcotest.test_case "per-step trace attached mid-run" `Quick
-      test_park_trace_mid_run;
     Alcotest.test_case "watchdog dump with cores parked" `Quick
       test_park_watchdog_dump;
     Alcotest.test_case "naive/default parity on many cores" `Quick
